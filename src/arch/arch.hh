@@ -194,28 +194,21 @@ class BoundArch
     bool
     fits(int level, const std::vector<std::int64_t> &footprint_words) const
     {
-        const auto &lv = arch_.levels[level];
-        if (lv.isDram)
-            return true;
         SUNSTONE_ASSERT((int)footprint_words.size() == numTensors(),
                         "footprint vector size mismatch");
-        const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
-        if (lv.partitions.empty()) {
-            std::int64_t bits = 0;
-            for (TensorId t = 0; t < numTensors(); ++t)
-                if (stores_[level][t])
-                    bits += footprint_words[t] * wl_.tensor(t).wordBits;
-            return bits <= lv.capacityBits / shrink;
-        }
-        for (const auto &p : lv.partitions) {
-            std::int64_t bits = 0;
-            for (TensorId t = 0; t < numTensors(); ++t)
-                if (stores_[level][t] && tensorPartition[t] == p.name)
-                    bits += footprint_words[t] * wl_.tensor(t).wordBits;
-            if (bits > p.capacityBits / shrink)
-                return false;
-        }
-        return true;
+        return fitsBy(level,
+                      [&](TensorId t) { return footprint_words[t]; });
+    }
+
+    /** fits() for a tile shape: computes each stored tensor's
+     *  footprint on the fly and allocates nothing, for capacity probes
+     *  in search loops. */
+    bool
+    fitsShape(int level, const std::vector<std::int64_t> &shape) const
+    {
+        return fitsBy(level, [&](TensorId t) {
+            return wl_.tensor(t).footprint(shape);
+        });
     }
 
     /**
@@ -254,6 +247,33 @@ class BoundArch
     int residencyLevel(TensorId t) const;
 
   private:
+    /** fits() over footprint(t), queried once per stored tensor. */
+    template <class Footprint>
+    bool
+    fitsBy(int level, Footprint &&footprint) const
+    {
+        const auto &lv = arch_.levels[level];
+        if (lv.isDram)
+            return true;
+        const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
+        if (lv.partitions.empty()) {
+            std::int64_t bits = 0;
+            for (TensorId t = 0; t < numTensors(); ++t)
+                if (stores_[level][t])
+                    bits += footprint(t) * wl_.tensor(t).wordBits;
+            return bits <= lv.capacityBits / shrink;
+        }
+        for (const auto &p : lv.partitions) {
+            std::int64_t bits = 0;
+            for (TensorId t = 0; t < numTensors(); ++t)
+                if (stores_[level][t] && tensorPartition[t] == p.name)
+                    bits += footprint(t) * wl_.tensor(t).wordBits;
+            if (bits > p.capacityBits / shrink)
+                return false;
+        }
+        return true;
+    }
+
     void assignPartitions(
         const std::map<std::string, std::string> &explicit_map);
     void computeStores();

@@ -73,13 +73,6 @@ struct InternTable
         slot = *computed;
         return slot;
     }
-
-    std::size_t
-    size()
-    {
-        std::shared_lock<std::shared_mutex> lk(mtx);
-        return map.size();
-    }
 };
 
 InternTable<std::vector<std::int64_t>> &
@@ -103,12 +96,6 @@ cachedDivisors(std::int64_t n)
 {
     return divisorCache().get(n,
                               [](std::int64_t v) { return divisors(v); });
-}
-
-std::size_t
-divisorCacheSize()
-{
-    return divisorCache().size();
 }
 
 const std::vector<std::pair<std::int64_t, int>> &

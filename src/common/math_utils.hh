@@ -37,9 +37,6 @@ std::vector<std::int64_t> divisors(std::int64_t n);
  */
 const std::vector<std::int64_t> &cachedDivisors(std::int64_t n);
 
-/** @return number of interned entries in the cachedDivisors() table. */
-std::size_t divisorCacheSize();
-
 /**
  * @return the prime factorization of n as (prime, exponent) pairs in
  *         ascending prime order.

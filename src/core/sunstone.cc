@@ -53,26 +53,15 @@ struct Collector
     double inc = kInf;
 };
 
+template <class Int>
 std::string
-i64ArrayJson(const std::vector<std::int64_t> &v)
+intArrayJson(const std::vector<Int> &v)
 {
     std::string s = "[";
     for (std::size_t i = 0; i < v.size(); ++i) {
         if (i)
             s += ", ";
-        s += std::to_string(v[i]);
-    }
-    return s + "]";
-}
-
-std::string
-dimArrayJson(const std::vector<DimId> &v)
-{
-    std::string s = "[";
-    for (std::size_t i = 0; i < v.size(); ++i) {
-        if (i)
-            s += ", ";
-        s += std::to_string(static_cast<int>(v[i]));
+        s += std::to_string(static_cast<long long>(v[i]));
     }
     return s + "]";
 }
@@ -99,27 +88,37 @@ beamPayload(int next_step, bool bottom_up, std::int64_t examined,
             s += ", ";
         const Partial &p = beam[i];
         s += "{\"m\": " + mappingToJson(p.m) +
-             ", \"rem\": " + i64ArrayJson(p.remaining) +
-             ", \"suffix\": " + dimArrayJson(p.pendingSuffix) +
+             ", \"rem\": " + intArrayJson(p.remaining) +
+             ", \"suffix\": " + intArrayJson(p.pendingSuffix) +
              ", \"score\": " + jsonDouble(p.score) + "}";
     }
     return s + "]}";
 }
 
-/** Capacity check of a shape against one storage level. */
-bool
-shapeFits(const BoundArch &ba, int level,
-          const std::vector<std::int64_t> &shape)
+/**
+ * One beam entry's expansion at one step. Each candidate is built in
+ * `work` in place, scored, copied into the collector only when
+ * alpha-beta keeps it, and then reset from `base`: no Mapping is copied
+ * per candidate.
+ */
+struct Expansion
 {
-    if (ba.arch().levels[level].isDram)
-        return true;
-    const Workload &wl = ba.workload();
-    std::vector<std::int64_t> fp(wl.numTensors(), 0);
-    for (TensorId t = 0; t < wl.numTensors(); ++t)
-        if (ba.stores(level, t))
-            fp[t] = wl.tensor(t).footprint(shape);
-    return ba.fits(level, fp);
-}
+    const Partial &base;
+    Collector &col;
+    Partial work = base;
+    /** Capacity-check scratch (tile shapes). */
+    std::vector<std::int64_t> shape{};
+
+    /** Restores levels [lo, hi] and the bookkeeping from the base. */
+    void
+    reset(int lo, int hi)
+    {
+        for (int l = lo; l <= hi; ++l)
+            work.m.level(l) = base.m.level(l);
+        work.remaining = base.remaining;
+        work.pendingSuffix = base.pendingSuffix;
+    }
+};
 
 class Driver
 {
@@ -189,7 +188,7 @@ class Driver
                 beam = expandBeam(beam, k, /*bottom_up=*/true);
                 saveBeamState(drv, k + 1, bottom_up, beam);
             }
-            finalizeBottomUp(beam);
+            finalize(beam, /*bottom_up=*/true);
         } else {
             for (int k = step; k >= 1; --k) {
                 if (drv.shouldStop())
@@ -197,7 +196,7 @@ class Driver
                 beam = expandBeam(beam, k, /*bottom_up=*/false);
                 saveBeamState(drv, k - 1, bottom_up, beam);
             }
-            finalizeTopDown(beam);
+            finalize(beam, /*bottom_up=*/false);
         }
 
         // Full evaluation (with validity check) of the surviving beam.
@@ -391,13 +390,14 @@ class Driver
     absorb(Partial &p, int k) const
     {
         auto &lm = p.m.level(k);
+        std::vector<std::int64_t> shape;
         for (DimId d : p.pendingSuffix) {
-            auto shape = p.m.tileShape(k);
+            p.m.tileShape(k, shape);
+            const std::int64_t extent = shape[d];
             const auto &divs = cachedDivisors(p.remaining[d]);
             for (auto it = divs.rbegin(); it != divs.rend(); ++it) {
-                auto candidate = shape;
-                candidate[d] = satMul(candidate[d], *it);
-                if (shapeFits(ba, k, candidate)) {
+                shape[d] = satMul(extent, *it);
+                if (ba.fitsShape(k, shape)) {
                     lm.temporal[d] = satMul(lm.temporal[d], *it);
                     p.remaining[d] /= *it;
                     break;
@@ -454,17 +454,19 @@ class Driver
         return e;
     }
 
-    /** Scores a finished step candidate into its entry's collector. */
+    /** Scores the candidate built in ex.work into the entry's
+     *  collector, copying it out only when alpha-beta keeps it. */
     void
-    emit(Collector &col, Partial &&cand, bool bottom_up,
-         const EvalEngine::PrefixHandle &ph)
+    emit(Expansion &ex, bool bottom_up, const EvalEngine::PrefixHandle &ph)
     {
         if (drv_->shouldStop())
             return;
+        Partial &cand = ex.work;
         cand.score =
             scoreCompletion(cand, cand.pendingSuffix, bottom_up, ph);
         examined.fetch_add(1, std::memory_order_relaxed);
         drv_->noteEvaluated(1);
+        Collector &col = ex.col;
         if (opts.alphaBeta) {
             if (cand.score < col.inc)
                 col.inc = cand.score;
@@ -473,7 +475,7 @@ class Driver
                 return;
             }
         }
-        col.out.push_back(std::move(cand));
+        col.out.push_back(cand);
     }
 
     /** Expands every beam entry at step k, then trims to the beam. */
@@ -568,13 +570,14 @@ class Driver
                 tracedUnrolls(DimSet::all(nDims), base.remaining,
                               ba.arch().levels[0].fanout,
                               opts.utilizationThreshold);
+            std::vector<std::int64_t> shape;
             for (const auto &u : ur.candidates) {
                 Partial v = base;
                 for (DimId d = 0; d < nDims; ++d) {
                     v.m.level(0).spatial[d] = u[d];
                     v.remaining[d] /= u[d];
                 }
-                if (!shapeFits(ba, 0, v.m.tileShape(0)))
+                if (!tileFits(v.m, 0, shape))
                     continue;
                 expandBottomUpInner(std::move(v), k, col);
             }
@@ -591,6 +594,8 @@ class Driver
         // levels [0, k): build (or fetch) their contribution terms once,
         // so every completion score only walks the undecided suffix.
         const EvalEngine::PrefixHandle ph = engine.prefix(ctx, base.m, k);
+        const std::vector<std::int64_t> base_shape = base.m.tileShape(k);
+        Expansion ex{base, col};
         const DimSet active = activeDims(base.remaining);
         auto orderings = tracedOrderings(active);
         if (opts.generalistOrdering) {
@@ -636,41 +641,32 @@ class Driver
             // (from the full quotient), then the temporal tile from what
             // remains. This keeps tiling from starving parallelism.
             for (const auto &ord : orderings) {
-                std::vector<std::vector<std::int64_t>> unrolls;
-                if (fanout_above > 1) {
-                    UnrollResult ur = tracedUnrolls(
-                        allowedUnrollDimsFor(ord), base.remaining,
-                        fanout_above, utilFor(ord));
-                    examined.fetch_add(ur.combosVisited,
-                                       std::memory_order_relaxed);
-                    unrolls = std::move(ur.candidates);
-                    if (isGeneralist(ord) && unrolls.size() > 24) {
-                        auto product = [&](const auto &v) {
-                            std::int64_t p = 1;
-                            for (auto f : v)
-                                p = satMul(p, f);
-                            return p;
-                        };
-                        std::sort(unrolls.begin(), unrolls.end(),
-                                  [&](const auto &a, const auto &b) {
-                                      return product(a) > product(b);
-                                  });
-                        unrolls.resize(24);
-                    }
-                } else {
-                    unrolls.emplace_back(nDims, 1);
+                auto unrolls =
+                    countedUnrolls(allowedUnrollDimsFor(ord), base.remaining,
+                                   fanout_above, utilFor(ord));
+                if (isGeneralist(ord) && unrolls.size() > 24) {
+                    auto product = [&](const auto &v) {
+                        std::int64_t p = 1;
+                        for (auto f : v)
+                            p = satMul(p, f);
+                        return p;
+                    };
+                    std::sort(unrolls.begin(), unrolls.end(),
+                              [&](const auto &a, const auto &b) {
+                                  return product(a) > product(b);
+                              });
+                    unrolls.resize(24);
                 }
                 for (const auto &u : unrolls) {
                     std::vector<std::int64_t> rem = base.remaining;
                     for (DimId d = 0; d < nDims; ++d)
                         rem[d] /= u[d];
                     const auto tiles =
-                        tracedTiles(k, baseShapeFor(base, k), rem,
-                                    growFor(ord));
+                        tracedTiles(k, base_shape, rem, growFor(ord));
                     examined.fetch_add(tiles.nodesVisited,
                                        std::memory_order_relaxed);
                     for (const auto &tile : tiles.maximal)
-                        emitCandidate(base, k, ord, tile, u, ph, col);
+                        emitCandidate(ex, k, ord, tile, u, ph);
                 }
             }
             return;
@@ -680,14 +676,13 @@ class Driver
             // Per ordering, temporal tile first, then unrolling from the
             // leftover quotient.
             for (const auto &ord : orderings) {
-                const auto tiles =
-                    tracedTiles(k, baseShapeFor(base, k), base.remaining,
-                                growFor(ord));
+                const auto tiles = tracedTiles(k, base_shape, base.remaining,
+                                               growFor(ord));
                 examined.fetch_add(tiles.nodesVisited,
                                    std::memory_order_relaxed);
                 for (const auto &tile : tiles.maximal)
-                    emitTileUnrolls(base, k, ord, tile, fanout_above,
-                                    allowedUnrollDimsFor(ord), ph, col);
+                    emitTileUnrolls(ex, k, ord, tile, fanout_above,
+                                    allowedUnrollDimsFor(ord), ph);
             }
             return;
         }
@@ -701,13 +696,13 @@ class Driver
             allow_union =
                 allow_union.unionWith(allowedUnrollDimsFor(ord));
         }
-        const auto tiles = tracedTiles(k, baseShapeFor(base, k),
-                                       base.remaining, grow_union);
+        const auto tiles =
+            tracedTiles(k, base_shape, base.remaining, grow_union);
         examined.fetch_add(tiles.nodesVisited, std::memory_order_relaxed);
         for (const auto &tile : tiles.maximal)
             for (const auto &ord : orderings)
-                emitTileUnrolls(base, k, ord, tile, fanout_above,
-                                allow_union, ph, col);
+                emitTileUnrolls(ex, k, ord, tile, fanout_above,
+                                allow_union, ph);
     }
 
     // Span-wrapped enumerators: every (order, tile, unroll) decision in
@@ -729,6 +724,19 @@ class Driver
         return unrollCandidates(wl, allowed, rem, fanout, util);
     }
 
+    /** Unroll candidates for a fanout (the identity when there is no
+     *  fanout to fill), their visited combos counted as examined. */
+    std::vector<std::vector<std::int64_t>>
+    countedUnrolls(DimSet allowed, const std::vector<std::int64_t> &rem,
+                   std::int64_t fanout, double util)
+    {
+        if (fanout <= 1)
+            return {std::vector<std::int64_t>(nDims, 1)};
+        UnrollResult ur = tracedUnrolls(allowed, rem, fanout, util);
+        examined.fetch_add(ur.combosVisited, std::memory_order_relaxed);
+        return std::move(ur.candidates);
+    }
+
     TilingTreeResult
     tracedTiles(int k, const std::vector<std::int64_t> &shape,
                 const std::vector<std::int64_t> &rem, DimSet grow) const
@@ -737,48 +745,45 @@ class Driver
         return growTiles(ba, k, shape, rem, grow);
     }
 
-    std::vector<std::int64_t>
-    baseShapeFor(const Partial &p, int k) const
-    {
-        return p.m.tileShape(k);
-    }
-
     void
-    emitTileUnrolls(const Partial &base, int k,
-                    const OrderingCandidate &ord,
+    emitTileUnrolls(Expansion &ex, int k, const OrderingCandidate &ord,
                     const std::vector<std::int64_t> &tile,
                     std::int64_t fanout_above, DimSet allowed,
-                    const EvalEngine::PrefixHandle &ph, Collector &col)
+                    const EvalEngine::PrefixHandle &ph)
     {
-        std::vector<std::int64_t> rem = base.remaining;
+        std::vector<std::int64_t> rem = ex.base.remaining;
         for (DimId d = 0; d < nDims; ++d)
             rem[d] /= tile[d];
-        if (fanout_above > 1) {
-            UnrollResult ur = tracedUnrolls(
-                allowed, rem, fanout_above, opts.utilizationThreshold);
-            examined.fetch_add(ur.combosVisited,
-                               std::memory_order_relaxed);
-            for (const auto &u : ur.candidates)
-                emitCandidate(base, k, ord, tile, u, ph, col);
-        } else {
-            emitCandidate(base, k, ord, tile,
-                          std::vector<std::int64_t>(nDims, 1), ph, col);
-        }
+        for (const auto &u : countedUnrolls(allowed, rem, fanout_above,
+                                            opts.utilizationThreshold))
+            emitCandidate(ex, k, ord, tile, u, ph);
     }
 
-    /** Builds the new partial for a (order, tile, unroll) triple. */
+    /** Capacity check of m's level-l tile (`shape` is scratch). */
+    bool
+    tileFits(const Mapping &m, int l, std::vector<std::int64_t> &shape) const
+    {
+        if (ba.arch().levels[l].isDram)
+            return true;
+        m.tileShape(l, shape);
+        return ba.fitsShape(l, shape);
+    }
+
+    /** Builds and emits the new partial for a (order, tile, unroll)
+     *  triple in ex.work, then resets the levels it touched. */
     void
-    emitCandidate(const Partial &base, int k, const OrderingCandidate &ord,
+    emitCandidate(Expansion &ex, int k, const OrderingCandidate &ord,
                   const std::vector<std::int64_t> &tile,
                   const std::vector<std::int64_t> &unroll,
-                  const EvalEngine::PrefixHandle &ph, Collector &col)
+                  const EvalEngine::PrefixHandle &ph)
     {
-        Partial cand = base;
+        Partial &cand = ex.work;
         auto &lm = cand.m.level(k);
         for (DimId d = 0; d < nDims; ++d) {
             lm.temporal[d] = satMul(lm.temporal[d], tile[d]);
             cand.remaining[d] /= tile[d];
         }
+        bool fits = true;
         if (k + 1 < nLevels) {
             auto &up = cand.m.level(k + 1);
             for (DimId d = 0; d < nDims; ++d) {
@@ -788,12 +793,13 @@ class Driver
             up.order = ord.fullOrder(nDims);
             // The spatially enlarged tile must fit the level above even
             // before its own temporal loops are chosen.
-            if (!ba.arch().levels[k + 1].isDram &&
-                !shapeFits(ba, k + 1, cand.m.tileShape(k + 1)))
-                return;
+            fits = tileFits(cand.m, k + 1, ex.shape);
         }
-        cand.pendingSuffix = ord.suffix;
-        emit(col, std::move(cand), /*bottom_up=*/true, ph);
+        if (fits) {
+            cand.pendingSuffix = ord.suffix;
+            emit(ex, /*bottom_up=*/true, ph);
+        }
+        ex.reset(k, std::min(k + 1, nLevels - 1));
     }
 
     /**
@@ -805,6 +811,7 @@ class Driver
     expandTopDown(const Partial &base, int k, Collector &col)
     {
         const auto tiles = firstFitTiles(base.remaining, k);
+        Expansion ex{base, col};
         for (const auto &tile : tiles) {
             std::vector<std::int64_t> rem = base.remaining;
             DimSet tiled;
@@ -815,20 +822,11 @@ class Driver
             }
             auto orderings = tracedOrderings(tiled);
             for (const auto &ord : orderings) {
-                const std::int64_t fanout = ba.arch().levels[k].fanout;
-                std::vector<std::vector<std::int64_t>> unrolls;
-                if (fanout > 1) {
-                    UnrollResult ur = tracedUnrolls(
-                        allowedUnrollDimsFor(ord), rem, fanout,
-                        opts.utilizationThreshold);
-                    examined.fetch_add(ur.combosVisited,
-                                       std::memory_order_relaxed);
-                    unrolls = std::move(ur.candidates);
-                } else {
-                    unrolls.emplace_back(nDims, 1);
-                }
-                for (const auto &u : unrolls) {
-                    Partial cand = base;
+                for (const auto &u : countedUnrolls(
+                         allowedUnrollDimsFor(ord), rem,
+                         ba.arch().levels[k].fanout,
+                         opts.utilizationThreshold)) {
+                    Partial &cand = ex.work;
                     auto &lm = cand.m.level(k);
                     for (DimId d = 0; d < nDims; ++d) {
                         lm.temporal[d] = tile[d];
@@ -837,8 +835,9 @@ class Driver
                     }
                     lm.order = ord.fullOrder(nDims);
                     cand.pendingSuffix = ord.suffix;
-                    emit(col, std::move(cand), /*bottom_up=*/false,
+                    emit(ex, /*bottom_up=*/false,
                          EvalEngine::PrefixHandle{});
+                    ex.reset(k, k);
                 }
             }
         }
@@ -856,16 +855,19 @@ class Driver
         SUNSTONE_TRACE_SPAN("sunstone.tiling");
         std::vector<std::vector<std::int64_t>> result;
         std::vector<std::int64_t> unit(nDims, 1);
+        std::vector<std::int64_t> shape(nDims);
         auto residualFits = [&](const std::vector<std::int64_t> &t) {
-            std::vector<std::int64_t> shape(nDims);
             for (DimId d = 0; d < nDims; ++d)
                 shape[d] = remaining[d] / t[d];
-            return shapeFits(ba, k - 1, shape);
+            return ba.fitsShape(k - 1, shape);
         };
         // Hash of the factor vector, not the vector itself: the frontier
         // visits millions of nodes on large shapes and the ordered-map
-        // key comparisons dominated. A 64-bit FNV collision would only
-        // drop one duplicate candidate, never corrupt a mapping.
+        // key comparisons dominated. A 64-bit FNV collision makes the
+        // walk take a distinct, unseen node for an already-visited one:
+        // that node is neither examined nor expanded from this parent,
+        // so a fitting tile can be lost (never a wrong one: every kept
+        // tile passed its own residual check).
         std::unordered_set<std::uint64_t> visited;
         std::vector<std::vector<std::int64_t>> frontier{unit};
         visited.insert(hashFactors(unit));
@@ -899,29 +901,21 @@ class Driver
         return result;
     }
 
+    /** Moves every leftover quotient to the fill level (DRAM bottom-up,
+     *  level 0 top-down); bottom-up also fixes DRAM's loop order. */
     void
-    finalizeBottomUp(std::vector<Partial> &beam)
+    finalize(std::vector<Partial> &beam, bool bottom_up)
     {
         for (auto &p : beam) {
-            auto &lm = p.m.level(nLevels - 1);
+            auto &lm = p.m.level(bottom_up ? nLevels - 1 : 0);
             for (DimId d = 0; d < nDims; ++d) {
                 lm.temporal[d] = satMul(lm.temporal[d], p.remaining[d]);
                 p.remaining[d] = 1;
             }
-            OrderingCandidate oc;
-            oc.suffix = p.pendingSuffix;
-            lm.order = oc.fullOrder(nDims);
-        }
-    }
-
-    void
-    finalizeTopDown(std::vector<Partial> &beam)
-    {
-        for (auto &p : beam) {
-            auto &lm = p.m.level(0);
-            for (DimId d = 0; d < nDims; ++d) {
-                lm.temporal[d] = satMul(lm.temporal[d], p.remaining[d]);
-                p.remaining[d] = 1;
+            if (bottom_up) {
+                OrderingCandidate oc;
+                oc.suffix = p.pendingSuffix;
+                lm.order = oc.fullOrder(nDims);
             }
         }
     }

@@ -1,34 +1,80 @@
 #include "core/tiling_tree.hh"
 
 #include <algorithm>
-#include <unordered_map>
+#include <utility>
 
-#include "common/logging.hh"
 #include "common/math_utils.hh"
-#include "model/eval_engine.hh"
 
 namespace sunstone {
 
 namespace {
 
-/** Capacity check for a factor vector on top of the base shape. The
- *  caller provides the shape/footprint scratch so the BFS inner loop
- *  performs no allocations. */
-bool
-fits(const BoundArch &ba, int level,
-     const std::vector<std::int64_t> &base_shape,
-     const std::vector<std::int64_t> &factors,
-     std::vector<std::int64_t> &shape, std::vector<std::int64_t> &fp)
+/**
+ * Canonical-order depth-first walk over the fitting divisor-index
+ * vectors. A node grows only the grow dims at or after the one it was
+ * grown in, so each fitting vector is reached along exactly one path and
+ * no visited set is needed. Footprints are monotone in every dim, so a
+ * growth that overflows at a node overflows everywhere in the node's
+ * subtree (which never grows that dim again): the dim is blocked there
+ * and its probes are rejected without a fit check.
+ */
+struct CanonicalWalk
 {
-    const Workload &wl = ba.workload();
-    shape.resize(base_shape.size());
-    for (std::size_t d = 0; d < shape.size(); ++d)
-        shape[d] = satMul(base_shape[d], factors[d]);
-    fp.resize(wl.numTensors());
-    for (TensorId t = 0; t < wl.numTensors(); ++t)
-        fp[t] = ba.stores(level, t) ? wl.tensor(t).footprint(shape) : 0;
-    return ba.fits(level, fp);
-}
+    const BoundArch &ba;
+    const int level;
+    const std::vector<std::int64_t> &base;
+    std::vector<DimId> grow{};
+    std::vector<const std::vector<std::int64_t> *> divs{};
+    /** Divisor index, factor and tile extent (base × factor) per dim. */
+    std::vector<std::size_t> idx{};
+    std::vector<std::int64_t> node{}, shape{};
+    /** Maximal tiles with their divisor-index depth. */
+    std::vector<std::pair<int, std::vector<std::int64_t>>> found{};
+    std::int64_t visited = 0;
+
+    void
+    step(DimId d, int by)
+    {
+        idx[d] += by;
+        node[d] = (*divs[d])[idx[d]];
+        shape[d] = satMul(base[d], node[d]);
+    }
+
+    /** Walks the subtree of the current node, last grown in grow[first]. */
+    void
+    visit(std::size_t first, DimSet blocked, int depth)
+    {
+        ++visited;
+        DimSet fitting;
+        for (DimId d : grow) {
+            if (idx[d] + 1 == divs[d]->size())
+                continue; // dim exhausted
+            bool fits = false;
+            if (!blocked.contains(d)) {
+                step(d, 1);
+                fits = ba.fitsShape(level, shape);
+                step(d, -1);
+            }
+            if (fits) {
+                fitting.add(d);
+            } else {
+                ++visited; // examined and rejected
+                blocked.add(d);
+            }
+        }
+        if (fitting.empty()) {
+            found.emplace_back(depth, node);
+            return;
+        }
+        for (std::size_t i = first; i < grow.size(); ++i) {
+            if (!fitting.contains(grow[i]))
+                continue;
+            step(grow[i], 1);
+            visit(i, blocked, depth + 1);
+            step(grow[i], -1);
+        }
+    }
+};
 
 } // anonymous namespace
 
@@ -37,78 +83,40 @@ growTiles(const BoundArch &ba, int level,
           const std::vector<std::int64_t> &base_shape,
           const std::vector<std::int64_t> &remaining, DimSet grow_dims)
 {
-    const int nd = static_cast<int>(remaining.size());
     TilingTreeResult res;
-
-    std::vector<std::int64_t> shape_scratch, fp_scratch;
-    std::vector<std::int64_t> unit(nd, 1);
-    if (!fits(ba, level, base_shape, unit, shape_scratch, fp_scratch)) {
+    if (!ba.fitsShape(level, base_shape)) {
         // Even the unit tile overflows (the base shape is too large);
         // no candidates at this level.
         return res;
     }
-
-    // Hoist each grow dim's divisor list out of the BFS: the interned
-    // table is looked up once per dim instead of once per probe, and the
-    // references stay valid for the whole walk.
-    std::vector<const std::vector<std::int64_t> *> divs(nd, nullptr);
-    for (DimId d : grow_dims)
-        divs[d] = &cachedDivisors(remaining[d]);
-
-    // Count the unpruned grow-dim space for reporting: every combination
-    // of divisors along the grow dims.
+    const std::size_t nd = remaining.size();
+    CanonicalWalk walk{ba, level, base_shape};
+    walk.divs.assign(nd, nullptr);
+    walk.idx.assign(nd, 0);
+    walk.node.assign(nd, 1);
+    walk.shape = base_shape;
+    // The unpruned grow-dim space, for reporting: every combination of
+    // divisors along the grow dims.
     res.unprunedSpace = 1;
-    for (DimId d : grow_dims)
-        res.unprunedSpace = satMul(
-            res.unprunedSpace, static_cast<std::int64_t>(divs[d]->size()));
-
-    // BFS over factor vectors with memoization; a node is pruned when it
-    // has at least one fitting child (Tiling Principle). The lattice is
-    // a diamond (a child is reachable from one parent per grown dim), so
-    // the fit verdict is memoized per node hash: the first probe pays
-    // the footprint check and enqueues fitting children, later probes
-    // reuse the verdict. Keys are 64-bit hashes of the factor vectors,
-    // not the vectors (same rationale as the top-down frontier: an FNV
-    // collision only drops a duplicate candidate, never corrupts a
-    // mapping).
-    std::unordered_map<std::uint64_t, bool> probed;
-    std::vector<std::vector<std::int64_t>> frontier{unit};
-    probed.emplace(hashFactors(unit), true);
-
-    while (!frontier.empty()) {
-        std::vector<std::vector<std::int64_t>> next;
-        for (auto &node : frontier) {
-            ++res.nodesVisited;
-            bool any_fitting_child = false;
-            for (DimId d : grow_dims) {
-                const auto &dd = *divs[d];
-                auto di = std::upper_bound(dd.begin(), dd.end(), node[d]);
-                if (di == dd.end())
-                    continue; // dim exhausted
-                const std::int64_t nf = *di;
-                // Probe the child in place; copy only when it is kept.
-                const std::int64_t old = node[d];
-                node[d] = nf;
-                auto [it, first_probe] =
-                    probed.emplace(hashFactors(node), false);
-                if (first_probe)
-                    it->second = fits(ba, level, base_shape, node,
-                                      shape_scratch, fp_scratch);
-                if (!it->second) {
-                    ++res.nodesVisited; // examined and rejected
-                    node[d] = old;
-                    continue;
-                }
-                any_fitting_child = true;
-                if (first_probe)
-                    next.push_back(node);
-                node[d] = old;
-            }
-            if (!any_fitting_child)
-                res.maximal.push_back(node);
-        }
-        frontier = std::move(next);
+    for (DimId d : grow_dims) {
+        const auto &divs = cachedDivisors(remaining[d]);
+        walk.grow.push_back(d);
+        walk.divs[d] = &divs;
+        res.unprunedSpace = satMul(res.unprunedSpace,
+                                   static_cast<std::int64_t>(divs.size()));
     }
+    walk.visit(0, DimSet(), 0);
+    res.nodesVisited = walk.visited;
+
+    // Report in breadth-first order: divisor-index depth ascending, then
+    // the vector lexicographically descending.
+    std::sort(walk.found.begin(), walk.found.end(),
+              [](const auto &a, const auto &b) {
+                  return a.first != b.first ? a.first < b.first
+                                            : a.second > b.second;
+              });
+    for (auto &f : walk.found)
+        res.maximal.push_back(std::move(f.second));
     return res;
 }
 

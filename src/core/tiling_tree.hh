@@ -6,7 +6,8 @@
  * selected by the Tiling Principle (the indexing dims of the tensor(s)
  * the upper-level ordering reuses). A node with any fitting child is
  * strictly dominated (the child reuses more) and is pruned; the surviving
- * candidates are the maximal fitting tiles (Fig. 5).
+ * candidates are the maximal fitting tiles (Fig. 5). The walk itself is
+ * a canonical-order depth-first one (DESIGN.md §4).
  */
 
 #ifndef SUNSTONE_CORE_TILING_TREE_HH
@@ -23,11 +24,15 @@ namespace sunstone {
 /** Result of one tiling-tree search. */
 struct TilingTreeResult
 {
-    /** Maximal fitting factor vectors (per dim, this level only). */
+    /** Maximal fitting factor vectors (per dim, this level only), in
+     *  breadth-first order: divisor-index depth ascending, then the
+     *  vector lexicographically descending in DimId order. */
     std::vector<std::vector<std::int64_t>> maximal;
-    /** Number of tree nodes visited (the "space size" contribution). */
+    /** Nodes examined (the "space size" contribution): every fitting
+     *  tile plus every rejected growth probe of one. */
     std::int64_t nodesVisited = 0;
-    /** Total number of fitting tiles in the unpruned grow-dim space. */
+    /** Size of the unpruned grow-dim divisor lattice (0 when even the
+     *  unit tile overflows). */
     std::int64_t unprunedSpace = 0;
 };
 

@@ -18,23 +18,15 @@ levelUtilization(const BoundArch &ba, int level,
                  const std::vector<std::int64_t> &shape)
 {
     const Workload &wl = ba.workload();
-    std::int64_t used_bits = 0;
-    std::int64_t cap_bits = 0;
     const auto &lv = ba.arch().levels[level];
-    if (lv.partitions.empty()) {
-        cap_bits = lv.capacityBits;
-        for (TensorId t = 0; t < wl.numTensors(); ++t)
-            if (ba.stores(level, t))
-                used_bits += wl.tensor(t).footprint(shape) *
-                             wl.tensor(t).wordBits;
-    } else {
-        for (const auto &p : lv.partitions)
-            cap_bits += p.capacityBits;
-        for (TensorId t = 0; t < wl.numTensors(); ++t)
-            if (ba.stores(level, t))
-                used_bits += wl.tensor(t).footprint(shape) *
-                             wl.tensor(t).wordBits;
-    }
+    std::int64_t cap_bits = lv.partitions.empty() ? lv.capacityBits : 0;
+    for (const auto &p : lv.partitions)
+        cap_bits += p.capacityBits;
+    std::int64_t used_bits = 0;
+    for (TensorId t = 0; t < wl.numTensors(); ++t)
+        if (ba.stores(level, t))
+            used_bits +=
+                wl.tensor(t).footprint(shape) * wl.tensor(t).wordBits;
     if (cap_bits <= 0)
         return 0;
     return static_cast<double>(used_bits) / static_cast<double>(cap_bits);
@@ -62,14 +54,6 @@ enumerateTiles(const BoundArch &ba, int level,
             s[d] = satMul(s[d], f[d]);
         return s;
     };
-    std::vector<std::int64_t> fp(ba.numTensors());
-    auto fits = [&](const std::vector<std::int64_t> &s) {
-        for (TensorId t = 0; t < ba.numTensors(); ++t)
-            fp[t] = ba.stores(level, t)
-                        ? ba.workload().tensor(t).footprint(s)
-                        : 0;
-        return ba.fits(level, fp);
-    };
 
     // Bounded exhaustive recursion.
     const std::size_t hard_cap = cap * 64;
@@ -80,7 +64,7 @@ enumerateTiles(const BoundArch &ba, int level,
         if (d == nd) {
             ++visited;
             auto s = shapeOf(current);
-            if (!fits(s))
+            if (!ba.fitsShape(level, s))
                 return;
             const double util = levelUtilization(ba, level, s);
             if (util >= lo)
@@ -89,7 +73,7 @@ enumerateTiles(const BoundArch &ba, int level,
         }
         for (std::int64_t f : cachedDivisors(remaining[d])) {
             current[d] = f;
-            if (!fits(shapeOf(current))) {
+            if (!ba.fitsShape(level, shapeOf(current))) {
                 current[d] = 1;
                 break; // footprints are monotone in each factor
             }

@@ -49,18 +49,14 @@ fittingTiles(const BoundArch &ba, int level,
     const Workload &wl = ba.workload();
     const int nd = wl.numDims();
     std::vector<std::pair<std::int64_t, std::vector<std::int64_t>>> found;
-    std::vector<std::int64_t> current(nd, 1);
-    std::vector<std::int64_t> fp(ba.numTensors());
+    std::vector<std::int64_t> current(nd, 1), shape(nd);
     auto fits = [&]() {
-        std::vector<std::int64_t> s(base);
         std::int64_t vol = 1;
         for (int d = 0; d < nd; ++d) {
-            s[d] = satMul(s[d], current[d]);
+            shape[d] = satMul(base[d], current[d]);
             vol = satMul(vol, current[d]);
         }
-        for (TensorId t = 0; t < ba.numTensors(); ++t)
-            fp[t] = ba.stores(level, t) ? wl.tensor(t).footprint(s) : 0;
-        return std::make_pair(ba.fits(level, fp), vol);
+        return std::make_pair(ba.fitsShape(level, shape), vol);
     };
     const std::size_t hard_cap = cap * 256;
     std::size_t visited = 0;

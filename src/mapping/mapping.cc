@@ -36,13 +36,20 @@ Mapping::Mapping(int num_levels, int num_dims)
 std::vector<std::int64_t>
 Mapping::tileShape(int l) const
 {
-    std::vector<std::int64_t> shape(numDims(), 1);
+    std::vector<std::int64_t> shape;
+    tileShape(l, shape);
+    return shape;
+}
+
+void
+Mapping::tileShape(int l, std::vector<std::int64_t> &shape) const
+{
+    shape.assign(numDims(), 1);
     for (int k = 0; k <= l; ++k)
         for (int d = 0; d < numDims(); ++d)
             shape[d] =
                 satMul(shape[d],
                        satMul(levels[k].temporal[d], levels[k].spatial[d]));
-    return shape;
 }
 
 std::vector<std::int64_t>
@@ -155,17 +162,12 @@ Mapping::valid(const BoundArch &ba, ValidityScratch &vs,
     // order tileShape() uses, so the products are identical), turning
     // the historical O(levels^2) re-derivation into one pass.
     vs.shape.assign(wl.numDims(), 1);
-    vs.footprints.resize(wl.numTensors());
     for (int l = 0; l < numLevels(); ++l) {
         const auto &lm = levels[l];
         for (DimId d = 0; d < wl.numDims(); ++d)
             vs.shape[d] = satMul(
                 vs.shape[d], satMul(lm.temporal[d], lm.spatial[d]));
-        if (ba.arch().levels[l].isDram)
-            continue;
-        for (TensorId t = 0; t < wl.numTensors(); ++t)
-            vs.footprints[t] = wl.tensor(t).footprint(vs.shape);
-        if (!ba.fits(l, vs.footprints))
+        if (!ba.fitsShape(l, vs.shape))
             return fail("tile does not fit level '" +
                         ba.arch().levels[l].name + "'");
     }

@@ -48,8 +48,8 @@ struct LevelMapping
 
 /**
  * Reusable buffers for Mapping::valid(): the running cumulative tile
- * shape, per-tensor footprints, the permutation-check bitmap, and the
- * mesh-packing factor list. Validity is on every evaluation's critical
+ * shape, per-tensor footprints (filled by the cost model's own validity
+ * pass), the permutation-check bitmap, and the mesh-packing factor list. Validity is on every evaluation's critical
  * path, and the historical implementation re-allocated (and re-derived
  * tile shapes from scratch) per level; with a scratch the check is
  * allocation-free and incremental. One scratch per thread — see
@@ -85,6 +85,9 @@ class Mapping
 
     /** @return cumulative tile shape at level l (see file header). */
     std::vector<std::int64_t> tileShape(int l) const;
+
+    /** tileShape() into caller storage, for allocation-free loops. */
+    void tileShape(int l, std::vector<std::int64_t> &shape) const;
 
     /** @return per-tensor footprints (words) of the level-l tile. */
     std::vector<std::int64_t> footprints(int l, const Workload &wl) const;

@@ -7,9 +7,13 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "arch/presets.hh"
 #include "core/sunstone.hh"
 #include "mappers/exhaustive_mapper.hh"
+#include "mapping/serialize.hh"
 #include "workload/zoo.hh"
 
 namespace sunstone {
@@ -233,6 +237,190 @@ TEST(Sunstone, MultithreadedMatchesSingleThreaded)
     auto b = runSunstone(ba, four);
     // Same beam, same candidates, same result.
     EXPECT_EQ(a.cost.edp, b.cost.edp);
+}
+
+using LO = SunstoneOptions::LevelOrder;
+using IO = SunstoneOptions::IntraOrder;
+
+/** A search outcome recorded before candidate emission reused one
+ *  working partial per expansion. */
+struct PinnedOutcome
+{
+    const char *problem;
+    LO levelOrder;
+    IO intraOrder;
+    double edp;
+    std::int64_t examined;
+    const char *mapping;
+};
+
+const PinnedOutcome kPinned[] = {
+    {"simba", LO::BottomUp, IO::OrderTileUnroll, 0x1.be093c743c028p-36, 47615,
+     R"(mapping
+level WeightReg temporal k=2 spatial q=2,s=3 order n,k,c,p,q,r,s
+level PEBuf temporal k=8,c=4,p=4,q=4 spatial c=8 order n,k,c,r,s,q,p
+level L2 temporal - spatial k=2,p=2,r=3 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", LO::BottomUp, IO::TileUnrollOrder, 0x1.ca64cbdc01bbfp-36, 20604,
+     R"(mapping
+level WeightReg temporal k=8,p=2 spatial q=8 order n,k,c,p,q,r,s
+level PEBuf temporal c=32,s=3 spatial k=4 order n,k,p,q,s,c,r
+level L2 temporal - spatial p=4,r=3 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", LO::BottomUp, IO::UnrollTileOrder, 0x1.557b9e603f0c2p-36, 37449,
+     R"(mapping
+level WeightReg temporal k=2,c=4 spatial q=8 order n,k,c,p,q,r,s
+level PEBuf temporal c=4,p=8,r=3 spatial c=2,s=3 order n,k,c,q,r,s,p
+level L2 temporal - spatial k=16 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", LO::TopDown, IO::OrderTileUnroll, 0x1.557b9e603f0c2p-36, 106024,
+     R"(mapping
+level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
+level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
+level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", LO::TopDown, IO::TileUnrollOrder, 0x1.557b9e603f0c2p-36, 106024,
+     R"(mapping
+level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
+level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
+level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", LO::TopDown, IO::UnrollTileOrder, 0x1.557b9e603f0c2p-36, 106024,
+     R"(mapping
+level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
+level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
+level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"eyeriss", LO::BottomUp, IO::OrderTileUnroll, 0x1.a8328431fa9bbp-37, 73012,
+     R"(mapping
+level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal c=4 spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,p,q,r,s,c
+)"},
+    {"eyeriss", LO::BottomUp, IO::TileUnrollOrder, 0x1.a8328431fa9bbp-37, 13824,
+     R"(mapping
+level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal - spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
+level DRAM temporal c=4 spatial - order n,k,c,p,q,r,s
+)"},
+    {"eyeriss", LO::BottomUp, IO::UnrollTileOrder, 0x1.a8328431fa9bbp-37, 9182,
+     R"(mapping
+level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal - spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
+level DRAM temporal c=4 spatial - order n,k,c,p,q,r,s
+)"},
+    {"eyeriss", LO::TopDown, IO::OrderTileUnroll, 0x1.e8b0969cdebfp-37, 30580,
+     R"(mapping
+level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"eyeriss", LO::TopDown, IO::TileUnrollOrder, 0x1.e8b0969cdebfp-37, 30580,
+     R"(mapping
+level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"eyeriss", LO::TopDown, IO::UnrollTileOrder, 0x1.e8b0969cdebfp-37, 30580,
+     R"(mapping
+level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
+level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"mttkrp", LO::BottomUp, IO::OrderTileUnroll, 0x1.4453c6cfdec9fp-34, 36508,
+     R"(mapping
+level L1 temporal k=32,l=4,j=2 spatial - order i,k,l,j
+level L2 temporal l=8 spatial i=64,j=4 order i,k,l,j
+level DRAM temporal - spatial - order i,k,l,j
+)"},
+    {"mttkrp", LO::BottomUp, IO::TileUnrollOrder, 0x1.4453c6cfdec9fp-34, 8260,
+     R"(mapping
+level L1 temporal k=32,l=4,j=2 spatial - order i,k,l,j
+level L2 temporal l=4 spatial i=64,j=4 order i,k,l,j
+level DRAM temporal l=2 spatial - order i,k,l,j
+)"},
+    {"mttkrp", LO::BottomUp, IO::UnrollTileOrder, 0x1.44aeca84b718ep-34, 3949,
+     R"(mapping
+level L1 temporal i=2,k=32,l=2,j=2 spatial - order i,k,l,j
+level L2 temporal l=4 spatial i=32,l=2,j=4 order i,k,l,j
+level DRAM temporal l=2 spatial - order i,k,l,j
+)"},
+    {"mttkrp", LO::TopDown, IO::OrderTileUnroll, 0x1.469a77e492529p-34, 5995,
+     R"(mapping
+level L1 temporal i=4,l=16 spatial - order i,k,l,j
+level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
+level DRAM temporal - spatial - order i,k,l,j
+)"},
+    {"mttkrp", LO::TopDown, IO::TileUnrollOrder, 0x1.469a77e492529p-34, 5995,
+     R"(mapping
+level L1 temporal i=4,l=16 spatial - order i,k,l,j
+level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
+level DRAM temporal - spatial - order i,k,l,j
+)"},
+    {"mttkrp", LO::TopDown, IO::UnrollTileOrder, 0x1.469a77e492529p-34, 5995,
+     R"(mapping
+level L1 temporal i=4,l=16 spatial - order i,k,l,j
+level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
+level DRAM temporal - spatial - order i,k,l,j
+)"},
+};
+
+/**
+ * Every candidate is built in place in a per-expansion working partial
+ * and reset afterwards; a field left stale between candidates would
+ * change a score, the beam, and so at least one of these pinned
+ * outcomes. Covers every level order x intra-level order on a
+ * partitioned hierarchy with vector lanes below level 0 (Simba), a
+ * unified one (Eyeriss), and a non-conv einsum, at 1 and 4 threads.
+ */
+TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
+{
+    ConvShape simba_sh;
+    simba_sh.k = 32;
+    simba_sh.c = 32;
+    simba_sh.p = 8;
+    simba_sh.q = 8;
+    simba_sh.r = 3;
+    simba_sh.s = 3;
+    Workload simba_wl = makeConv2D(simba_sh);
+    applySimbaPrecisions(simba_wl);
+    ConvShape eyeriss_sh;
+    eyeriss_sh.k = 16;
+    eyeriss_sh.c = 16;
+    eyeriss_sh.p = 14;
+    eyeriss_sh.q = 14;
+    eyeriss_sh.r = 3;
+    eyeriss_sh.s = 3;
+    const std::map<std::string, BoundArch> problems = {
+        {"simba", BoundArch(makeSimbaLike(), simba_wl)},
+        {"eyeriss", BoundArch(makeEyerissLike(), makeConv2D(eyeriss_sh))},
+        {"mttkrp",
+         BoundArch(makeConventional(), makeMTTKRP(64, 32, 32, 8))},
+    };
+    for (const PinnedOutcome &pin : kPinned) {
+        const BoundArch &ba = problems.at(pin.problem);
+        for (unsigned threads : {1u, 4u}) {
+            SCOPED_TRACE(std::string(pin.problem) + " level order " +
+                         std::to_string(static_cast<int>(pin.levelOrder)) +
+                         " intra order " +
+                         std::to_string(static_cast<int>(pin.intraOrder)) +
+                         " threads " + std::to_string(threads));
+            SunstoneOptions opts;
+            opts.levelOrder = pin.levelOrder;
+            opts.intraOrder = pin.intraOrder;
+            opts.threads = threads;
+            auto r = runSunstone(ba, opts);
+            EXPECT_EQ(mappingToText(r.mapping, ba), pin.mapping);
+            EXPECT_EQ(r.cost.edp, pin.edp);
+            EXPECT_EQ(r.candidatesExamined, pin.examined);
+        }
+    }
 }
 
 TEST(Sunstone, UtilizationThresholdRaisesParallelism)
