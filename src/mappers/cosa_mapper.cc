@@ -85,8 +85,9 @@ class SingleShotStream : public CandidateStream
     bool
     nextBatch(std::size_t max, std::vector<Mapping> &out) override
     {
-        if (max > 0 && !emitted_) {
-            out.push_back(m_);
+        out.resize(max > 0 && !emitted_ ? 1 : 0);
+        if (!out.empty()) {
+            out[0] = m_;
             emitted_ = true;
         }
         return false;

@@ -4,7 +4,7 @@
 #include <cmath>
 
 #include "common/json.hh"
-#include "common/math_utils.hh"
+#include "mappers/random_sampler.hh"
 #include "mappers/space_size.hh"
 #include "model/eval_engine.hh"
 #include "obs/trace.hh"
@@ -14,58 +14,6 @@
 namespace sunstone {
 
 namespace {
-
-struct Slot
-{
-    int level;
-    bool spatial;
-};
-
-std::vector<Slot>
-slotsOf(const BoundArch &ba)
-{
-    std::vector<Slot> slots;
-    for (int l = 0; l < ba.numLevels(); ++l) {
-        slots.push_back({l, false});
-        if (ba.arch().levels[l].fanout > 1)
-            slots.push_back({l, true});
-    }
-    return slots;
-}
-
-/** Randomly distributes one dim's prime factors over the slots. */
-void
-randomizeDim(Mapping &m, const BoundArch &ba, const std::vector<Slot> &slots,
-             DimId d, RngStream &rng)
-{
-    for (int l = 0; l < m.numLevels(); ++l) {
-        m.level(l).temporal[d] = 1;
-        m.level(l).spatial[d] = 1;
-    }
-    for (auto [p, e] : cachedPrimeFactors(ba.workload().dimSize(d))) {
-        for (int i = 0; i < e; ++i) {
-            const Slot &s = slots[rng.below(slots.size())];
-            auto &lm = m.level(s.level);
-            if (s.spatial)
-                lm.spatial[d] = satMul(lm.spatial[d], p);
-            else
-                lm.temporal[d] = satMul(lm.temporal[d], p);
-        }
-    }
-}
-
-Mapping
-randomIndividual(const BoundArch &ba, const std::vector<Slot> &slots,
-                 RngStream &rng)
-{
-    const int nd = ba.workload().numDims();
-    Mapping m(ba.numLevels(), nd);
-    for (DimId d = 0; d < nd; ++d)
-        randomizeDim(m, ba, slots, d, rng);
-    for (int l = 0; l < m.numLevels(); ++l)
-        rng.shuffle(m.level(l).order);
-    return m;
-}
 
 /** Copies dim d's factor assignment from src into dst. */
 void
@@ -91,7 +39,7 @@ class GammaStream : public CandidateStream
   public:
     GammaStream(SearchContext &sc, const BoundArch &ba,
                 const GammaOptions &opts)
-        : sc_(sc), ba_(ba), opts_(opts), slots_(slotsOf(ba)),
+        : sc_(sc), ba_(ba), opts_(opts), sampler_(ba),
           nd_(ba.workload().numDims())
     {
     }
@@ -101,18 +49,23 @@ class GammaStream : public CandidateStream
     {
         std::size_t n = 0;
         while (n < max && !done_) {
-            if (pending_.size() ==
-                static_cast<std::size_t>(opts_.populationSize)) {
-                if (scored_ < pending_.size())
+            if (born_ == static_cast<std::size_t>(opts_.populationSize)) {
+                if (scored_ < born_)
                     break; // scores arrive later in this very batch
                 promote();
                 continue;
             }
-            Mapping m = makeIndividual();
-            pending_.push_back({m, std::numeric_limits<double>::infinity()});
-            out.push_back(std::move(m));
+            if (n == out.size())
+                out.emplace_back();
+            makeIndividual(out[n]);
+            if (born_ == pending_.size())
+                pending_.emplace_back();
+            pending_[born_].m = out[n];
+            pending_[born_].fit = std::numeric_limits<double>::infinity();
+            ++born_;
             ++n;
         }
+        out.resize(n);
         return !done_;
     }
 
@@ -141,9 +94,9 @@ class GammaStream : public CandidateStream
     std::string
     saveState() const override
     {
-        auto pool = [](const std::vector<Individual> &v) {
+        auto pool = [](const std::vector<Individual> &v, std::size_t n) {
             std::string s = "[";
-            for (std::size_t i = 0; i < v.size(); ++i) {
+            for (std::size_t i = 0; i < n; ++i) {
                 if (i)
                     s += ", ";
                 s += "{\"fit\": " + jsonDouble(v[i].fit) +
@@ -153,8 +106,8 @@ class GammaStream : public CandidateStream
         };
         return "{\"gen\": " + std::to_string(gen_) +
                ", \"done\": " + (done_ ? std::string("true") : "false") +
-               ", \"prev\": " + pool(prev_) +
-               ", \"pending\": " + pool(pending_) + "}";
+               ", \"prev\": " + pool(prev_, prev_.size()) +
+               ", \"pending\": " + pool(pending_, born_) + "}";
     }
 
     bool
@@ -190,7 +143,8 @@ class GammaStream : public CandidateStream
         gen_ = static_cast<int>(g->asInt(0));
         if (const JsonValue *d = v.find("done"))
             done_ = d->asBool(false);
-        scored_ = pending_.size(); // snapshots only cover scored pools
+        born_ = pending_.size();
+        scored_ = born_; // snapshots only cover scored pools
         return true;
     }
 
@@ -198,24 +152,28 @@ class GammaStream : public CandidateStream
     struct Individual
     {
         Mapping m;
-        double fit;
+        double fit = std::numeric_limits<double>::infinity();
     };
 
-    Mapping
-    makeIndividual()
+    /** Builds the next individual of the generation in `child`. */
+    void
+    makeIndividual(Mapping &child)
     {
         RngStream &rng = sc_.rngStream(0);
-        if (gen_ == 0)
-            return randomIndividual(ba_, slots_, rng);
-        if (pending_.empty()) {
+        if (gen_ == 0) {
+            sampler_.fill(child, rng);
+            return;
+        }
+        if (born_ == 0) {
             // Elitism: re-submit the parent pool's best unchanged (the
             // memoized engine makes rescoring it a cache hit).
-            return bestOf(prev_).m;
+            child = bestOf(prev_).m;
+            return;
         }
         const Individual &pa = tournamentPick(rng);
         const Individual &pb = tournamentPick(rng);
         // Uniform per-dim crossover plus per-level order choice.
-        Mapping child = pa.m;
+        child = pa.m;
         for (DimId d = 0; d < nd_; ++d)
             if (rng.next() & 1)
                 copyDim(child, pb.m, d);
@@ -226,13 +184,12 @@ class GammaStream : public CandidateStream
         // Mutation: rerandomize a dim or shuffle an order.
         if (rng.unit() < opts_.mutationRate) {
             const DimId d = static_cast<DimId>(rng.below(nd_));
-            randomizeDim(child, ba_, slots_, d, rng);
+            sampler_.randomizeDim(child, d, rng);
         }
         if (rng.unit() < opts_.mutationRate) {
             const int l = static_cast<int>(rng.below(child.numLevels()));
             rng.shuffle(child.level(l).order);
         }
-        return child;
     }
 
     const Individual &
@@ -256,11 +213,17 @@ class GammaStream : public CandidateStream
                                  });
     }
 
+    /**
+     * The scored generation becomes the parent pool; the old parents'
+     * Mappings stay behind as storage the next generation copy-assigns
+     * into, so steady-state generations allocate nothing.
+     */
     void
     promote()
     {
-        prev_ = std::move(pending_);
-        pending_.clear();
+        pending_.resize(born_);
+        std::swap(prev_, pending_);
+        born_ = 0;
         scored_ = 0;
         ++gen_;
         if (gen_ > opts_.generations)
@@ -270,13 +233,15 @@ class GammaStream : public CandidateStream
     SearchContext &sc_;
     const BoundArch &ba_;
     const GammaOptions &opts_;
-    const std::vector<Slot> slots_;
+    const RandomSampler sampler_;
     const int nd_;
 
     int gen_ = 0;
     bool done_ = false;
     std::vector<Individual> prev_;
+    /** The current generation is pending_[0, born_); the rest is storage. */
     std::vector<Individual> pending_;
+    std::size_t born_ = 0;
     std::size_t scored_ = 0;
 };
 

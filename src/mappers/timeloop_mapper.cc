@@ -1,9 +1,7 @@
 #include "mappers/timeloop_mapper.hh"
 
-#include <vector>
-
 #include "common/json.hh"
-#include "common/math_utils.hh"
+#include "mappers/random_sampler.hh"
 #include "mappers/space_size.hh"
 #include "model/eval_engine.hh"
 #include "obs/trace.hh"
@@ -12,51 +10,6 @@
 namespace sunstone {
 
 namespace {
-
-/**
- * Samples a uniformly random mapping: every prime factor of every
- * dimension lands in a random (level, temporal|spatial) slot, and each
- * level gets a random loop permutation. This mirrors Timeloop's
- * unpruned, undirected space (Table I: "pruning methods: nothing").
- */
-Mapping
-randomMapping(const BoundArch &ba, RngStream &rng)
-{
-    const Workload &wl = ba.workload();
-    const ArchSpec &arch = ba.arch();
-    const int nl = ba.numLevels();
-    const int nd = wl.numDims();
-    Mapping m(nl, nd);
-
-    // Candidate slots: temporal at every level, spatial where fanout > 1.
-    struct Slot
-    {
-        int level;
-        bool spatial;
-    };
-    std::vector<Slot> slots;
-    for (int l = 0; l < nl; ++l) {
-        slots.push_back({l, false});
-        if (arch.levels[l].fanout > 1)
-            slots.push_back({l, true});
-    }
-
-    for (DimId d = 0; d < nd; ++d) {
-        for (auto [p, e] : cachedPrimeFactors(wl.dimSize(d))) {
-            for (int i = 0; i < e; ++i) {
-                const Slot &s = slots[rng.below(slots.size())];
-                auto &lm = m.level(s.level);
-                if (s.spatial)
-                    lm.spatial[d] = satMul(lm.spatial[d], p);
-                else
-                    lm.temporal[d] = satMul(lm.temporal[d], p);
-            }
-        }
-    }
-    for (int l = 0; l < nl; ++l)
-        rng.shuffle(m.level(l).order);
-    return m;
-}
 
 /**
  * The random-sampling stream. Samples are drawn round-robin from a
@@ -71,16 +24,16 @@ class TimeloopStream : public CandidateStream
     static constexpr std::size_t kShards = 16;
 
     TimeloopStream(SearchContext &sc, const BoundArch &ba)
-        : sc_(sc), ba_(ba)
+        : sc_(sc), sampler_(ba)
     {
     }
 
     bool
     nextBatch(std::size_t max, std::vector<Mapping> &out) override
     {
-        for (std::size_t i = 0; i < max; ++i) {
-            out.push_back(
-                randomMapping(ba_, sc_.rngStream(cursor_ % kShards)));
+        out.resize(max);
+        for (Mapping &m : out) {
+            sampler_.fill(m, sc_.rngStream(cursor_ % kShards));
             ++cursor_;
         }
         return true; // never exhausts; a StopPolicy bound ends it
@@ -124,7 +77,7 @@ class TimeloopStream : public CandidateStream
 
   private:
     SearchContext &sc_;
-    const BoundArch &ba_;
+    const RandomSampler sampler_;
     std::int64_t cursor_ = 0;
 };
 

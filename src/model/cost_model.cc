@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cassert>
+#include <charconv>
 #include <cmath>
 #include <limits>
+#include <string_view>
 
 #include "arch/energy_model.hh"
 #include "common/logging.hh"
@@ -420,6 +422,38 @@ fillLoops(const Mapping &m, EvalScratch &s)
     finishLoopTables(s, n);
 }
 
+void
+appendPart(std::string &s, std::string_view part)
+{
+    s.append(part);
+}
+
+void
+appendPart(std::string &s, std::int64_t v)
+{
+    char buf[24];
+    s.append(buf, std::to_chars(buf, buf + sizeof buf, v).ptr);
+}
+
+/**
+ * Writes a failure reason into *why in place, and only when the caller
+ * asked for one. Random search rejects most of its samples, so the
+ * reason must not cost a temporary string per part: the parts append
+ * into the caller's (reused) buffer, integers formatted on the stack
+ * exactly as std::to_string() would.
+ * @return false, for `return fail(...)`.
+ */
+template <typename... Parts>
+bool
+fail(std::string *why, const Parts &...parts)
+{
+    if (why) {
+        why->clear();
+        (appendPart(*why, parts), ...);
+    }
+    return false;
+}
+
 } // anonymous namespace
 
 namespace detail {
@@ -477,16 +511,10 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
            std::string *why)
 {
     const Workload &wl = ba.workload();
-    auto fail = [&](const std::string &msg) {
-        if (why)
-            *why = msg;
-        return false;
-    };
-
     if (m.numLevels() != ba.numLevels())
-        return fail("level count mismatch");
+        return fail(why, "level count mismatch");
     if (m.numDims() != wl.numDims())
-        return fail("dimension count mismatch");
+        return fail(why, "dimension count mismatch");
 
     fillShapes(m, s);
 
@@ -499,9 +527,9 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
     for (DimId d = 0; d < wl.numDims(); ++d) {
         const std::int64_t prod = outer ? outer[d] : 1;
         if (prod != wl.dimSize(d))
-            return fail("factors of dim '" + wl.dimName(d) +
-                        "' multiply to " + std::to_string(prod) +
-                        ", expected " + std::to_string(wl.dimSize(d)));
+            return fail(why, "factors of dim '", wl.dimName(d),
+                        "' multiply to ", prod, ", expected ",
+                        wl.dimSize(d));
     }
 
     // Orders must be permutations; spatial products must fit fanouts.
@@ -515,21 +543,21 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
     for (int l = 0; l < m.numLevels(); ++l) {
         const auto &lm = m.level(l);
         if ((int)lm.order.size() != wl.numDims())
-            return fail("bad order length at level " + std::to_string(l));
+            return fail(why, "bad order length at level ", l);
         char *seen_p = seen.data();
         for (DimId d = 0; d < wl.numDims(); ++d)
             seen_p[d] = 0;
         for (DimId d : lm.order) {
             if (d < 0 || d >= wl.numDims() || seen_p[d])
-                return fail("order at level " + std::to_string(l) +
+                return fail(why, "order at level ", l,
                             " is not a permutation");
             seen_p[d] = 1;
         }
         nloops = fillLoopsLevel(lm, s, l, nloops);
         const auto &lv = ba.arch().levels[l];
         if (s.levelSpatial[l] > lv.fanout)
-            return fail("spatial product exceeds fanout at level '" +
-                        lv.name + "'");
+            return fail(why, "spatial product exceeds fanout at level '",
+                        lv.name, "'");
         if (lv.meshX > 0) {
             // The spatial factors must pack onto the physical X x Y
             // mesh: some subset's product <= meshX with the complement's
@@ -557,10 +585,9 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
                 }
             }
             if (!packable)
-                return fail("spatial factors do not pack onto the " +
-                            std::to_string(lv.meshX) + "x" +
-                            std::to_string(lv.meshY) +
-                            " mesh at level '" + lv.name + "'");
+                return fail(why, "spatial factors do not pack onto the ",
+                            lv.meshX, "x", lv.meshY, " mesh at level '",
+                            lv.name, "'");
         }
     }
 
@@ -589,8 +616,8 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
             s.tileFp[static_cast<std::size_t>(l) * s.nt + t] = fp;
         }
         if (!ba.fits(l, fp_row))
-            return fail("tile does not fit level '" +
-                        ba.arch().levels[l].name + "'");
+            return fail(why, "tile does not fit level '",
+                        ba.arch().levels[l].name, "'");
     }
     s.tileFpReady = true;
     return true;

@@ -553,13 +553,15 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
     const std::int64_t reuse0 = be.scratchReuses();
     be.evaluate(missM.data(), missM.size(), missR.data());
     scratchReuses_.add(be.scratchReuses() - reuse0);
-    // One histogram sample per chunk at the per-eval mean: cache hits
-    // stay excluded and the distribution stays comparable to the
-    // per-call path without a clock read per mapping.
-    evalLatencyUs_.record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count() /
-                          static_cast<double>(missM.size()));
+    // The chunk's per-eval mean, weighted by the evaluations it timed:
+    // count and sum then match the per-call path (one observation per
+    // model invocation, cache hits excluded) without a clock read per
+    // mapping.
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    const auto timed = static_cast<std::int64_t>(missM.size());
+    evalLatencyUs_.record(us / static_cast<double>(timed), timed);
 
     for (std::size_t j = 0; j < missM.size(); ++j) {
         if (!missR[j]->valid)
@@ -628,36 +630,6 @@ EvalEngine::stats() const
         s.phaseSeconds.assign(phases_.begin(), phases_.end());
     }
     return s;
-}
-
-void
-EvalEngine::resetStats()
-{
-    evaluations_.reset();
-    hits_.reset();
-    misses_.reset();
-    invalid_.reset();
-    prunes_.reset();
-    evictions_.reset();
-    prefixHits_.reset();
-    prefixMisses_.reset();
-    scratchReuses_.reset();
-    batches_.reset();
-    evalLatencyUs_.reset();
-    batchSize_.reset();
-    std::lock_guard<std::mutex> lk(phaseMtx_);
-    phases_.clear();
-}
-
-void
-EvalEngine::clearCache()
-{
-    for (auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mtx);
-        s->map.clear();
-    }
-    std::lock_guard<std::mutex> lk(prefixMtx_);
-    prefixCache_.clear();
 }
 
 std::size_t

@@ -256,9 +256,6 @@ class EvalEngine
      */
     ThreadPool &pool();
 
-    /** @return configured pool size (without forcing pool creation). */
-    unsigned configuredThreads() const { return opts_.threads; }
-
     /** Records alpha-beta (or equivalent) prunes for telemetry. */
     void notePrune(std::int64_t n = 1) { prunes_.add(n); }
 
@@ -267,9 +264,6 @@ class EvalEngine
 
     /** @return a consistent snapshot of the counters. */
     SearchStats stats() const;
-
-    void resetStats();
-    void clearCache();
 
     /** @return total entries currently cached (approximate under load). */
     std::size_t cacheSize() const;

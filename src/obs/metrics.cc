@@ -101,14 +101,15 @@ Histogram::Histogram(std::vector<double> bounds)
 }
 
 void
-Histogram::record(double value)
+Histogram::record(double value, std::int64_t n)
 {
     const auto it =
         std::lower_bound(bounds_.begin(), bounds_.end(), value);
     const std::size_t idx =
         static_cast<std::size_t>(it - bounds_.begin());
-    counts_[idx].fetch_add(1, std::memory_order_relaxed);
-    sum_.fetch_add(value, std::memory_order_relaxed);
+    counts_[idx].fetch_add(n, std::memory_order_relaxed);
+    sum_.fetch_add(value * static_cast<double>(n),
+                   std::memory_order_relaxed);
 }
 
 HistogramSnapshot

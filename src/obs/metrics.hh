@@ -115,7 +115,12 @@ class Histogram
     explicit Histogram(std::vector<double> bounds =
                            defaultLatencyBucketsUs());
 
-    void record(double value);
+    /**
+     * Records `n` observations of `value`: `n` lands in the value's
+     * bucket and `value * n` in the sum (a batch timed as one interval
+     * records its per-item mean with the item count as weight).
+     */
+    void record(double value, std::int64_t n = 1);
 
     HistogramSnapshot snapshot() const;
 

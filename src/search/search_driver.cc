@@ -33,7 +33,6 @@ CandidateStream::skip(std::int64_t n)
 {
     std::vector<Mapping> scratch;
     while (n > 0) {
-        scratch.clear();
         const std::size_t want = static_cast<std::size_t>(
             std::min<std::int64_t>(n, 256));
         const bool more = nextBatch(want, scratch);
@@ -102,33 +101,15 @@ GeneratorStream::nextBatch(std::size_t max, std::vector<Mapping> &out)
     ensureStarted();
     std::unique_lock<std::mutex> lk(mtx_);
     cv_.wait(lk, [this] { return !queue_.empty() || done_; });
-    std::size_t taken = 0;
-    while (taken < max && !queue_.empty()) {
-        out.push_back(std::move(queue_.front()));
+    out.resize(std::min(max, queue_.size()));
+    for (Mapping &slot : out) {
+        slot = std::move(queue_.front());
         queue_.pop_front();
-        ++taken;
     }
     const bool exhausted = done_ && queue_.empty();
     lk.unlock();
     cv_.notify_all(); // wake the producer: queue has room again
     return !exhausted;
-}
-
-void
-GeneratorStream::skip(std::int64_t n)
-{
-    ensureStarted();
-    std::unique_lock<std::mutex> lk(mtx_);
-    while (n > 0) {
-        cv_.wait(lk, [this] { return !queue_.empty() || done_; });
-        while (n > 0 && !queue_.empty()) {
-            queue_.pop_front();
-            --n;
-        }
-        cv_.notify_all();
-        if (done_ && queue_.empty())
-            return;
-    }
 }
 
 // ---------------------------------------------------------------------
@@ -154,6 +135,8 @@ SearchDriver::SearchDriver(SearchContext &sc, EvalEngine &engine,
 double
 SearchDriver::metricOf(const CostResult &cr) const
 {
+    if (!cr.valid)
+        return std::numeric_limits<double>::infinity();
     return optimizeEdp_ ? cr.edp : cr.totalEnergyPj;
 }
 
@@ -333,6 +316,8 @@ SearchDriver::run(CandidateStream &stream)
     }
 
     const StopPolicy &pol = sc_.policy();
+    // One set of batch slots for the whole search: streams overwrite
+    // them in place, so steady-state generation allocates nothing.
     std::vector<Mapping> batch;
     std::vector<CostResult> results;
     bool midBatchStop = false;
@@ -349,7 +334,6 @@ SearchDriver::run(CandidateStream &stream)
             }
             room = std::min(room, static_cast<std::size_t>(left));
         }
-        batch.clear();
         const bool more = stream.nextBatch(room, batch);
         if (batch.empty())
             break; // exhausted
@@ -357,62 +341,25 @@ SearchDriver::run(CandidateStream &stream)
 
         if (surrogate_ && surrogate_->ranking()) {
             midBatchStop = runRankedBatch(stream, batch, results);
-            if (midBatchStop)
-                break;
-            if (pol.maxEvals > 0 && evaluated() >= pol.maxEvals) {
-                latchReason(StopReason::MaxEvals);
-                break;
-            }
-            maybeCheckpoint(&stream, false);
-            if (!more)
-                break; // exhausted
-            continue;
-        }
-
-        engine_.evaluateBatch(evalCtx_, batch, stream.costOptions(),
-                              stream.cachePolicy(), results);
-
-        // Serial, in-order consumption: this loop is the only place
-        // stream-mode incumbent/streak state advances, which is what
-        // makes results independent of the evaluation thread count.
-        for (std::size_t i = 0; i < batch.size(); ++i) {
-            noteEvaluated(1);
-            const CostResult &cr = results[i];
-            if (surrogate_) {
-                // Cold start: keep training pass-through until the
-                // ranking warmup is met; the search itself is
-                // byte-identical to surrogate-off in this phase.
-                surrogate_->featurize(batch[i], featRow_);
-                surrogate_->observe(
-                    featRow_,
-                    cr.valid ? metricOf(cr)
-                             : std::numeric_limits<double>::infinity());
-            }
-            stream.onResult(i, batch[i], cr);
-            if (!cr.valid) {
-                if (firstInvalidReason_.empty())
-                    firstInvalidReason_ = cr.invalidReason;
-                ++invalidStreak_;
-                if (pol.maxConsecutiveInvalid > 0 &&
-                    invalidStreak_ >= pol.maxConsecutiveInvalid) {
-                    latchReason(StopReason::InvalidStreak);
-                    midBatchStop = true;
-                    break;
+        } else {
+            engine_.evaluateBatch(evalCtx_, batch, stream.costOptions(),
+                                  stream.cachePolicy(), results);
+            // Serial, in-order consumption: this loop is the only place
+            // stream-mode incumbent/streak state advances, which is what
+            // makes results independent of the evaluation thread count.
+            for (std::size_t i = 0; i < batch.size() && !midBatchStop;
+                 ++i) {
+                noteEvaluated(1);
+                const CostResult &cr = results[i];
+                if (surrogate_) {
+                    // Cold start: keep training pass-through until the
+                    // ranking warmup is met; the search itself is
+                    // byte-identical to surrogate-off in this phase.
+                    surrogate_->featurize(batch[i], featRow_);
+                    surrogate_->observe(featRow_, metricOf(cr));
                 }
-                continue;
-            }
-            invalidStreak_ = 0;
-            if (offer(batch[i], cr)) {
-                plateauLength_ = 0;
-                status_->notePlateau(0);
-            } else {
-                ++plateauLength_;
-                status_->notePlateau(plateauLength_);
-                if (pol.plateau > 0 && plateauLength_ >= pol.plateau) {
-                    latchReason(StopReason::Plateau);
-                    midBatchStop = true;
-                    break;
-                }
+                stream.onResult(i, batch[i], cr);
+                midBatchStop = consume(batch[i], cr);
             }
         }
         if (midBatchStop)
@@ -436,11 +383,34 @@ SearchDriver::run(CandidateStream &stream)
 }
 
 bool
+SearchDriver::consume(const Mapping &m, const CostResult &cr)
+{
+    const StopPolicy &pol = sc_.policy();
+    if (!cr.valid) {
+        if (firstInvalidReason_.empty())
+            firstInvalidReason_ = cr.invalidReason;
+        ++invalidStreak_;
+        return pol.maxConsecutiveInvalid > 0 &&
+               invalidStreak_ >= pol.maxConsecutiveInvalid &&
+               latchReason(StopReason::InvalidStreak);
+    }
+    invalidStreak_ = 0;
+    if (offer(m, cr)) {
+        plateauLength_ = 0;
+        status_->notePlateau(0);
+        return false;
+    }
+    ++plateauLength_;
+    status_->notePlateau(plateauLength_);
+    return pol.plateau > 0 && plateauLength_ >= pol.plateau &&
+           latchReason(StopReason::Plateau);
+}
+
+bool
 SearchDriver::runRankedBatch(CandidateStream &stream,
                              const std::vector<Mapping> &batch,
                              std::vector<CostResult> &results)
 {
-    const StopPolicy &pol = sc_.policy();
     const std::size_t n = batch.size();
     surrogate_->rankBatch(batch, rankOrder_, rankPreds_);
 
@@ -455,9 +425,9 @@ SearchDriver::runRankedBatch(CandidateStream &stream,
     if (keep < n)
         noteSurrogatePruned(static_cast<std::int64_t>(n - keep));
 
-    keptBatch_.clear();
+    keptBatch_.resize(keep);
     for (std::size_t j = 0; j < keep; ++j)
-        keptBatch_.push_back(batch[rankOrder_[j]]);
+        keptBatch_[j] = batch[rankOrder_[j]];
     engine_.evaluateBatch(evalCtx_, keptBatch_, stream.costOptions(),
                           stream.cachePolicy(), results);
 
@@ -467,9 +437,7 @@ SearchDriver::runRankedBatch(CandidateStream &stream,
     gateMetrics_.clear();
     for (std::size_t j = 0; j < keep; ++j) {
         gatePreds_.push_back(rankPreds_[rankOrder_[j]]);
-        gateMetrics_.push_back(
-            results[j].valid ? metricOf(results[j])
-                             : std::numeric_limits<double>::infinity());
+        gateMetrics_.push_back(metricOf(results[j]));
     }
     surrogate_->updateGate(gatePreds_, gateMetrics_);
 
@@ -478,37 +446,12 @@ SearchDriver::runRankedBatch(CandidateStream &stream,
     // advance the plateau and invalid-streak windows.
     bool midBatchStop = false;
     std::size_t done = 0;
-    for (std::size_t j = 0; j < keep; ++j) {
+    while (done < keep && !midBatchStop) {
         noteEvaluated(1);
-        const CostResult &cr = results[j];
-        surrogate_->featurize(keptBatch_[j], featRow_);
-        surrogate_->observe(featRow_, gateMetrics_[j]);
+        surrogate_->featurize(keptBatch_[done], featRow_);
+        surrogate_->observe(featRow_, gateMetrics_[done]);
+        midBatchStop = consume(keptBatch_[done], results[done]);
         ++done;
-        if (!cr.valid) {
-            if (firstInvalidReason_.empty())
-                firstInvalidReason_ = cr.invalidReason;
-            ++invalidStreak_;
-            if (pol.maxConsecutiveInvalid > 0 &&
-                invalidStreak_ >= pol.maxConsecutiveInvalid) {
-                latchReason(StopReason::InvalidStreak);
-                midBatchStop = true;
-                break;
-            }
-            continue;
-        }
-        invalidStreak_ = 0;
-        if (offer(keptBatch_[j], cr)) {
-            plateauLength_ = 0;
-            status_->notePlateau(0);
-        } else {
-            ++plateauLength_;
-            status_->notePlateau(plateauLength_);
-            if (pol.plateau > 0 && plateauLength_ >= pol.plateau) {
-                latchReason(StopReason::Plateau);
-                midBatchStop = true;
-                break;
-            }
-        }
     }
 
     // The stream observes results in generation order, exactly like
@@ -537,10 +480,7 @@ SearchDriver::seedWarmStarts()
         noteEvaluated(1);
         if (surrogate_) {
             surrogate_->featurize(m, featRow_);
-            surrogate_->observe(
-                featRow_,
-                cr.valid ? metricOf(cr)
-                         : std::numeric_limits<double>::infinity());
+            surrogate_->observe(featRow_, metricOf(cr));
         }
         reg.counter("search." + label_ + ".warmstart.seeds").add(1);
         obs::flightRecorder().record(

@@ -69,8 +69,11 @@ class CandidateStream
     };
 
     /**
-     * Appends up to `max` candidates to `out`.
-     * @return false when the stream is exhausted (an empty append with
+     * Writes the next batch of at most `max` candidates into `out`. The
+     * vector arrives holding the previous batch (the driver's reused
+     * slots): implementations overwrite those Mappings in place and
+     * leave exactly the new batch behind (`out.resize(k)`, k <= max).
+     * @return false when the stream is exhausted (an empty batch with
      *         a true return is also treated as exhaustion).
      */
     virtual bool nextBatch(std::size_t max, std::vector<Mapping> &out) = 0;
@@ -121,10 +124,10 @@ class CandidateStream
     }
 
     /**
-     * Generates and discards `n` candidates (ResumeMode::Replay). The
-     * default implementation pulls through nextBatch().
+     * Generates and discards `n` candidates (ResumeMode::Replay) by
+     * pulling them through nextBatch() into one reused slot vector.
      */
-    virtual void skip(std::int64_t n);
+    void skip(std::int64_t n);
 };
 
 /**
@@ -147,7 +150,6 @@ class GeneratorStream : public CandidateStream
     ~GeneratorStream() override;
 
     bool nextBatch(std::size_t max, std::vector<Mapping> &out) override;
-    void skip(std::int64_t n) override;
     ResumeMode resumeMode() const override { return ResumeMode::Replay; }
     SurrogatePolicy surrogatePolicy() const override { return policy_; }
 
@@ -255,9 +257,6 @@ class SearchDriver
     /** Accounts candidates skipped on the surrogate's verdict. */
     void noteSurrogatePruned(std::int64_t n) { prunedTotal_ += n; }
 
-    /** Surrogate-pruned candidates (never fully evaluated) so far. */
-    std::int64_t surrogatePruned() const { return prunedTotal_; }
-
     /**
      * Finalizes accounting and telemetry; records the final convergence
      * point. `natural` is the reason reported when no StopPolicy bound
@@ -284,7 +283,6 @@ class SearchDriver
     }
 
     EvalEngine &engine() { return engine_; }
-    const EvalEngine::Context &evalContext() const { return evalCtx_; }
     SearchContext &context() { return sc_; }
     const std::string &label() const { return label_; }
     bool optimizeEdp() const { return optimizeEdp_; }
@@ -293,11 +291,17 @@ class SearchDriver
     const Mapping &bestMapping() const { return bestMapping_; }
 
   private:
+    /** The optimized metric; +inf for an invalid result. */
     double metricOf(const CostResult &cr) const;
     /** Latches `r` as the stop reason if none is set yet. */
     bool latchReason(StopReason r);
     void maybeCheckpoint(const CandidateStream *stream, bool force);
     void writeCheckpoint(const std::string &payload);
+    /**
+     * Advances the serial incumbent and streak state by one evaluated
+     * result. @return true when a streak bound (plateau, invalid) fired.
+     */
+    bool consume(const Mapping &m, const CostResult &cr);
     /** Surrogate-ranked batch path. @return true on a mid-batch stop. */
     bool runRankedBatch(CandidateStream &stream,
                         const std::vector<Mapping> &batch,

@@ -112,6 +112,29 @@ TEST(EvalEngine, BypassPolicySkipsTheCache)
     EXPECT_EQ(engine.cacheSize(), 0u);
 }
 
+TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
+{
+    // A batch chunk is timed as one interval, but it records one
+    // latency observation per evaluation it timed, so the histogram's
+    // count tracks evaluations (and its sum their busy time), not chunks.
+    Workload wl = makeGemm(16, 16, 16);
+    BoundArch ba(makeToyArch(64, 4), wl);
+    const std::vector<Mapping> batch(200, naiveMapping(ba)); // 3 chunks + 8
+    for (unsigned threads : {1u, 4u}) {
+        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        const EvalEngine::Context ctx = engine.context(ba);
+        const std::int64_t before = engine.stats().evalLatencyUs.count;
+        std::vector<CostResult> out;
+        engine.evaluateBatch(ctx, batch, {}, EvalEngine::CachePolicy::Bypass,
+                             out);
+        const SearchStats s = engine.stats();
+        EXPECT_EQ(s.evalLatencyUs.count - before,
+                  static_cast<std::int64_t>(batch.size()))
+            << threads << " threads";
+        EXPECT_GT(s.evalLatencyUs.sum, 0.0) << threads << " threads";
+    }
+}
+
 TEST(EvalEngine, DistinctContextsDoNotShareEntries)
 {
     // Same mapping shape, different workload sizes: the context

@@ -2,14 +2,22 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <map>
+
 #include "arch/presets.hh"
+#include "common/math_utils.hh"
 #include "core/sunstone.hh"
 #include "mappers/cosa_mapper.hh"
 #include "mappers/dmaze_mapper.hh"
 #include "mappers/exhaustive_mapper.hh"
 #include "mappers/interstellar_mapper.hh"
+#include "mappers/random_sampler.hh"
 #include "mappers/space_size.hh"
 #include "mappers/timeloop_mapper.hh"
+#include "model/cost_model.hh"
+#include "search/rng.hh"
+#include "search/search_context.hh"
 #include "workload/zoo.hh"
 
 namespace sunstone {
@@ -275,6 +283,275 @@ TEST(Baselines, SunstoneNeverWorseOnSmallConv)
     if (in.found) {
         EXPECT_LE(sun.cost.edp, in.cost.edp * 1.05);
     }
+}
+
+// ---------------------------------------------------------------------
+// RandomSampler against the allocating samplers it replaced
+// ---------------------------------------------------------------------
+
+// Verbatim copies of the per-sample allocating samplers the Timeloop
+// mapper (refRandomMapping) and the GA (refSlotsOf, refRandomizeDim,
+// refRandomIndividual) used before RandomSampler. They define the
+// sample sequence the shared sampler must keep, draw for draw.
+
+struct RefSlot
+{
+    int level;
+    bool spatial;
+};
+
+Mapping
+refRandomMapping(const BoundArch &ba, RngStream &rng)
+{
+    const Workload &wl = ba.workload();
+    const ArchSpec &arch = ba.arch();
+    const int nl = ba.numLevels();
+    const int nd = wl.numDims();
+    Mapping m(nl, nd);
+
+    std::vector<RefSlot> slots;
+    for (int l = 0; l < nl; ++l) {
+        slots.push_back({l, false});
+        if (arch.levels[l].fanout > 1)
+            slots.push_back({l, true});
+    }
+
+    for (DimId d = 0; d < nd; ++d) {
+        for (auto [p, e] : cachedPrimeFactors(wl.dimSize(d))) {
+            for (int i = 0; i < e; ++i) {
+                const RefSlot &s = slots[rng.below(slots.size())];
+                auto &lm = m.level(s.level);
+                if (s.spatial)
+                    lm.spatial[d] = satMul(lm.spatial[d], p);
+                else
+                    lm.temporal[d] = satMul(lm.temporal[d], p);
+            }
+        }
+    }
+    for (int l = 0; l < nl; ++l)
+        rng.shuffle(m.level(l).order);
+    return m;
+}
+
+std::vector<RefSlot>
+refSlotsOf(const BoundArch &ba)
+{
+    std::vector<RefSlot> slots;
+    for (int l = 0; l < ba.numLevels(); ++l) {
+        slots.push_back({l, false});
+        if (ba.arch().levels[l].fanout > 1)
+            slots.push_back({l, true});
+    }
+    return slots;
+}
+
+void
+refRandomizeDim(Mapping &m, const BoundArch &ba,
+                const std::vector<RefSlot> &slots, DimId d, RngStream &rng)
+{
+    for (int l = 0; l < m.numLevels(); ++l) {
+        m.level(l).temporal[d] = 1;
+        m.level(l).spatial[d] = 1;
+    }
+    for (auto [p, e] : cachedPrimeFactors(ba.workload().dimSize(d))) {
+        for (int i = 0; i < e; ++i) {
+            const RefSlot &s = slots[rng.below(slots.size())];
+            auto &lm = m.level(s.level);
+            if (s.spatial)
+                lm.spatial[d] = satMul(lm.spatial[d], p);
+            else
+                lm.temporal[d] = satMul(lm.temporal[d], p);
+        }
+    }
+}
+
+Mapping
+refRandomIndividual(const BoundArch &ba, const std::vector<RefSlot> &slots,
+                    RngStream &rng)
+{
+    const int nd = ba.workload().numDims();
+    Mapping m(ba.numLevels(), nd);
+    for (DimId d = 0; d < nd; ++d)
+        refRandomizeDim(m, ba, slots, d, rng);
+    for (int l = 0; l < m.numLevels(); ++l)
+        rng.shuffle(m.level(l).order);
+    return m;
+}
+
+bool
+sameMapping(const Mapping &a, const Mapping &b)
+{
+    if (a.numLevels() != b.numLevels())
+        return false;
+    for (int l = 0; l < a.numLevels(); ++l) {
+        const LevelMapping &x = a.level(l), &y = b.level(l);
+        if (x.temporal != y.temporal || x.spatial != y.spatial ||
+            x.order != y.order)
+            return false;
+    }
+    return true;
+}
+
+/** Every reference architecture, by name. */
+std::vector<std::pair<std::string, ArchSpec>>
+samplerArchs()
+{
+    return {{"conventional", makeConventional()},
+            {"simba", makeSimbaLike()},
+            {"eyeriss", makeEyerissLike()},
+            {"toy", makeToyArch()}};
+}
+
+/** One workload per tensor-algebra family, each with dims of size 1 and
+ *  prime dims next to composite ones. */
+std::vector<Workload>
+samplerWorkloads()
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 12;
+    sh.c = 7;
+    sh.p = 14;
+    sh.q = 13;
+    sh.r = 3;
+    sh.s = 1;
+    return {makeConv2D(sh), makeGemm(1, 97, 60),
+            makeMTTKRP(64, 1, 31, 8), makeTTMc(16, 1, 13, 8, 6),
+            makeSDDMM(32, 17, 1)};
+}
+
+/**
+ * Binds `wl` to `arch`. The partitioned presets hold fewer buffers than
+ * the four-tensor algebra kernels have tensors, so those share
+ * partitions round-robin: sampling reads only the level count, fanouts
+ * and dim sizes, never a capacity.
+ */
+BoundArch
+bindForSampling(const ArchSpec &arch, const Workload &wl)
+{
+    std::vector<std::string> parts;
+    for (const LevelSpec &lv : arch.levels)
+        for (const auto &p : lv.partitions)
+            if (std::find(parts.begin(), parts.end(), p.name) == parts.end())
+                parts.push_back(p.name);
+    std::map<std::string, std::string> binding;
+    if (!parts.empty() &&
+        parts.size() < static_cast<std::size_t>(wl.numTensors()))
+        for (TensorId t = 0; t < wl.numTensors(); ++t)
+            binding[wl.tensor(t).name] = parts[t % parts.size()];
+    return BoundArch(arch, wl, binding);
+}
+
+constexpr int kReferenceDraws = 10000;
+
+TEST(RandomSampler, MatchesTheAllocatingSamplersDrawForDraw)
+{
+    for (const auto &[an, arch] : samplerArchs()) {
+        for (const Workload &wl : samplerWorkloads()) {
+            const BoundArch ba = bindForSampling(arch, wl);
+            const RandomSampler sampler(ba);
+            const std::vector<RefSlot> slots = refSlotsOf(ba);
+            const int nd = wl.numDims();
+            const std::string where = an + "/" + wl.name();
+
+            // Timeloop: one reused slot against a fresh sample per draw.
+            RngStream refTl(0x5075), newTl(0x5075);
+            // GA: a fresh individual, then one dim mutation of it.
+            RngStream refGa(0xabcd), newGa(0xabcd);
+            Mapping tlSlot, gaSlot;
+            for (int i = 0; i < kReferenceDraws; ++i) {
+                sampler.fill(tlSlot, newTl);
+                ASSERT_TRUE(sameMapping(tlSlot, refRandomMapping(ba, refTl)))
+                    << where << " draw " << i;
+                ASSERT_EQ(newTl.state(), refTl.state())
+                    << where << " draw " << i;
+
+                Mapping ind = refRandomIndividual(ba, slots, refGa);
+                sampler.fill(gaSlot, newGa);
+                ASSERT_TRUE(sameMapping(gaSlot, ind))
+                    << where << " individual " << i;
+                const DimId d = static_cast<DimId>(i % nd);
+                refRandomizeDim(ind, ba, slots, d, refGa);
+                sampler.randomizeDim(gaSlot, d, newGa);
+                ASSERT_TRUE(sameMapping(gaSlot, ind))
+                    << where << " mutation " << i;
+                ASSERT_EQ(newGa.state(), refGa.state())
+                    << where << " mutation " << i;
+            }
+        }
+    }
+}
+
+TEST(RandomSampler, RefillsSlotsHoldingOtherShapes)
+{
+    const std::vector<Workload> wls = samplerWorkloads();
+    const BoundArch ba = bindForSampling(makeSimbaLike(), wls[0]);
+    const BoundArch other(makeToyArch(), wls[1]);
+    const RandomSampler sampler(ba);
+    const int nl = ba.numLevels(), nd = wls[0].numDims();
+
+    // Slots a reused batch vector can hold: nothing yet, another
+    // binding's sample, the right level count with too many or too few
+    // dims, and a scrambled mapping of the right shape.
+    RngStream scramble(7);
+    std::vector<Mapping> shapes = {Mapping(), Mapping(other.numLevels(), 3),
+                                   Mapping(nl, nd + 2), Mapping(nl, nd - 1),
+                                   refRandomMapping(ba, scramble)};
+    RandomSampler(other).fill(shapes[1], scramble);
+
+    RngStream ref(0x5eed), got(0x5eed);
+    for (int i = 0; i < kReferenceDraws; ++i) {
+        Mapping slot = shapes[static_cast<std::size_t>(i) % shapes.size()];
+        sampler.fill(slot, got);
+        ASSERT_TRUE(sameMapping(slot, refRandomMapping(ba, ref)))
+            << "draw " << i << " into slot shape "
+            << i % static_cast<int>(shapes.size());
+        ASSERT_EQ(got.state(), ref.state()) << "draw " << i;
+    }
+}
+
+TEST(RandomSampler, TimeloopShortFinalBatchMatchesTheReference)
+{
+    // 1000 evaluations = seven full 128-candidate batches plus a short
+    // batch of 104, so the reused slot vector shrinks at the end.
+    const BoundArch ba(makeConventional(), smallConv());
+    constexpr std::int64_t kEvals = 1000;
+    constexpr std::size_t kShards = 16; // TimeloopStream's shard count
+    const TimeloopOptions opts = TimeloopOptions::fast();
+
+    SearchContext sc;
+    sc.policy().maxEvals = kEvals;
+    sc.policy().plateau = 1'000'000'000;
+    const MapperResult mr = TimeloopMapper(opts).optimize(sc, ba);
+
+    // The reference search: the same round-robin over the same shards,
+    // each sample built by the allocating sampler and evaluated alone.
+    std::vector<RngStream> shards;
+    for (std::size_t s = 0; s < kShards; ++s)
+        shards.emplace_back(rngShardInit(opts.seed, s));
+    bool found = false;
+    double best = 0;
+    Mapping bestMapping;
+    for (std::int64_t i = 0; i < kEvals; ++i) {
+        const Mapping m = refRandomMapping(ba, shards[i % kShards]);
+        const CostResult cr = evaluateMapping(ba, m);
+        if (cr.valid && (!found || cr.edp < best)) {
+            found = true;
+            best = cr.edp;
+            bestMapping = m;
+        }
+    }
+
+    ASSERT_TRUE(found);
+    ASSERT_TRUE(mr.found);
+    EXPECT_EQ(mr.mappingsEvaluated, kEvals);
+    EXPECT_EQ(mr.stopReason, "max-evals");
+    EXPECT_EQ(mr.cost.edp, best);
+    EXPECT_TRUE(sameMapping(mr.mapping, bestMapping));
+    const std::vector<std::uint64_t> states = sc.rngStates();
+    ASSERT_EQ(states.size(), kShards);
+    for (std::size_t s = 0; s < kShards; ++s)
+        EXPECT_EQ(states[s], shards[s].state()) << "shard " << s;
 }
 
 } // namespace

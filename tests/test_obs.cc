@@ -248,6 +248,20 @@ TEST(Metrics, HistogramBucketBoundaries)
     EXPECT_EQ(snap.counts[2], 1);
 }
 
+TEST(Metrics, WeightedRecordCountsEveryObservation)
+{
+    obs::Histogram h({10.0, 20.0});
+    h.record(15.0, 4); // four observations of 15 -> second bucket
+    h.record(5.0);     // the unweighted call is a weight of one
+    const auto snap = h.snapshot();
+    ASSERT_EQ(snap.counts.size(), 3u);
+    EXPECT_EQ(snap.counts[0], 1);
+    EXPECT_EQ(snap.counts[1], 4);
+    EXPECT_EQ(snap.counts[2], 0);
+    EXPECT_EQ(snap.count, 5);
+    EXPECT_EQ(snap.sum, 15.0 * 4 + 5.0);
+}
+
 TEST(Metrics, RegistryHandsOutStableReferences)
 {
     auto &c1 = obs::metrics().counter("test.stable");

@@ -26,6 +26,7 @@
 #include "mappers/gamma_mapper.hh"
 #include "mappers/interstellar_mapper.hh"
 #include "mappers/timeloop_mapper.hh"
+#include "mapping/serialize.hh"
 #include "model/eval_engine.hh"
 #include "search/checkpoint.hh"
 #include "search/search_context.hh"
@@ -358,6 +359,126 @@ TEST_F(ResumeFixture, TimeloopRandomIsThreadCountInvariant)
         EXPECT_EQ(mappingToJson(mr.mapping), mapping)
             << threads << " threads";
     }
+}
+
+// ---------------------------------------------------------------------
+// Pinned outcomes
+// ---------------------------------------------------------------------
+
+/** A finished search's observable outcome, in comparable form. */
+struct Outcome
+{
+    std::string mapping; // mappingToText()
+    std::string edp;     // hex float: exact bits, readable diffs
+    std::int64_t evaluated = 0;
+    std::string stopReason;
+};
+
+std::string
+hexFloat(double v)
+{
+    char buf[64];
+    std::snprintf(buf, sizeof buf, "%a", v);
+    return buf;
+}
+
+using EngineRunFn =
+    std::function<MapperResult(SearchContext &, unsigned threads)>;
+
+/**
+ * Runs `run` at 1 and 4 evaluation threads, each once uninterrupted to
+ * `budget` and once cut at `interrupt_at` and resumed from the
+ * checkpoint, and expects all four outcomes to equal `pinned`.
+ */
+void
+expectPinnedOutcome(const std::string &name, const BoundArch &ba,
+                    const EngineRunFn &run, std::int64_t interrupt_at,
+                    std::int64_t budget, const Outcome &pinned)
+{
+    auto outcome = [&](const MapperResult &mr) {
+        return Outcome{mappingToText(mr.mapping, ba), hexFloat(mr.cost.edp),
+                       mr.mappingsEvaluated, mr.stopReason};
+    };
+    auto expectPinned = [&](const Outcome &o, const std::string &how) {
+        EXPECT_EQ(o.mapping, pinned.mapping) << name << " " << how;
+        EXPECT_EQ(o.edp, pinned.edp) << name << " " << how;
+        EXPECT_EQ(o.evaluated, pinned.evaluated) << name << " " << how;
+        EXPECT_EQ(o.stopReason, pinned.stopReason) << name << " " << how;
+    };
+    for (unsigned threads : {1u, 4u}) {
+        const std::string at = std::to_string(threads) + " threads";
+        StopPolicy base;
+        base.maxEvals = budget;
+        base.plateau = 1'000'000'000;
+        {
+            EvalEngine engine(EvalEngineOptions{.threads = threads});
+            SearchContext sc(&engine);
+            sc.setPolicy(base);
+            expectPinned(outcome(run(sc, threads)), at + ", uninterrupted");
+        }
+
+        const std::string path = ::testing::TempDir() + "/pinned_" + name +
+                                 "_" + std::to_string(threads) + ".json";
+        std::remove(path.c_str());
+        {
+            EvalEngine engine(EvalEngineOptions{.threads = threads});
+            SearchContext sc(&engine);
+            StopPolicy cut = base;
+            cut.maxEvals = interrupt_at;
+            sc.setPolicy(cut);
+            sc.setCheckpointPath(path);
+            run(sc, threads);
+        }
+        SearchCheckpoint ck;
+        std::string err;
+        ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err))
+            << name << ": " << err;
+        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        SearchContext sc(&engine);
+        sc.setPolicy(base);
+        sc.setCheckpointPath(path);
+        sc.setResume(std::move(ck));
+        expectPinned(outcome(run(sc, threads)), at + ", resumed");
+        std::remove(path.c_str());
+    }
+}
+
+// The constants below were recorded before the random samplers moved to
+// reused batch slots; the slot refactor must not move a single sample.
+// The budgets end on short final batches (1000 = 7 * 128 + 104).
+
+TEST_F(ResumeFixture, TimeloopOutcomeIsPinned)
+{
+    expectPinnedOutcome(
+        "timeloop", ba,
+        [&](SearchContext &sc, unsigned threads) {
+            TimeloopOptions opts = TimeloopOptions::fast();
+            opts.threads = threads;
+            return TimeloopMapper(opts).optimize(sc, ba);
+        },
+        /*interrupt_at=*/500, /*budget=*/1000,
+        {"mapping\n"
+         "level L1 temporal k=4 spatial - order k,c,r,q,s,p,n\n"
+         "level L2 temporal r=3 spatial k=2,c=2,p=4,q=4,s=3 "
+         "order r,p,q,s,n,c,k\n"
+         "level DRAM temporal c=4 spatial - order p,q,n,k,c,s,r\n",
+         "0x1.8f756b56b4fa4p-46", 1000, "max-evals"});
+}
+
+TEST_F(ResumeFixture, GammaOutcomeIsPinned)
+{
+    expectPinnedOutcome(
+        "gamma", ba,
+        [&](SearchContext &sc, unsigned) {
+            return GammaMapper().optimize(sc, ba);
+        },
+        /*interrupt_at=*/450, /*budget=*/1000,
+        {"mapping\n"
+         "level L1 temporal r=3,s=3 spatial - order p,n,r,q,s,c,k\n"
+         "level L2 temporal c=2 spatial k=8,c=2,p=4,q=4 "
+         "order k,s,p,c,n,q,r\n"
+         "level DRAM temporal c=2 spatial - order s,k,q,r,c,n,p\n",
+         "0x1.0c4b84bdf4cdap-46", 1000, "max-evals"});
 }
 
 } // namespace

@@ -77,6 +77,7 @@ class ScriptedStream : public CandidateStream
     bool
     nextBatch(std::size_t max, std::vector<Mapping> &out) override
     {
+        out.clear();
         for (std::size_t i = 0; i < max; ++i) {
             if (limit_ >= 0 && emitted_ >= limit_)
                 return false;
@@ -514,8 +515,11 @@ TEST(GeneratorStream, PreservesProductionOrder)
                 return;
         }
     });
-    std::vector<Mapping> got;
-    while (stream.nextBatch(64, got)) {
+    // Each call leaves only its own batch behind; collect them all.
+    std::vector<Mapping> got, batch;
+    for (bool more = true; more;) {
+        more = stream.nextBatch(64, batch);
+        got.insert(got.end(), batch.begin(), batch.end());
     }
     ASSERT_EQ(got.size(), 300u);
     for (int i = 1; i <= 300; ++i)

@@ -304,6 +304,7 @@ class FixedStream : public CandidateStream
     bool
     nextBatch(std::size_t max, std::vector<Mapping> &out) override
     {
+        out.clear();
         while (out.size() < max && emitted_ < total_) {
             out.push_back(m_);
             ++emitted_;
