@@ -8,6 +8,7 @@
 #ifndef SUNSTONE_COMMON_MATH_UTILS_HH
 #define SUNSTONE_COMMON_MATH_UTILS_HH
 
+#include <bit>
 #include <cstdint>
 #include <limits>
 #include <vector>
@@ -21,6 +22,14 @@ constexpr std::int64_t
 ceilDiv(std::int64_t a, std::int64_t b)
 {
     return (a + b - 1) / b;
+}
+
+/** @return floor(log2(n)) for n >= 1 (0 for 1, 62 for 2^62, 62 for
+ *  INT64_MAX), defined over the whole positive int64 range. */
+constexpr int
+floorLog2(std::int64_t n)
+{
+    return std::bit_width(static_cast<std::uint64_t>(n)) - 1;
 }
 
 /** @return all positive divisors of n in ascending order. */

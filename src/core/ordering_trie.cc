@@ -17,10 +17,11 @@ OrderingCandidate::fullyReusedTensors() const
     return out;
 }
 
-std::vector<DimId>
-OrderingCandidate::fullOrder(int num_dims) const
+void
+loopOrderForSuffix(const std::vector<DimId> &suffix, int num_dims,
+                   std::vector<DimId> &order)
 {
-    std::vector<DimId> order;
+    order.clear();
     DimSet in_suffix;
     for (DimId d : suffix)
         in_suffix.add(d);
@@ -30,7 +31,6 @@ OrderingCandidate::fullOrder(int num_dims) const
     // Suffix is innermost-first; the order vector is outermost-first.
     for (auto it = suffix.rbegin(); it != suffix.rend(); ++it)
         order.push_back(*it);
-    return order;
 }
 
 std::string

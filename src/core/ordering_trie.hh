@@ -44,14 +44,16 @@ struct OrderingCandidate
     /** @return tensors with at least one full-reuse dim in the suffix. */
     std::vector<TensorId> fullyReusedTensors() const;
 
-    /**
-     * @return a complete outermost-first loop order: the non-suffix dims
-     * in ascending DimId order, then the suffix (innermost last).
-     */
-    std::vector<DimId> fullOrder(int num_dims) const;
-
     std::string toString(const Workload &wl) const;
 };
+
+/**
+ * Writes the complete outermost-first loop order for a reuse suffix into
+ * `order`, reusing its storage: the non-suffix dims in ascending DimId
+ * order, then the suffix (innermost last).
+ */
+void loopOrderForSuffix(const std::vector<DimId> &suffix, int num_dims,
+                        std::vector<DimId> &order);
 
 /** Statistics from one trie construction. */
 struct OrderingTrieStats

@@ -2,10 +2,8 @@
 
 #include <algorithm>
 #include <atomic>
-#include <deque>
 #include <limits>
 #include <map>
-#include <mutex>
 #include <unordered_set>
 
 #include "common/json.hh"
@@ -39,6 +37,36 @@ struct Partial
     double score = kInf;
 };
 
+/** One ordering candidate of an expansion, with the full loop order
+ *  and beam bucket key derived once rather than per candidate. */
+struct OrderingEntry
+{
+    /** Reuse suffix, innermost loop first. */
+    std::vector<DimId> suffix;
+    /** loopOrderForSuffix(suffix). */
+    std::vector<DimId> order;
+    /** Hash of the suffix: the first half of the stratified-beam key. */
+    std::uint64_t suffixKey = 1;
+};
+
+/**
+ * A candidate alpha-beta kept during one entry's expansion. The Partial
+ * it stands for is its base with the level's tile and unroll applied
+ * (see Driver::apply); it is materialized only if it survives the trim.
+ * Record i's tile and unroll factors are Collector::arena[i * 2 * nDims,
+ * (i + 1) * 2 * nDims), tile first.
+ */
+struct CandidateRecord
+{
+    double score;
+    /** Index into Collector::bases. */
+    std::uint32_t base;
+    /** Index into Collector::orderings. */
+    std::uint32_t ordering;
+    /** floorLog2 of the candidate's total spatial product. */
+    int logSpatial;
+};
+
 /**
  * Per-beam-entry expansion sink. Each entry expands into its own
  * collector whose alpha-beta incumbent is seeded from the step-start
@@ -49,7 +77,12 @@ struct Partial
  */
 struct Collector
 {
-    std::vector<Partial> out;
+    std::vector<CandidateRecord> records;
+    std::vector<std::int64_t> arena;
+    /** The partials candidates are decided from: the absorbed entry
+     *  (one per s[0] variant) bottom-up, the entry itself top-down. */
+    std::vector<Partial> bases;
+    std::vector<OrderingEntry> orderings;
     double inc = kInf;
 };
 
@@ -96,27 +129,27 @@ beamPayload(int next_step, bool bottom_up, std::int64_t examined,
 }
 
 /**
- * One beam entry's expansion at one step. Each candidate is built in
- * `work` in place, scored, copied into the collector only when
- * alpha-beta keeps it, and then reset from `base`: no Mapping is copied
- * per candidate.
+ * One base's expansion at one step. Each candidate is built in `work` in
+ * place, scored, recorded compactly only when alpha-beta keeps it, and
+ * then reset from `base`: nothing is copied per candidate.
  */
 struct Expansion
 {
-    const Partial &base;
     Collector &col;
+    /** Index of `base` in col.bases. */
+    std::uint32_t baseIndex;
+    const Partial &base;
     Partial work = base;
     /** Capacity-check scratch (tile shapes). */
     std::vector<std::int64_t> shape{};
 
-    /** Restores levels [lo, hi] and the bookkeeping from the base. */
+    /** Restores levels [lo, hi] and the quotient from the base. */
     void
     reset(int lo, int hi)
     {
         for (int l = lo; l <= hi; ++l)
             work.m.level(l) = base.m.level(l);
         work.remaining = base.remaining;
-        work.pendingSuffix = base.pendingSuffix;
     }
 };
 
@@ -282,13 +315,23 @@ class Driver
                                       examined.load(), incumbent_, beam));
     }
 
+    /**
+     * Restores a beam checkpoint. Anything that would index past the
+     * workload (a suffix dim outside [0, nDims), a mapping of another
+     * shape), a quotient that is not nDims factors >= 1, or a step
+     * outside [0, nLevels - 1] is a clean fatal, never undefined
+     * behavior.
+     */
     void
     restoreBeamState(const std::string &payload, bool bottom_up,
                      int &step, std::vector<Partial> &beam)
     {
+        auto malformed = [] {
+            SUNSTONE_FATAL("sunstone resume: malformed beam payload");
+        };
         JsonValue v;
         if (!parseJson(payload, v) || !v.isObject())
-            SUNSTONE_FATAL("sunstone resume: malformed beam payload");
+            malformed();
         const JsonValue *bu = v.find("bottomUp");
         if (!bu || bu->asBool(!bottom_up) != bottom_up)
             SUNSTONE_FATAL("sunstone resume: checkpoint level order does "
@@ -296,8 +339,14 @@ class Driver
         const JsonValue *st = v.find("step");
         const JsonValue *bm = v.find("beam");
         if (!st || !bm || !bm->isArray())
-            SUNSTONE_FATAL("sunstone resume: malformed beam payload");
-        step = static_cast<int>(st->asInt(0));
+            malformed();
+        // Bottom-up resumes at the next level to tile (nLevels - 1: only
+        // the DRAM fill is left); top-down at the next level to decide
+        // (0: only the level-0 fill is left).
+        const std::int64_t next = st->asInt(-1);
+        if (next < 0 || next > nLevels - 1)
+            malformed();
+        step = static_cast<int>(next);
         if (const JsonValue *ex = v.find("examined"))
             examined.store(ex->asInt(0));
         if (const JsonValue *inc = v.find("incumbent"))
@@ -305,25 +354,47 @@ class Driver
         beam.clear();
         for (const JsonValue &e : bm->items) {
             Partial p;
-            p.m = Mapping(nLevels, nDims);
             const JsonValue *m = e.find("m");
-            if (!m || !mappingFromJson(*m, p.m))
+            if (!m || !mappingFromJson(*m, p.m) || !decidedShapeOk(p.m))
                 SUNSTONE_FATAL("sunstone resume: malformed beam mapping");
-            p.remaining.assign(nDims, 1);
-            if (const JsonValue *rem = e.find("rem"))
-                for (std::size_t i = 0;
-                     i < rem->items.size() &&
-                     i < static_cast<std::size_t>(nDims);
-                     ++i)
-                    p.remaining[i] = rem->items[i].asInt(1);
-            if (const JsonValue *suf = e.find("suffix"))
-                for (const JsonValue &d : suf->items)
-                    p.pendingSuffix.push_back(
-                        static_cast<DimId>(d.asInt(0)));
+            const JsonValue *rem = e.find("rem");
+            if (!rem || !rem->isArray() ||
+                rem->items.size() != static_cast<std::size_t>(nDims))
+                malformed();
+            for (const JsonValue &r : rem->items) {
+                p.remaining.push_back(r.asInt(0));
+                if (p.remaining.back() < 1)
+                    malformed();
+            }
+            if (const JsonValue *suf = e.find("suffix")) {
+                for (const JsonValue &d : suf->items) {
+                    const std::int64_t dim = d.asInt(-1);
+                    if (dim < 0 || dim >= nDims)
+                        malformed();
+                    p.pendingSuffix.push_back(static_cast<DimId>(dim));
+                }
+            }
             if (const JsonValue *s = e.find("score"))
                 p.score = s->isNull() ? kInf : s->asDouble(kInf);
             beam.push_back(std::move(p));
         }
+    }
+
+    /** Whether a restored mapping has this problem's level and dim
+     *  counts, factors >= 1 and loop orders over [0, nDims). */
+    bool
+    decidedShapeOk(const Mapping &m) const
+    {
+        if (m.numLevels() != nLevels || m.numDims() != nDims)
+            return false;
+        for (int l = 0; l < nLevels; ++l) {
+            const LevelMapping &lm = m.level(l);
+            for (DimId d = 0; d < nDims; ++d)
+                if (lm.temporal[d] < 1 || lm.spatial[d] < 1 ||
+                    lm.order[d] < 0 || lm.order[d] >= nDims)
+                    return false;
+        }
+        return true;
     }
 
     std::vector<Partial>
@@ -405,18 +476,17 @@ class Driver
             }
         }
         // Suffix dims innermost, the rest outermost in canonical order.
-        OrderingCandidate oc;
-        oc.suffix = p.pendingSuffix;
-        lm.order = oc.fullOrder(nDims);
+        loopOrderForSuffix(p.pendingSuffix, nDims, lm.order);
     }
 
     /**
      * Scores a partial by completing it (all residual loops to the DRAM
-     * level for bottom-up, to level 0 for top-down) and evaluating its
-     * energy — the paper's approximated-energy alpha-beta surrogate.
+     * level, in `fill_order`, for bottom-up; to level 0 for top-down)
+     * and evaluating its energy — the paper's approximated-energy
+     * alpha-beta surrogate.
      */
     double
-    scoreCompletion(Partial &p, const std::vector<DimId> &suffix,
+    scoreCompletion(Partial &p, const std::vector<DimId> &fill_order,
                     bool bottom_up,
                     const EvalEngine::PrefixHandle &ph) const
     {
@@ -432,9 +502,7 @@ class Driver
             lm.temporal[d] = satMul(lm.temporal[d], p.remaining[d]);
         if (bottom_up) {
             saved_order.assign(lm.order.begin(), lm.order.end());
-            OrderingCandidate oc;
-            oc.suffix = suffix;
-            lm.order = oc.fullOrder(nDims);
+            lm.order.assign(fill_order.begin(), fill_order.end());
         }
         CostModelOptions cmo;
         cmo.assumeValid = true;
@@ -454,31 +522,79 @@ class Driver
         return e;
     }
 
-    /** Scores the candidate built in ex.work into the entry's
-     *  collector, copying it out only when alpha-beta keeps it. */
+    /**
+     * Applies one (order, tile, unroll) decision at step k to a partial
+     * holding its base. Bottom-up, the tile multiplies level k's
+     * temporal factors and the unroll and loop order go to level k + 1;
+     * top-down, all three are level k's. Both emission (in place) and
+     * survivor materialization go through here, so a materialized
+     * partial is exactly the one that was scored.
+     */
     void
-    emit(Expansion &ex, bool bottom_up, const EvalEngine::PrefixHandle &ph)
+    apply(Partial &p, int k, bool bottom_up, const std::int64_t *tile,
+          const std::int64_t *unroll, const OrderingEntry &ord) const
+    {
+        auto &lm = p.m.level(k);
+        auto &up = bottom_up ? p.m.level(k + 1) : lm;
+        for (DimId d = 0; d < nDims; ++d) {
+            lm.temporal[d] =
+                bottom_up ? satMul(lm.temporal[d], tile[d]) : tile[d];
+            up.spatial[d] = unroll[d];
+            p.remaining[d] = p.remaining[d] / tile[d] / unroll[d];
+        }
+        up.order.assign(ord.order.begin(), ord.order.end());
+    }
+
+    /** Scores the candidate built in ex.work and, when alpha-beta keeps
+     *  it, appends its record and factors to the entry's collector. */
+    void
+    emit(Expansion &ex, std::uint32_t ordering, const std::int64_t *tile,
+         const std::int64_t *unroll, bool bottom_up,
+         const EvalEngine::PrefixHandle &ph)
     {
         if (drv_->shouldStop())
             return;
-        Partial &cand = ex.work;
-        cand.score =
-            scoreCompletion(cand, cand.pendingSuffix, bottom_up, ph);
+        Collector &col = ex.col;
+        const double score = scoreCompletion(
+            ex.work, col.orderings[ordering].order, bottom_up, ph);
         examined.fetch_add(1, std::memory_order_relaxed);
         drv_->noteEvaluated(1);
-        Collector &col = ex.col;
         if (opts.alphaBeta) {
-            if (cand.score < col.inc)
-                col.inc = cand.score;
-            if (cand.score > col.inc * opts.alphaSlack) {
+            if (score < col.inc)
+                col.inc = score;
+            if (score > col.inc * opts.alphaSlack) {
                 engine.notePrune();
                 return;
             }
         }
-        col.out.push_back(cand);
+        col.records.push_back(
+            {score, ex.baseIndex, ordering,
+             floorLog2(std::max<std::int64_t>(1, ex.work.m.totalSpatial()))});
+        col.arena.insert(col.arena.end(), tile, tile + nDims);
+        col.arena.insert(col.arena.end(), unroll, unroll + nDims);
     }
 
-    /** Expands every beam entry at step k, then trims to the beam. */
+    /** Registers an expansion's ordering candidates with the collector;
+     *  @return the table index of the first. */
+    std::uint32_t
+    addOrderings(Collector &col,
+                 const std::vector<OrderingCandidate> &orderings) const
+    {
+        const auto first = static_cast<std::uint32_t>(col.orderings.size());
+        for (const auto &ord : orderings) {
+            OrderingEntry &e = col.orderings.emplace_back();
+            e.suffix = ord.suffix;
+            loopOrderForSuffix(e.suffix, nDims, e.order);
+            for (DimId d : e.suffix)
+                e.suffixKey = e.suffixKey * 131 + std::uint64_t(d + 1);
+        }
+        return first;
+    }
+
+    /**
+     * Expands every beam entry at step k, then trims to the beam. Only
+     * the survivors are materialized as partials.
+     */
     std::vector<Partial>
     expandBeam(const std::vector<Partial> &beam, int k, bool bottom_up)
     {
@@ -496,26 +612,53 @@ class Driver
             else
                 expandTopDown(beam[i], k, cols[i]);
         });
-        std::vector<Partial> out;
-        for (auto &c : cols) {
-            for (auto &p : c.out) {
+
+        struct Kept
+        {
+            double score;
+            std::uint32_t col;
+            std::uint32_t record;
+        };
+        std::vector<Kept> merged;
+        for (std::uint32_t c = 0; c < cols.size(); ++c) {
+            const auto &records = cols[c].records;
+            for (std::uint32_t r = 0; r < records.size(); ++r) {
+                const double score = records[r].score;
                 if (opts.alphaBeta) {
-                    if (p.score < incumbent_)
-                        incumbent_ = p.score;
-                    if (p.score > incumbent_ * opts.alphaSlack) {
+                    if (score < incumbent_)
+                        incumbent_ = score;
+                    if (score > incumbent_ * opts.alphaSlack) {
                         engine.notePrune();
                         continue;
                     }
                 }
-                out.push_back(std::move(p));
+                merged.push_back({score, c, r});
             }
         }
-        std::stable_sort(out.begin(), out.end(),
-                         [](const Partial &a, const Partial &b) {
+        std::stable_sort(merged.begin(), merged.end(),
+                         [](const Kept &a, const Kept &b) {
                              return a.score < b.score;
                          });
-        if ((int)out.size() <= opts.beamWidth)
+
+        auto materialize = [&](const Kept &kept) {
+            const Collector &col = cols[kept.col];
+            const CandidateRecord &rec = col.records[kept.record];
+            const OrderingEntry &ord = col.orderings[rec.ordering];
+            const std::int64_t *tile =
+                col.arena.data() + std::size_t(kept.record) * 2 * nDims;
+            Partial p = col.bases[rec.base];
+            apply(p, k, bottom_up, tile, tile + nDims, ord);
+            p.pendingSuffix = ord.suffix;
+            p.score = rec.score;
+            return p;
+        };
+        std::vector<Partial> out;
+        if ((int)merged.size() <= opts.beamWidth) {
+            out.reserve(merged.size());
+            for (const Kept &kept : merged)
+                out.push_back(materialize(kept));
             return out;
+        }
 
         // Stratified beam: candidates are bucketed by (chosen ordering
         // suffix, log2 of the spatial product) and drained round-robin,
@@ -523,36 +666,30 @@ class Driver
         // high-utilization candidate before its latency advantage
         // becomes visible, and would collapse the ordering diversity the
         // next level's decisions depend on.
-        std::map<std::pair<std::uint64_t, int>, std::deque<Partial>>
+        std::map<std::pair<std::uint64_t, int>, std::vector<std::uint32_t>>
             buckets;
-        for (auto &p : out) {
-            const std::int64_t sp =
-                std::max<std::int64_t>(1, p.m.totalSpatial());
-            int log_sp = 0;
-            while ((std::int64_t(1) << (log_sp + 1)) <= sp)
-                ++log_sp;
-            std::uint64_t suffix_key = 1;
-            for (DimId d : p.pendingSuffix)
-                suffix_key = suffix_key * 131 + std::uint64_t(d + 1);
-            buckets[{suffix_key, log_sp}].push_back(std::move(p));
+        for (std::uint32_t i = 0; i < merged.size(); ++i) {
+            const Collector &col = cols[merged[i].col];
+            const CandidateRecord &rec = col.records[merged[i].record];
+            buckets[{col.orderings[rec.ordering].suffixKey, rec.logSpatial}]
+                .push_back(i);
         }
-        std::vector<Partial> kept;
-        kept.reserve(opts.beamWidth);
-        while ((int)kept.size() < opts.beamWidth) {
+        out.reserve(opts.beamWidth);
+        for (std::size_t pass = 0; (int)out.size() < opts.beamWidth;
+             ++pass) {
             bool any = false;
-            for (auto &[key, q] : buckets) {
-                if (q.empty())
+            for (const auto &[key, ranks] : buckets) {
+                if (pass >= ranks.size())
                     continue;
-                kept.push_back(std::move(q.front()));
-                q.pop_front();
+                out.push_back(materialize(merged[ranks[pass]]));
                 any = true;
-                if ((int)kept.size() >= opts.beamWidth)
+                if ((int)out.size() >= opts.beamWidth)
                     break;
             }
             if (!any)
                 break;
         }
-        return kept;
+        return out;
     }
 
     /**
@@ -590,13 +727,17 @@ class Driver
     expandBottomUpInner(Partial base, int k, Collector &col)
     {
         absorb(base, k);
+        col.bases.push_back(std::move(base));
+        const auto base_index =
+            static_cast<std::uint32_t>(col.bases.size() - 1);
+        Expansion ex{col, base_index, col.bases.back()};
         // All candidates emitted below share the absorbed base's decided
         // levels [0, k): build (or fetch) their contribution terms once,
         // so every completion score only walks the undecided suffix.
-        const EvalEngine::PrefixHandle ph = engine.prefix(ctx, base.m, k);
-        const std::vector<std::int64_t> base_shape = base.m.tileShape(k);
-        Expansion ex{base, col};
-        const DimSet active = activeDims(base.remaining);
+        const EvalEngine::PrefixHandle ph = engine.prefix(ctx, ex.base.m, k);
+        const std::vector<std::int64_t> base_shape = ex.base.m.tileShape(k);
+        const std::vector<std::int64_t> &base_rem = ex.base.remaining;
+        const DimSet active = activeDims(base_rem);
         auto orderings = tracedOrderings(active);
         if (opts.generalistOrdering) {
             // One unconstrained candidate (empty suffix, no assumed
@@ -609,6 +750,7 @@ class Driver
             generalist.partialReuse.assign(wl.numTensors(), DimSet());
             orderings.push_back(std::move(generalist));
         }
+        const std::uint32_t first_ordering = addOrderings(col, orderings);
         const std::int64_t fanout_above =
             (k + 1 < nLevels) ? ba.arch().levels[k + 1].fanout : 1;
 
@@ -640,9 +782,10 @@ class Driver
             // The paper's default: per ordering, spatial unrolling first
             // (from the full quotient), then the temporal tile from what
             // remains. This keeps tiling from starving parallelism.
-            for (const auto &ord : orderings) {
+            for (std::uint32_t o = 0; o < orderings.size(); ++o) {
+                const OrderingCandidate &ord = orderings[o];
                 auto unrolls =
-                    countedUnrolls(allowedUnrollDimsFor(ord), base.remaining,
+                    countedUnrolls(allowedUnrollDimsFor(ord), base_rem,
                                    fanout_above, utilFor(ord));
                 if (isGeneralist(ord) && unrolls.size() > 24) {
                     auto product = [&](const auto &v) {
@@ -658,7 +801,7 @@ class Driver
                     unrolls.resize(24);
                 }
                 for (const auto &u : unrolls) {
-                    std::vector<std::int64_t> rem = base.remaining;
+                    std::vector<std::int64_t> rem = base_rem;
                     for (DimId d = 0; d < nDims; ++d)
                         rem[d] /= u[d];
                     const auto tiles =
@@ -666,7 +809,8 @@ class Driver
                     examined.fetch_add(tiles.nodesVisited,
                                        std::memory_order_relaxed);
                     for (const auto &tile : tiles.maximal)
-                        emitCandidate(ex, k, ord, tile, u, ph);
+                        emitCandidate(ex, k, first_ordering + o, tile, u,
+                                      ph);
                 }
             }
             return;
@@ -675,14 +819,16 @@ class Driver
         if (opts.intraOrder == IO::TileUnrollOrder) {
             // Per ordering, temporal tile first, then unrolling from the
             // leftover quotient.
-            for (const auto &ord : orderings) {
-                const auto tiles = tracedTiles(k, base_shape, base.remaining,
-                                               growFor(ord));
+            for (std::uint32_t o = 0; o < orderings.size(); ++o) {
+                const OrderingCandidate &ord = orderings[o];
+                const auto tiles =
+                    tracedTiles(k, base_shape, base_rem, growFor(ord));
                 examined.fetch_add(tiles.nodesVisited,
                                    std::memory_order_relaxed);
                 for (const auto &tile : tiles.maximal)
-                    emitTileUnrolls(ex, k, ord, tile, fanout_above,
-                                    allowedUnrollDimsFor(ord), ph);
+                    emitTileUnrolls(ex, k, first_ordering + o, tile,
+                                    fanout_above, allowedUnrollDimsFor(ord),
+                                    ph);
             }
             return;
         }
@@ -696,13 +842,12 @@ class Driver
             allow_union =
                 allow_union.unionWith(allowedUnrollDimsFor(ord));
         }
-        const auto tiles =
-            tracedTiles(k, base_shape, base.remaining, grow_union);
+        const auto tiles = tracedTiles(k, base_shape, base_rem, grow_union);
         examined.fetch_add(tiles.nodesVisited, std::memory_order_relaxed);
         for (const auto &tile : tiles.maximal)
-            for (const auto &ord : orderings)
-                emitTileUnrolls(ex, k, ord, tile, fanout_above,
-                                allow_union, ph);
+            for (std::uint32_t o = 0; o < orderings.size(); ++o)
+                emitTileUnrolls(ex, k, first_ordering + o, tile,
+                                fanout_above, allow_union, ph);
     }
 
     // Span-wrapped enumerators: every (order, tile, unroll) decision in
@@ -746,7 +891,7 @@ class Driver
     }
 
     void
-    emitTileUnrolls(Expansion &ex, int k, const OrderingCandidate &ord,
+    emitTileUnrolls(Expansion &ex, int k, std::uint32_t ordering,
                     const std::vector<std::int64_t> &tile,
                     std::int64_t fanout_above, DimSet allowed,
                     const EvalEngine::PrefixHandle &ph)
@@ -756,7 +901,7 @@ class Driver
             rem[d] /= tile[d];
         for (const auto &u : countedUnrolls(allowed, rem, fanout_above,
                                             opts.utilizationThreshold))
-            emitCandidate(ex, k, ord, tile, u, ph);
+            emitCandidate(ex, k, ordering, tile, u, ph);
     }
 
     /** Capacity check of m's level-l tile (`shape` is scratch). */
@@ -769,37 +914,22 @@ class Driver
         return ba.fitsShape(l, shape);
     }
 
-    /** Builds and emits the new partial for a (order, tile, unroll)
-     *  triple in ex.work, then resets the levels it touched. */
+    /** Builds and emits the bottom-up candidate for a (order, tile,
+     *  unroll) triple in ex.work, then resets the levels it touched. */
     void
-    emitCandidate(Expansion &ex, int k, const OrderingCandidate &ord,
+    emitCandidate(Expansion &ex, int k, std::uint32_t ordering,
                   const std::vector<std::int64_t> &tile,
                   const std::vector<std::int64_t> &unroll,
                   const EvalEngine::PrefixHandle &ph)
     {
-        Partial &cand = ex.work;
-        auto &lm = cand.m.level(k);
-        for (DimId d = 0; d < nDims; ++d) {
-            lm.temporal[d] = satMul(lm.temporal[d], tile[d]);
-            cand.remaining[d] /= tile[d];
-        }
-        bool fits = true;
-        if (k + 1 < nLevels) {
-            auto &up = cand.m.level(k + 1);
-            for (DimId d = 0; d < nDims; ++d) {
-                up.spatial[d] = unroll[d];
-                cand.remaining[d] /= unroll[d];
-            }
-            up.order = ord.fullOrder(nDims);
-            // The spatially enlarged tile must fit the level above even
-            // before its own temporal loops are chosen.
-            fits = tileFits(cand.m, k + 1, ex.shape);
-        }
-        if (fits) {
-            cand.pendingSuffix = ord.suffix;
-            emit(ex, /*bottom_up=*/true, ph);
-        }
-        ex.reset(k, std::min(k + 1, nLevels - 1));
+        apply(ex.work, k, /*bottom_up=*/true, tile.data(), unroll.data(),
+              ex.col.orderings[ordering]);
+        // The spatially enlarged tile must fit the level above even
+        // before its own temporal loops are chosen.
+        if (tileFits(ex.work.m, k + 1, ex.shape))
+            emit(ex, ordering, tile.data(), unroll.data(),
+                 /*bottom_up=*/true, ph);
+        ex.reset(k, k + 1);
     }
 
     /**
@@ -811,7 +941,9 @@ class Driver
     expandTopDown(const Partial &base, int k, Collector &col)
     {
         const auto tiles = firstFitTiles(base.remaining, k);
-        Expansion ex{base, col};
+        col.bases.push_back(base);
+        Expansion ex{col, static_cast<std::uint32_t>(col.bases.size() - 1),
+                     col.bases.back()};
         for (const auto &tile : tiles) {
             std::vector<std::int64_t> rem = base.remaining;
             DimSet tiled;
@@ -820,23 +952,17 @@ class Driver
                 if (tile[d] > 1)
                     tiled.add(d);
             }
-            auto orderings = tracedOrderings(tiled);
-            for (const auto &ord : orderings) {
+            const auto orderings = tracedOrderings(tiled);
+            const std::uint32_t first_ordering = addOrderings(col, orderings);
+            for (std::uint32_t o = 0; o < orderings.size(); ++o) {
                 for (const auto &u : countedUnrolls(
-                         allowedUnrollDimsFor(ord), rem,
+                         allowedUnrollDimsFor(orderings[o]), rem,
                          ba.arch().levels[k].fanout,
                          opts.utilizationThreshold)) {
-                    Partial &cand = ex.work;
-                    auto &lm = cand.m.level(k);
-                    for (DimId d = 0; d < nDims; ++d) {
-                        lm.temporal[d] = tile[d];
-                        lm.spatial[d] = u[d];
-                        cand.remaining[d] = rem[d] / u[d];
-                    }
-                    lm.order = ord.fullOrder(nDims);
-                    cand.pendingSuffix = ord.suffix;
-                    emit(ex, /*bottom_up=*/false,
-                         EvalEngine::PrefixHandle{});
+                    apply(ex.work, k, /*bottom_up=*/false, tile.data(),
+                          u.data(), col.orderings[first_ordering + o]);
+                    emit(ex, first_ordering + o, tile.data(), u.data(),
+                         /*bottom_up=*/false, EvalEngine::PrefixHandle{});
                     ex.reset(k, k);
                 }
             }
@@ -912,11 +1038,8 @@ class Driver
                 lm.temporal[d] = satMul(lm.temporal[d], p.remaining[d]);
                 p.remaining[d] = 1;
             }
-            if (bottom_up) {
-                OrderingCandidate oc;
-                oc.suffix = p.pendingSuffix;
-                lm.order = oc.fullOrder(nDims);
-            }
+            if (bottom_up)
+                loopOrderForSuffix(p.pendingSuffix, nDims, lm.order);
         }
     }
 

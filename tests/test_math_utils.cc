@@ -113,6 +113,18 @@ TEST(SatMul, SaturatesInsteadOfOverflowing)
     EXPECT_EQ(satMul(0, max), 0);
 }
 
+TEST(FloorLog2, ExactAtPowerOfTwoBoundaries)
+{
+    EXPECT_EQ(floorLog2(1), 0);
+    for (int k = 1; k <= 62; ++k) {
+        const std::int64_t p = std::int64_t(1) << k;
+        EXPECT_EQ(floorLog2(p - 1), k - 1) << k;
+        EXPECT_EQ(floorLog2(p), k) << k;
+    }
+    // A saturated spatial product: the old shift loop ran past bit 62.
+    EXPECT_EQ(floorLog2(std::numeric_limits<std::int64_t>::max()), 62);
+}
+
 TEST(CeilDiv, Basics)
 {
     EXPECT_EQ(ceilDiv(10, 3), 4);

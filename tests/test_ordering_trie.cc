@@ -99,7 +99,8 @@ TEST(OrderingTrie, FullOrderIsPermutation)
     Workload wl = makeMTTKRP(8, 8, 8, 4);
     auto cands = orderingCandidates(wl, DimSet::all(4));
     for (const auto &cand : cands) {
-        auto order = cand.fullOrder(4);
+        std::vector<DimId> order;
+        loopOrderForSuffix(cand.suffix, 4, order);
         ASSERT_EQ(order.size(), 4u);
         std::vector<bool> seen(4, false);
         for (DimId d : order) {

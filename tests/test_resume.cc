@@ -6,6 +6,8 @@
  *    resume it from the checkpoint file under a larger budget, and the
  *    final mapping, cost bits, counters, and stop reason are identical
  *    to the same search run uninterrupted — per mapper.
+ *  - Hostile beam checkpoints: a tampered Sunstone beam payload is a
+ *    clean fatal, never an out-of-bounds access.
  *  - Thread-count determinism: the same seed yields identical best cost
  *    and eval counts at 1/4/8 evaluation threads for the Sunstone core
  *    search, the refine hill-climb, and the Timeloop random search.
@@ -15,9 +17,11 @@
 
 #include <cstdio>
 #include <functional>
+#include <stdexcept>
 
 #include "arch/presets.hh"
 #include "common/json.hh"
+#include "common/logging.hh"
 #include "core/net_scheduler.hh"
 #include "core/refine.hh"
 #include "core/sunstone.hh"
@@ -189,6 +193,133 @@ TEST_F(ResumeFixture, SunstoneResumesBitIdentically)
             return mr;
         },
         /*interrupt_at=*/3000, /*budget=*/6000);
+}
+
+// ---------------------------------------------------------------------
+// Hostile beam checkpoints
+// ---------------------------------------------------------------------
+
+/** @return the named field of a parsed JSON object, for tampering. */
+JsonValue &
+fieldOf(JsonValue &obj, const std::string &name)
+{
+    const JsonValue *v = obj.find(name);
+    if (!v)
+        throw std::runtime_error("no field '" + name + "'");
+    return const_cast<JsonValue &>(*v);
+}
+
+JsonValue
+jsonInt(std::int64_t v)
+{
+    JsonValue j;
+    j.kind = JsonValue::Kind::Number;
+    j.number = static_cast<double>(v);
+    j.raw = std::to_string(v);
+    return j;
+}
+
+using Tamper = std::function<void(JsonValue &payload)>;
+
+/**
+ * Takes the last beam checkpoint of a finished search, applies each
+ * tampering to a copy of its payload, and expects every resume from the
+ * result to fail with the clean "malformed beam" fatal rather than read
+ * or write past the workload's dims and levels.
+ */
+void
+expectTamperedBeamsRejected(const BoundArch &ba, const SunstoneOptions &opts,
+                            const std::vector<std::pair<std::string, Tamper>>
+                                &cases)
+{
+    const std::string path = ::testing::TempDir() + "/hostile_beam.json";
+    std::remove(path.c_str());
+    {
+        SearchContext sc;
+        sc.setCheckpointPath(path);
+        ASSERT_TRUE(sunstoneOptimize(sc, ba, opts).found);
+    }
+    SearchCheckpoint ck;
+    std::string err;
+    ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    std::remove(path.c_str());
+    for (const auto &[what, tamper] : cases) {
+        JsonValue payload;
+        ASSERT_TRUE(parseJson(ck.streamState, payload)) << what;
+        ASSERT_FALSE(fieldOf(payload, "beam").items.empty()) << what;
+        tamper(payload);
+        SearchCheckpoint bad = ck;
+        bad.streamState = payload.dump();
+        SearchContext sc;
+        sc.setResume(std::move(bad));
+        ScopedFatalCapture capture;
+        try {
+            sunstoneOptimize(sc, ba, opts);
+            ADD_FAILURE() << what << ": the tampered beam was resumed";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("malformed beam"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    }
+}
+
+TEST_F(ResumeFixture, SunstoneRejectsTamperedBeamCheckpoints)
+{
+    const int n_dims = ba.workload().numDims();
+    const int n_levels = ba.numLevels();
+    auto entry = [](JsonValue &payload) -> JsonValue & {
+        return fieldOf(payload, "beam").items[0];
+    };
+    auto setSuffix = [&](std::int64_t dim) {
+        return [&, dim](JsonValue &p) {
+            fieldOf(entry(p), "suffix").items = {jsonInt(dim)};
+        };
+    };
+    auto setRem0 = [&](std::int64_t value) {
+        return [&, value](JsonValue &p) {
+            fieldOf(entry(p), "rem").items[0] = jsonInt(value);
+        };
+    };
+    auto setStep = [&](std::int64_t step) {
+        return [&, step](JsonValue &p) { fieldOf(p, "step") = jsonInt(step); };
+    };
+    expectTamperedBeamsRejected(
+        ba, {},
+        {
+            {"suffix dim == nDims", setSuffix(n_dims)},
+            {"suffix dim == MaxDims - 1", setSuffix(MaxDims - 1)},
+            {"negative suffix dim", setSuffix(-1)},
+            {"short rem",
+             [&](JsonValue &p) { fieldOf(entry(p), "rem").items.pop_back(); }},
+            {"long rem",
+             [&](JsonValue &p) {
+                 fieldOf(entry(p), "rem").items.push_back(jsonInt(1));
+             }},
+            {"missing rem",
+             [&](JsonValue &p) {
+                 auto &fields = entry(p).fields;
+                 std::erase_if(fields,
+                               [](const auto &f) { return f.first == "rem"; });
+             }},
+            {"zero rem entry", setRem0(0)},
+            {"negative rem entry", setRem0(-4)},
+            {"step past the DRAM fill", setStep(n_levels)},
+            {"negative step", setStep(-1)},
+            {"mapping with a level missing",
+             [&](JsonValue &p) {
+                 fieldOf(fieldOf(entry(p), "m"), "levels").items.pop_back();
+             }},
+        });
+
+    SunstoneOptions top_down;
+    top_down.levelOrder = SunstoneOptions::LevelOrder::TopDown;
+    expectTamperedBeamsRejected(ba, top_down,
+                                {
+                                    {"top-down step past the top level",
+                                     setStep(n_levels)},
+                                    {"top-down negative step", setStep(-1)},
+                                });
 }
 
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)

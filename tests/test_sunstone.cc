@@ -7,6 +7,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
 #include <map>
 #include <string>
 
@@ -14,6 +15,9 @@
 #include "core/sunstone.hh"
 #include "mappers/exhaustive_mapper.hh"
 #include "mapping/serialize.hh"
+#include "model/eval_engine.hh"
+#include "search/checkpoint.hh"
+#include "search/search_context.hh"
 #include "workload/zoo.hh"
 
 namespace sunstone {
@@ -242,8 +246,21 @@ TEST(Sunstone, MultithreadedMatchesSingleThreaded)
 using LO = SunstoneOptions::LevelOrder;
 using IO = SunstoneOptions::IntraOrder;
 
+std::uint64_t
+fnv1a(const std::string &s)
+{
+    std::uint64_t h = 0xcbf29ce484222325ull;
+    for (unsigned char c : s) {
+        h ^= c;
+        h *= 0x100000001b3ull;
+    }
+    return h;
+}
+
 /** A search outcome recorded before candidate emission reused one
- *  working partial per expansion. */
+ *  working partial per expansion; the beam digest and the engine's
+ *  prune and evaluation counts were recorded before kept candidates
+ *  became compact records materialized only when they survive. */
 struct PinnedOutcome
 {
     const char *problem;
@@ -252,6 +269,11 @@ struct PinnedOutcome
     double edp;
     std::int64_t examined;
     const char *mapping;
+    /** FNV-1a of the last beam checkpoint payload: every surviving
+     *  mapping with its rem, suffix and score. */
+    std::uint64_t beamDigest;
+    std::int64_t prunes;
+    std::int64_t evaluations;
 };
 
 const PinnedOutcome kPinned[] = {
@@ -261,121 +283,143 @@ level WeightReg temporal k=2 spatial q=2,s=3 order n,k,c,p,q,r,s
 level PEBuf temporal k=8,c=4,p=4,q=4 spatial c=8 order n,k,c,r,s,q,p
 level L2 temporal - spatial k=2,p=2,r=3 order n,k,c,p,q,r,s
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x83b5a87b42ba834d, 15827, 17615},
     {"simba", LO::BottomUp, IO::TileUnrollOrder, 0x1.ca64cbdc01bbfp-36, 20604,
      R"(mapping
 level WeightReg temporal k=8,p=2 spatial q=8 order n,k,c,p,q,r,s
 level PEBuf temporal c=32,s=3 spatial k=4 order n,k,p,q,s,c,r
 level L2 temporal - spatial p=4,r=3 order n,k,c,p,q,r,s
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0xca1a976f4e40c01b, 5277, 6320},
     {"simba", LO::BottomUp, IO::UnrollTileOrder, 0x1.557b9e603f0c2p-36, 37449,
      R"(mapping
 level WeightReg temporal k=2,c=4 spatial q=8 order n,k,c,p,q,r,s
 level PEBuf temporal c=4,p=8,r=3 spatial c=2,s=3 order n,k,c,q,r,s,p
 level L2 temporal - spatial k=16 order n,k,c,p,q,r,s
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x9291b9e44a5db56e, 4782, 5487},
     {"simba", LO::TopDown, IO::OrderTileUnroll, 0x1.557b9e603f0c2p-36, 106024,
      R"(mapping
 level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
 level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
 level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x9d07123c8bcb77bb, 190, 22846},
     {"simba", LO::TopDown, IO::TileUnrollOrder, 0x1.557b9e603f0c2p-36, 106024,
      R"(mapping
 level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
 level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
 level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x9d07123c8bcb77bb, 190, 22846},
     {"simba", LO::TopDown, IO::UnrollTileOrder, 0x1.557b9e603f0c2p-36, 106024,
      R"(mapping
 level WeightReg temporal p=4,q=8 spatial - order n,k,c,p,q,r,s
 level PEBuf temporal k=2,c=4,p=2,r=3,s=3 spatial c=8 order n,k,c,q,r,s,p
 level L2 temporal - spatial k=16 order n,k,c,q,r,s,p
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x9d07123c8bcb77bb, 190, 22846},
     {"eyeriss", LO::BottomUp, IO::OrderTileUnroll, 0x1.a8328431fa9bbp-37, 73012,
      R"(mapping
 level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal c=4 spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
 level DRAM temporal - spatial - order n,k,p,q,r,s,c
-)"},
+)",
+     0x37341853158dad8e, 1369, 6483},
     {"eyeriss", LO::BottomUp, IO::TileUnrollOrder, 0x1.a8328431fa9bbp-37, 13824,
      R"(mapping
 level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal - spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
 level DRAM temporal c=4 spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x1b55c8d993e7eb8f, 197, 1071},
     {"eyeriss", LO::BottomUp, IO::UnrollTileOrder, 0x1.a8328431fa9bbp-37, 9182,
      R"(mapping
 level Spad temporal k=4,c=4,p=14,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal - spatial k=4,q=14,s=3 order n,k,c,p,q,r,s
 level DRAM temporal c=4 spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x56f2bd4982a466be, 104, 636},
     {"eyeriss", LO::TopDown, IO::OrderTileUnroll, 0x1.e8b0969cdebfp-37, 30580,
      R"(mapping
 level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x2ed01448af515be4, 1338, 2616},
     {"eyeriss", LO::TopDown, IO::TileUnrollOrder, 0x1.e8b0969cdebfp-37, 30580,
      R"(mapping
 level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x2ed01448af515be4, 1338, 2616},
     {"eyeriss", LO::TopDown, IO::UnrollTileOrder, 0x1.e8b0969cdebfp-37, 30580,
      R"(mapping
 level Spad temporal c=16,p=2,q=2,r=3 spatial - order n,k,c,p,q,r,s
 level GLB temporal k=16 spatial p=7,q=7,s=3 order n,c,q,r,s,p,k
 level DRAM temporal - spatial - order n,k,c,p,q,r,s
-)"},
+)",
+     0x2ed01448af515be4, 1338, 2616},
     {"mttkrp", LO::BottomUp, IO::OrderTileUnroll, 0x1.4453c6cfdec9fp-34, 36508,
      R"(mapping
 level L1 temporal k=32,l=4,j=2 spatial - order i,k,l,j
 level L2 temporal l=8 spatial i=64,j=4 order i,k,l,j
 level DRAM temporal - spatial - order i,k,l,j
-)"},
+)",
+     0xd250e76ac9011214, 8, 1140},
     {"mttkrp", LO::BottomUp, IO::TileUnrollOrder, 0x1.4453c6cfdec9fp-34, 8260,
      R"(mapping
 level L1 temporal k=32,l=4,j=2 spatial - order i,k,l,j
 level L2 temporal l=4 spatial i=64,j=4 order i,k,l,j
 level DRAM temporal l=2 spatial - order i,k,l,j
-)"},
+)",
+     0xa9702e42f89efa0, 3, 571},
     {"mttkrp", LO::BottomUp, IO::UnrollTileOrder, 0x1.44aeca84b718ep-34, 3949,
      R"(mapping
 level L1 temporal i=2,k=32,l=2,j=2 spatial - order i,k,l,j
 level L2 temporal l=4 spatial i=32,l=2,j=4 order i,k,l,j
 level DRAM temporal l=2 spatial - order i,k,l,j
-)"},
+)",
+     0xcebcd7fcd617652c, 1, 539},
     {"mttkrp", LO::TopDown, IO::OrderTileUnroll, 0x1.469a77e492529p-34, 5995,
      R"(mapping
 level L1 temporal i=4,l=16 spatial - order i,k,l,j
 level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
 level DRAM temporal - spatial - order i,k,l,j
-)"},
+)",
+     0xa10912f9206b6420, 99, 1378},
     {"mttkrp", LO::TopDown, IO::TileUnrollOrder, 0x1.469a77e492529p-34, 5995,
      R"(mapping
 level L1 temporal i=4,l=16 spatial - order i,k,l,j
 level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
 level DRAM temporal - spatial - order i,k,l,j
-)"},
+)",
+     0xa10912f9206b6420, 99, 1378},
     {"mttkrp", LO::TopDown, IO::UnrollTileOrder, 0x1.469a77e492529p-34, 5995,
      R"(mapping
 level L1 temporal i=4,l=16 spatial - order i,k,l,j
 level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
 level DRAM temporal - spatial - order i,k,l,j
-)"},
+)",
+     0xa10912f9206b6420, 99, 1378},
 };
 
 /**
  * Every candidate is built in place in a per-expansion working partial
  * and reset afterwards; a field left stale between candidates would
  * change a score, the beam, and so at least one of these pinned
- * outcomes. Covers every level order x intra-level order on a
+ * outcomes. Kept candidates are compact records and only the beam's
+ * survivors are materialized; a survivor that differs from the scored
+ * partial, or a trim that keeps other records, changes the digest of
+ * the last beam checkpoint, and a changed keep rule moves the prune and
+ * evaluation counts. Covers every level order x intra-level order on a
  * partitioned hierarchy with vector lanes below level 0 (Simba), a
  * unified one (Eyeriss), and a non-conv einsum, at 1 and 4 threads.
  */
@@ -415,10 +459,27 @@ TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
             opts.levelOrder = pin.levelOrder;
             opts.intraOrder = pin.intraOrder;
             opts.threads = threads;
-            auto r = runSunstone(ba, opts);
+            EvalEngine engine(EvalEngineOptions{.threads = threads});
+            SearchContext sc(&engine);
+            const std::string path =
+                ::testing::TempDir() + "/pinned_beam.json";
+            std::remove(path.c_str());
+            sc.setCheckpointPath(path);
+            SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+            ASSERT_TRUE(r.found);
+            std::string why;
+            EXPECT_TRUE(r.mapping.valid(ba, &why)) << why;
             EXPECT_EQ(mappingToText(r.mapping, ba), pin.mapping);
             EXPECT_EQ(r.cost.edp, pin.edp);
             EXPECT_EQ(r.candidatesExamined, pin.examined);
+
+            SearchCheckpoint ck;
+            std::string err;
+            ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+            std::remove(path.c_str());
+            EXPECT_EQ(fnv1a(ck.streamState), pin.beamDigest);
+            EXPECT_EQ(engine.stats().prunes, pin.prunes);
+            EXPECT_EQ(engine.stats().evaluations, pin.evaluations);
         }
     }
 }
