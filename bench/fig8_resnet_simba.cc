@@ -57,7 +57,9 @@ main(int argc, char **argv)
     NetSchedulerOptions nopts;
     nopts.engine = &sunEngine;
     nopts.sunstone.convergence = oargs.convergence();
-    NetScheduleResult net = scheduleNet(arch, layers, nopts);
+    SearchContext sc;
+    NetScheduleResult net =
+        scheduleNet(sc, arch, NetGraph::fromLayers(layers), nopts);
 
     EvalEngine baselineEngine;
     for (std::size_t li = 0; li < layers.size(); ++li) {

@@ -1,8 +1,6 @@
 #include "core/net_scheduler.hh"
 
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <memory>
 #include <mutex>
 #include <unordered_map>
@@ -23,21 +21,12 @@ namespace sunstone {
 
 namespace {
 
-std::string
-num(double v)
-{
-    if (!std::isfinite(v))
-        return "null"; // "%g" would emit inf/nan, which is not valid JSON
-    char buf[40];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    return buf;
-}
-
 /**
- * Structural fingerprint of the whole schedule: the unique layer
+ * Structural fingerprint of the whole schedule: the unique per-op
  * fingerprints folded in discovery order (which is deterministic — it
- * follows the input layer list). Guards a "net" checkpoint against being
- * resumed for a different network or architecture.
+ * follows the node list), then the fused-unit fingerprints in plan
+ * order. Guards a "net" checkpoint against being resumed for a different
+ * network, architecture or fusion plan.
  */
 std::uint64_t
 netFingerprint(const std::vector<std::uint64_t> &unique_fps)
@@ -51,31 +40,24 @@ netFingerprint(const std::vector<std::uint64_t> &unique_fps)
     return h;
 }
 
-/** One completed unique search, as carried by the "net" checkpoint. */
-struct DoneSearch
-{
-    bool found = false;
-    Mapping mapping;
-    double seconds = 0;
-    std::int64_t examined = 0;
-    std::string stopReason = "exhausted";
-};
-
+/** One completed search, as carried by the "net" checkpoint. */
 std::string
-doneToJson(std::uint64_t fp, const DoneSearch &d)
+doneToJson(std::uint64_t fp, const SunstoneResult &d)
 {
     std::string s = "{\"fp\": " + jsonHexU64(fp) +
                     ", \"found\": " + (d.found ? "true" : "false") +
                     ", \"seconds\": " + jsonDouble(d.seconds) +
-                    ", \"examined\": " + std::to_string(d.examined) +
+                    ", \"examined\": " +
+                    std::to_string(d.candidatesExamined) +
                     ", \"stop\": \"" + jsonEscape(d.stopReason) + "\"";
     if (d.found)
         s += ", \"mapping\": " + mappingToJson(d.mapping);
     return s + "}";
 }
 
+/** Parses a doneToJson() entry; the cost is left to restoreSearch(). */
 bool
-doneFromJson(const JsonValue &v, std::uint64_t &fp, DoneSearch &d)
+doneFromJson(const JsonValue &v, std::uint64_t &fp, SunstoneResult &d)
 {
     const JsonValue *f = v.find("fp");
     if (!f)
@@ -86,15 +68,39 @@ doneFromJson(const JsonValue &v, std::uint64_t &fp, DoneSearch &d)
     if (const JsonValue *x = v.find("seconds"))
         d.seconds = x->asDouble();
     if (const JsonValue *x = v.find("examined"))
-        d.examined = x->asInt();
-    if (const JsonValue *x = v.find("stop"))
-        d.stopReason = x->asString("exhausted");
+        d.candidatesExamined = x->asInt();
+    const JsonValue *stop = v.find("stop");
+    d.stopReason = stop ? stop->asString("exhausted") : "exhausted";
     if (d.found) {
         const JsonValue *m = v.find("mapping");
         if (!m || !mappingFromJson(*m, d.mapping))
             return false;
     }
     return true;
+}
+
+/**
+ * Completes a search restored from a "net" checkpoint under the bound
+ * architecture it was taken for. Mapping::valid() checks the level and
+ * dim counts first, then factors, orders and capacities, so a tampered
+ * entry is a clean fatal instead of a "found" layer with a garbage cost.
+ */
+void
+restoreSearch(EvalEngine &eng, const BoundArch &ba, SunstoneResult &d)
+{
+    if (!d.found)
+        return;
+    std::string why;
+    if (!d.mapping.valid(ba, &why))
+        SUNSTONE_FATAL("malformed 'net' checkpoint: the mapping of '",
+                       ba.workload().name(), "' is invalid (", why, ")");
+    d.cost = eng.evaluate(eng.context(ba), d.mapping);
+}
+
+bool
+cancelled(const SunstoneResult &r)
+{
+    return r.stopReason == "cancelled";
 }
 
 } // anonymous namespace
@@ -107,10 +113,10 @@ NetScheduleResult::toJson() const
     j += ",\"stopReason\":\"" + jsonEscape(stopReason) + "\"";
     j += ",\"layersTotal\":" + std::to_string(layersTotal);
     j += ",\"layersUnique\":" + std::to_string(layersUnique);
-    j += ",\"totalEnergyPj\":" + num(totalEnergyPj);
-    j += ",\"totalDelaySeconds\":" + num(totalDelaySeconds);
-    j += ",\"totalEdp\":" + num(totalEdp);
-    j += ",\"seconds\":" + num(seconds);
+    j += ",\"totalEnergyPj\":" + jsonDouble(totalEnergyPj);
+    j += ",\"totalDelaySeconds\":" + jsonDouble(totalDelaySeconds);
+    j += ",\"totalEdp\":" + jsonDouble(totalEdp);
+    j += ",\"seconds\":" + jsonDouble(seconds);
     j += ",\"layers\":[";
     for (std::size_t i = 0; i < layers.size(); ++i) {
         const LayerSchedule &l = layers[i];
@@ -124,12 +130,12 @@ NetScheduleResult::toJson() const
         if (!l.stopReason.empty())
             j += ",\"stopReason\":\"" + jsonEscape(l.stopReason) + "\"";
         if (l.found) {
-            j += ",\"energyPj\":" + num(l.cost.totalEnergyPj);
-            j += ",\"delaySeconds\":" + num(l.cost.delaySeconds);
-            j += ",\"edp\":" + num(l.cost.edp);
-            j += ",\"utilization\":" + num(l.cost.utilization);
+            j += ",\"energyPj\":" + jsonDouble(l.cost.totalEnergyPj);
+            j += ",\"delaySeconds\":" + jsonDouble(l.cost.delaySeconds);
+            j += ",\"edp\":" + jsonDouble(l.cost.edp);
+            j += ",\"utilization\":" + jsonDouble(l.cost.utilization);
         }
-        j += ",\"seconds\":" + num(l.seconds);
+        j += ",\"seconds\":" + jsonDouble(l.seconds);
         j += ",\"candidatesExamined\":" +
              std::to_string(l.candidatesExamined);
         // Only the fusion-aware scheduler emits these, so FusionMode::Off
@@ -162,11 +168,12 @@ NetScheduleResult::toJson() const
             if (!gr.rejectReason.empty())
                 j += ",\"rejectReason\":\"" + jsonEscape(gr.rejectReason) +
                      "\"";
-            j += ",\"fusedEnergyPj\":" + num(gr.fusedEnergyPj);
-            j += ",\"fusedDelaySeconds\":" + num(gr.fusedDelaySeconds);
-            j += ",\"unfusedEnergyPj\":" + num(gr.unfusedEnergyPj);
-            j += ",\"unfusedDelaySeconds\":" + num(gr.unfusedDelaySeconds);
-            j += ",\"searchSeconds\":" + num(gr.searchSeconds);
+            j += ",\"fusedEnergyPj\":" + jsonDouble(gr.fusedEnergyPj);
+            j += ",\"fusedDelaySeconds\":" + jsonDouble(gr.fusedDelaySeconds);
+            j += ",\"unfusedEnergyPj\":" + jsonDouble(gr.unfusedEnergyPj);
+            j += ",\"unfusedDelaySeconds\":" +
+                 jsonDouble(gr.unfusedDelaySeconds);
+            j += ",\"searchSeconds\":" + jsonDouble(gr.searchSeconds);
             j += ",\"candidatesExamined\":" +
                  std::to_string(gr.candidatesExamined);
             j += "}";
@@ -176,298 +183,6 @@ NetScheduleResult::toJson() const
     j += ",\"stats\":" + stats.toJson();
     j += "}";
     return j;
-}
-
-NetScheduleResult
-scheduleNet(SearchContext &sc, const ArchSpec &arch,
-            const std::vector<Layer> &layers,
-            const NetSchedulerOptions &opts)
-{
-    SUNSTONE_TRACE_SPAN("net.schedule");
-    Timer timer;
-    NetScheduleResult result;
-
-    const unsigned threads =
-        opts.threads ? opts.threads : opts.sunstone.threads;
-    EvalEngine &eng =
-        sc.engine() ? *sc.engine()
-                    : (opts.engine ? *opts.engine
-                                   : sc.engineOrPrivate(threads));
-
-    // The whole-network wall-clock budget becomes one absolute deadline
-    // shared by every per-layer search: layers launched late inherit
-    // whatever is left instead of each getting a fresh budget. The other
-    // StopPolicy bounds (max-evals, plateau, invalid streak) apply to
-    // each unique layer search individually.
-    const StopPolicy &netPolicy = sc.policy();
-    if (netPolicy.deadlineSeconds != 0 && !sc.hardDeadline()) {
-        const double budget = std::max(0.0, netPolicy.deadlineSeconds);
-        sc.setHardDeadline(std::chrono::steady_clock::now() +
-                           std::chrono::duration_cast<
-                               std::chrono::steady_clock::duration>(
-                               std::chrono::duration<double>(budget)));
-    }
-
-    // Bind every layer and group by structural fingerprint. BoundArch
-    // objects are heap-allocated so references taken by the concurrent
-    // searches below stay stable.
-    struct Unique
-    {
-        std::unique_ptr<BoundArch> ba;
-        std::uint64_t fingerprint = 0;
-        bool restored = false;
-        SunstoneResult search;
-    };
-    std::vector<Unique> uniques;
-    std::vector<std::size_t> layerToUnique(layers.size());
-    std::unordered_map<std::uint64_t, std::size_t> byFingerprint;
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        auto ba = std::make_unique<BoundArch>(arch, layers[i].workload);
-        const std::uint64_t fp = eng.context(*ba).fingerprint();
-        auto [it, inserted] = byFingerprint.emplace(fp, uniques.size());
-        if (inserted)
-            uniques.push_back({std::move(ba), fp, false, {}});
-        layerToUnique[i] = it->second;
-    }
-    std::vector<std::uint64_t> uniqueFps;
-    uniqueFps.reserve(uniques.size());
-    for (const Unique &u : uniques)
-        uniqueFps.push_back(u.fingerprint);
-    const std::uint64_t netFp = netFingerprint(uniqueFps);
-
-    // Consume a pending "net" resume snapshot: every unique search it
-    // records as completed is adopted instead of re-run.
-    double baseSeconds = 0;
-    if (std::optional<SearchCheckpoint> ck = sc.takeResume()) {
-        if (ck->search != "net")
-            SUNSTONE_FATAL("checkpoint was written by search '",
-                           ck->search, "', cannot resume the network "
-                           "scheduler from it");
-        if (ck->workloadFingerprint != netFp)
-            SUNSTONE_FATAL("checkpoint fingerprint ",
-                           ck->workloadFingerprint,
-                           " does not match this network/architecture (",
-                           netFp, ") — it was taken for a different "
-                           "problem");
-        if (sc.hasSeed() && sc.seed() != ck->seed)
-            SUNSTONE_FATAL("checkpoint seed ", ck->seed,
-                           " differs from the requested seed ",
-                           sc.seed());
-        sc.setSeed(ck->seed);
-        baseSeconds = ck->seconds;
-        JsonValue v;
-        if (!parseJson(ck->streamState, v) || !v.isObject())
-            SUNSTONE_FATAL("malformed 'net' checkpoint stream payload");
-        std::unordered_map<std::uint64_t, DoneSearch> done;
-        if (const JsonValue *arr = v.find("done"); arr && arr->isArray())
-            for (const JsonValue &e : arr->items) {
-                std::uint64_t fp = 0;
-                DoneSearch d;
-                if (!doneFromJson(e, fp, d))
-                    SUNSTONE_FATAL("malformed 'net' checkpoint entry");
-                done.emplace(fp, std::move(d));
-            }
-        for (Unique &u : uniques) {
-            auto it = done.find(u.fingerprint);
-            if (it == done.end())
-                continue;
-            const DoneSearch &d = it->second;
-            u.restored = true;
-            u.search.found = d.found;
-            u.search.mapping = d.mapping;
-            u.search.seconds = d.seconds;
-            u.search.candidatesExamined = d.examined;
-            u.search.stopReason = d.stopReason;
-            if (d.found)
-                u.search.cost =
-                    eng.evaluate(eng.context(*u.ba), d.mapping);
-            obs::metrics().counter("net.resumed_searches").add(1);
-        }
-    }
-
-    // Writes the "net" checkpoint reflecting every completed (or
-    // restored) unique search. Serialized by checkpointMtx — completed
-    // searches land concurrently from the pool.
-    std::mutex checkpointMtx;
-    const auto writeNetCheckpoint = [&] {
-        if (sc.checkpointPath().empty())
-            return;
-        SearchCheckpoint ck;
-        ck.search = "net";
-        ck.workloadFingerprint = netFp;
-        ck.seed = sc.seed();
-        std::string payload = "{\"done\": [";
-        bool first = true;
-        for (const Unique &u : uniques) {
-            if (!u.restored)
-                continue;
-            DoneSearch d;
-            d.found = u.search.found;
-            d.mapping = u.search.mapping;
-            d.seconds = u.search.seconds;
-            d.examined = u.search.candidatesExamined;
-            d.stopReason = u.search.stopReason;
-            if (!first)
-                payload += ", ";
-            first = false;
-            payload += doneToJson(u.fingerprint, d);
-            ck.evaluated += u.search.candidatesExamined;
-        }
-        payload += "]}";
-        ck.streamState = payload;
-        ck.seconds = baseSeconds + timer.seconds();
-        if (!ck.save(sc.checkpointPath()))
-            SUNSTONE_WARN("failed to write checkpoint '",
-                          sc.checkpointPath(), "'");
-        else
-            obs::flightRecorder().record(
-                "checkpoint.written",
-                "net evals=" + std::to_string(ck.evaluated) + " -> " +
-                    sc.checkpointPath());
-    };
-    {
-        std::lock_guard<std::mutex> lk(checkpointMtx);
-        writeNetCheckpoint(); // records the restored set immediately
-    }
-
-    // Coarse phase units for the progress line: one per unique search.
-    obs::ProgressBoard &board = obs::progressBoard();
-    board.addUnits(static_cast<std::int64_t>(uniques.size()));
-    for (const Unique &u : uniques)
-        if (u.restored)
-            board.noteUnitDone();
-
-    // Warm-start store: loaded once before the fan-out (a missing file
-    // just means an empty store) and only *read* while searches run,
-    // so concurrent queries need no locking and results stay
-    // deterministic. Realized bests are recorded back serially below.
-    WarmStartStore wstore;
-    const bool useWarmstart = !opts.warmstartStore.empty();
-    if (useWarmstart)
-        wstore.load(opts.warmstartStore);
-
-    // One Sunstone search per unique structure, concurrently on the
-    // shared pool. The search's own parallelFor nests on the same pool
-    // through group-scoped joins, so no thread oversubscription.
-    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
-        if (uniques[u].restored)
-            return;
-        SUNSTONE_TRACE_SPAN("net.search:" +
-                            uniques[u].ba->workload().name());
-        SunstoneOptions so = opts.sunstone;
-        so.engine = &eng;
-        // One trajectory per unique structure, labeled by the layer that
-        // introduced it.
-        obs::ConvergenceRecorder *conv =
-            sc.convergence() ? sc.convergence() : so.convergence;
-        if (conv)
-            so.searchLabel =
-                "sunstone:" + uniques[u].ba->workload().name();
-        // Each concurrent search gets its own child context; the
-        // network-wide hard deadline and cancellation flag are shared
-        // through it, the per-search bounds are copied.
-        SearchContext child(&eng, netPolicy, conv);
-        child.policy().deadlineSeconds = 0; // network-wide, see above
-        if (sc.hardDeadline())
-            child.setHardDeadline(*sc.hardDeadline());
-        if (sc.hasSeed())
-            child.setSeed(sc.seed());
-        child.setSurrogate(sc.surrogate());
-        if (useWarmstart)
-            child.setWarmStarts(wstore.query(*uniques[u].ba));
-        Timer t;
-        uniques[u].search = sunstoneOptimize(child, *uniques[u].ba, so);
-        eng.addPhaseSeconds(
-            "layer:" + uniques[u].ba->workload().name(), t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            uniques[u].restored = true; // completed: in checkpoints now
-            writeNetCheckpoint();
-        }
-        board.noteUnitDone();
-    });
-    obs::metrics().counter("net.unique_searches").add(
-        static_cast<std::int64_t>(uniques.size()));
-
-    if (useWarmstart) {
-        // Serial, in unique order: deterministic store contents.
-        bool changed = false;
-        for (const Unique &u : uniques)
-            if (u.search.found &&
-                wstore.record(*u.ba, u.ba->workload().name(),
-                              u.search.cost.edp, u.search.mapping))
-                changed = true;
-        if (changed && !wstore.save(opts.warmstartStore))
-            SUNSTONE_WARN("failed to write warm-start store '",
-                          opts.warmstartStore, "'");
-        obs::metrics().gauge("net.warmstart.store_entries")
-            .set(static_cast<double>(wstore.size()));
-    }
-
-    result.allFound = true;
-    result.stopReason = "exhausted";
-    result.layers.reserve(layers.size());
-    std::vector<bool> seen(uniques.size(), false);
-    for (std::size_t i = 0; i < layers.size(); ++i) {
-        const std::size_t u = layerToUnique[i];
-        const Unique &uq = uniques[u];
-        LayerSchedule ls;
-        ls.name = layers[i].workload.name();
-        ls.count = layers[i].count;
-        ls.found = uq.search.found;
-        ls.mapping = uq.search.mapping;
-        if (seen[u]) {
-            // Broadcast: re-validate the chosen mapping under this
-            // layer's own context. Identical structure means an
-            // identical cache key, so this is a guaranteed hit — the
-            // dedup shows up in the telemetry instead of as a repeated
-            // search.
-            ls.deduplicated = true;
-            ls.stopReason = "dedup";
-            obs::metrics().counter("net.dedup_broadcasts").add(1);
-            if (ls.found) {
-                SUNSTONE_TRACE_SPAN("net.broadcast");
-                ls.cost = eng.evaluate(eng.context(*uq.ba), ls.mapping);
-            }
-        } else {
-            seen[u] = true;
-            ls.cost = uq.search.cost;
-            ls.seconds = uq.search.seconds;
-            ls.candidatesExamined = uq.search.candidatesExamined;
-            ls.stopReason = uq.search.stopReason;
-            // The first interrupting reason wins over "exhausted";
-            // cancellation outranks the deadline.
-            if (ls.stopReason == "deadline" &&
-                result.stopReason == "exhausted")
-                result.stopReason = "deadline";
-            if (ls.stopReason == "cancelled")
-                result.stopReason = "cancelled";
-        }
-        if (ls.found) {
-            result.totalEnergyPj += ls.count * ls.cost.totalEnergyPj;
-            result.totalDelaySeconds += ls.count * ls.cost.delaySeconds;
-        } else {
-            result.allFound = false;
-        }
-        result.layersTotal += ls.count;
-        result.layers.push_back(std::move(ls));
-    }
-    obs::metrics().counter("net.layers_scheduled").add(
-        static_cast<std::int64_t>(layers.size()));
-    result.layersUnique = static_cast<int>(uniques.size());
-    result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
-    result.seconds = baseSeconds + timer.seconds();
-    eng.addPhaseSeconds("net.schedule", timer.seconds());
-    result.stats = eng.stats();
-    return result;
-}
-
-NetScheduleResult
-scheduleNet(const ArchSpec &arch, const std::vector<Layer> &layers,
-            const NetSchedulerOptions &opts)
-{
-    SearchContext sc;
-    return scheduleNet(sc, arch, layers, opts);
 }
 
 namespace {
@@ -524,29 +239,33 @@ sinkEphemeralLoops(const BoundArch &ba, const Mapping &m0)
     return m;
 }
 
-/**
- * The fusion-aware scheduler (FusionMode::Greedy). Structure mirrors
- * the per-layer scheduleNet — bind, dedup, resume, search, assemble —
- * with one extra unit kind: fused chains, searched per member under
- * residency-marked BoundArchs and accepted only when they dominate the
- * per-op baselines.
- */
+} // anonymous namespace
+
 NetScheduleResult
-scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
-                  const NetSchedulerOptions &opts)
+scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
+            const NetSchedulerOptions &opts)
 {
-    SUNSTONE_TRACE_SPAN("net.schedule.fused");
+    std::string err;
+    if (!g.validate(&err))
+        SUNSTONE_FATAL("invalid network graph: ", err);
+    SUNSTONE_TRACE_SPAN("net.schedule");
     Timer timer;
     NetScheduleResult result;
-    result.fusionMode = "greedy";
+    const bool greedy = opts.fusion == FusionMode::Greedy;
+    if (greedy)
+        result.fusionMode = "greedy";
 
-    const unsigned threads =
-        opts.threads ? opts.threads : opts.sunstone.threads;
     EvalEngine &eng =
         sc.engine() ? *sc.engine()
-                    : (opts.engine ? *opts.engine
-                                   : sc.engineOrPrivate(threads));
+                    : (opts.engine
+                           ? *opts.engine
+                           : sc.engineOrPrivate(opts.sunstone.threads));
 
+    // The whole-network wall-clock budget becomes one absolute deadline
+    // shared by every search: searches launched late inherit whatever is
+    // left instead of each getting a fresh budget. The other StopPolicy
+    // bounds (max-evals, plateau, invalid streak) apply to each search
+    // individually.
     const StopPolicy &netPolicy = sc.policy();
     if (netPolicy.deadlineSeconds != 0 && !sc.hardDeadline()) {
         const double budget = std::max(0.0, netPolicy.deadlineSeconds);
@@ -556,12 +275,15 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                                std::chrono::duration<double>(budget)));
     }
 
-    // ---- Bind + dedup per-op baselines (as the per-layer path) -------
+    // ---- Bind + dedup per-op searches --------------------------------
+    // BoundArch objects are heap-allocated so references taken by the
+    // concurrent searches below stay stable.
     struct Unique
     {
         std::unique_ptr<BoundArch> ba;
         std::uint64_t fingerprint = 0;
-        bool restored = false;
+        /** Recorded in the checkpoint: restored, or run to its end. */
+        bool done = false;
         SunstoneResult search;
     };
     std::vector<Unique> uniques;
@@ -576,15 +298,21 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         nodeToUnique[i] = it->second;
     }
 
-    // ---- Plan chains (static fusion legality) ------------------------
-    // Greedy maximal chains in topological order: extend while the tail
+    // ---- Plan groups -------------------------------------------------
+    // FusionMode::Off puts every node in a group of its own. Greedy
+    // grows maximal chains in topological order: extend while the tail
     // produces a single-consumer tensor that statically fits at a common
     // on-chip level on both sides. The check is optimistic (the whole
     // partition budget); the search-time fits() and the coverage test
     // decide for the actual mappings.
     std::vector<std::vector<int>> groupNodes;
     std::vector<int> nodeGroup(g.numNodes(), -1);
-    {
+    if (!greedy) {
+        for (int v = 0; v < g.numNodes(); ++v) {
+            nodeGroup[v] = v;
+            groupNodes.push_back({v});
+        }
+    } else {
         SUNSTONE_TRACE_SPAN("net.fuse.plan");
         auto fusableEdge = [&](const NetEdge &e) {
             obs::metrics().counter("net.fusion.edges_considered").add(1);
@@ -658,7 +386,7 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     {
         std::vector<FusedMember> members;
         std::uint64_t fingerprint = 0;
-        bool restored = false;
+        bool done = false;
     };
     std::vector<FusedUnit> fusedUnits;
     std::vector<int> groupUnit(groupNodes.size(), -1);
@@ -705,12 +433,14 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     const std::uint64_t netFp = netFingerprint(allFps);
 
     // ---- Resume ------------------------------------------------------
+    // Consume a pending "net" resume snapshot: every per-op search and
+    // fused unit it records as done is adopted instead of re-run.
     double baseSeconds = 0;
     if (std::optional<SearchCheckpoint> ck = sc.takeResume()) {
-        if (ck->search != "net-fused")
+        if (ck->search != "net")
             SUNSTONE_FATAL("checkpoint was written by search '",
-                           ck->search, "', cannot resume the fused "
-                           "network scheduler from it");
+                           ck->search, "', cannot resume the network "
+                           "scheduler from it");
         if (ck->workloadFingerprint != netFp)
             SUNSTONE_FATAL("checkpoint fingerprint ",
                            ck->workloadFingerprint,
@@ -725,49 +455,42 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         baseSeconds = ck->seconds;
         JsonValue v;
         if (!parseJson(ck->streamState, v) || !v.isObject())
-            SUNSTONE_FATAL("malformed 'net-fused' checkpoint payload");
-        std::unordered_map<std::uint64_t, DoneSearch> done;
-        std::unordered_map<std::uint64_t, std::vector<DoneSearch>>
+            SUNSTONE_FATAL("malformed 'net' checkpoint payload");
+        std::unordered_map<std::uint64_t, SunstoneResult> done;
+        std::unordered_map<std::uint64_t, std::vector<SunstoneResult>>
             doneFused;
         if (const JsonValue *arr = v.find("done"); arr && arr->isArray())
             for (const JsonValue &e : arr->items) {
                 const JsonValue *f = e.find("fp");
                 if (!f)
-                    SUNSTONE_FATAL("malformed 'net-fused' entry");
+                    SUNSTONE_FATAL("malformed 'net' checkpoint entry");
                 if (const JsonValue *fs = e.find("fused");
                     fs && fs->isArray()) {
-                    std::vector<DoneSearch> recs;
+                    std::vector<SunstoneResult> recs;
                     for (const JsonValue &me : fs->items) {
                         std::uint64_t mfp = 0;
-                        DoneSearch d;
+                        SunstoneResult d;
                         if (!doneFromJson(me, mfp, d))
                             SUNSTONE_FATAL(
-                                "malformed 'net-fused' member entry");
+                                "malformed 'net' checkpoint member entry");
                         recs.push_back(std::move(d));
                     }
                     doneFused.emplace(f->asHexU64(), std::move(recs));
                     continue;
                 }
                 std::uint64_t fp = 0;
-                DoneSearch d;
+                SunstoneResult d;
                 if (!doneFromJson(e, fp, d))
-                    SUNSTONE_FATAL("malformed 'net-fused' entry");
+                    SUNSTONE_FATAL("malformed 'net' checkpoint entry");
                 done.emplace(fp, std::move(d));
             }
         for (Unique &u : uniques) {
             auto it = done.find(u.fingerprint);
             if (it == done.end())
                 continue;
-            const DoneSearch &d = it->second;
-            u.restored = true;
-            u.search.found = d.found;
-            u.search.mapping = d.mapping;
-            u.search.seconds = d.seconds;
-            u.search.candidatesExamined = d.examined;
-            u.search.stopReason = d.stopReason;
-            if (d.found)
-                u.search.cost =
-                    eng.evaluate(eng.context(*u.ba), d.mapping);
+            u.done = true;
+            u.search = it->second;
+            restoreSearch(eng, *u.ba, u.search);
             obs::metrics().counter("net.resumed_searches").add(1);
         }
         for (FusedUnit &fu : fusedUnits) {
@@ -775,51 +498,41 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             if (it == doneFused.end() ||
                 it->second.size() != fu.members.size())
                 continue;
-            fu.restored = true;
+            fu.done = true;
             for (std::size_t i = 0; i < fu.members.size(); ++i) {
-                const DoneSearch &d = it->second[i];
                 FusedMember &fm = fu.members[i];
-                fm.search.found = d.found;
-                fm.search.mapping = d.mapping;
-                fm.search.seconds = d.seconds;
-                fm.search.candidatesExamined = d.examined;
-                fm.search.stopReason = d.stopReason;
-                if (d.found)
-                    fm.search.cost =
-                        eng.evaluate(eng.context(*fm.ba), d.mapping);
+                fm.search = it->second[i];
+                restoreSearch(eng, *fm.ba, fm.search);
             }
             obs::metrics().counter("net.resumed_searches").add(1);
         }
     }
 
     // ---- Checkpointing -----------------------------------------------
+    // Writes the "net" checkpoint: one entry per done per-op search, then
+    // one {"fp", "fused": [...]} entry per done fused unit. Serialized by
+    // checkpointMtx — completed searches land concurrently from the pool.
     std::mutex checkpointMtx;
     const auto writeNetCheckpoint = [&] {
         if (sc.checkpointPath().empty())
             return;
         SearchCheckpoint ck;
-        ck.search = "net-fused";
+        ck.search = "net";
         ck.workloadFingerprint = netFp;
         ck.seed = sc.seed();
         std::string payload = "{\"done\": [";
         bool first = true;
         for (const Unique &u : uniques) {
-            if (!u.restored)
+            if (!u.done)
                 continue;
-            DoneSearch d;
-            d.found = u.search.found;
-            d.mapping = u.search.mapping;
-            d.seconds = u.search.seconds;
-            d.examined = u.search.candidatesExamined;
-            d.stopReason = u.search.stopReason;
             if (!first)
                 payload += ", ";
             first = false;
-            payload += doneToJson(u.fingerprint, d);
+            payload += doneToJson(u.fingerprint, u.search);
             ck.evaluated += u.search.candidatesExamined;
         }
         for (const FusedUnit &fu : fusedUnits) {
-            if (!fu.restored)
+            if (!fu.done)
                 continue;
             if (!first)
                 payload += ", ";
@@ -828,15 +541,9 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                        ", \"fused\": [";
             for (std::size_t i = 0; i < fu.members.size(); ++i) {
                 const FusedMember &fm = fu.members[i];
-                DoneSearch d;
-                d.found = fm.search.found;
-                d.mapping = fm.search.mapping;
-                d.seconds = fm.search.seconds;
-                d.examined = fm.search.candidatesExamined;
-                d.stopReason = fm.search.stopReason;
                 if (i)
                     payload += ", ";
-                payload += doneToJson(fm.fingerprint, d);
+                payload += doneToJson(fm.fingerprint, fm.search);
                 ck.evaluated += fm.search.candidatesExamined;
             }
             payload += "]}";
@@ -850,76 +557,86 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         else
             obs::flightRecorder().record(
                 "checkpoint.written",
-                "net-fused evals=" + std::to_string(ck.evaluated) +
-                    " -> " + sc.checkpointPath());
+                "net evals=" + std::to_string(ck.evaluated) + " -> " +
+                    sc.checkpointPath());
+    };
+    // A search that ends "cancelled" stopped short of its own end, so it
+    // stays out of the checkpoint and a resume runs it again; any other
+    // end (a deadline included) is final and recorded.
+    const auto recordDone = [&](bool &done) {
+        std::lock_guard<std::mutex> lk(checkpointMtx);
+        done = true;
+        writeNetCheckpoint();
     };
     {
         std::lock_guard<std::mutex> lk(checkpointMtx);
-        writeNetCheckpoint();
+        writeNetCheckpoint(); // records the restored set immediately
     }
 
-    // Coarse phase units: one per unique per-op search, one per fused
-    // chain search.
+    // Coarse phase units for the progress line: one per unique per-op
+    // search, one per fused chain search.
     obs::ProgressBoard &board = obs::progressBoard();
     board.addUnits(
         static_cast<std::int64_t>(uniques.size() + fusedUnits.size()));
     for (const Unique &u : uniques)
-        if (u.restored)
+        if (u.done)
             board.noteUnitDone();
     for (const FusedUnit &fu : fusedUnits)
-        if (fu.restored)
+        if (fu.done)
             board.noteUnitDone();
 
-    const auto makeChild = [&](const std::string &label,
-                               SunstoneOptions &so,
-                               obs::ConvergenceRecorder **conv_out) {
-        so = opts.sunstone;
-        so.engine = &eng;
-        obs::ConvergenceRecorder *conv =
-            sc.convergence() ? sc.convergence() : so.convergence;
-        if (conv)
-            so.searchLabel = label;
-        *conv_out = conv;
-    };
-    const auto fom = [&](const CostResult &c) {
-        return opts.sunstone.optimizeEdp ? c.edp : c.totalEnergyPj;
-    };
-
-    // Warm-start store (see the flat-path comment): read-only while
-    // the fan-outs run, recorded back serially after pass 2.
+    // Warm-start store: loaded once before the fan-outs (a missing file
+    // just means an empty store) and only *read* while searches run,
+    // so concurrent queries need no locking and results stay
+    // deterministic. Realized bests are recorded back serially below.
     WarmStartStore wstore;
     const bool useWarmstart = !opts.warmstartStore.empty();
     if (useWarmstart)
         wstore.load(opts.warmstartStore);
 
-    // ---- Pass 1: per-op baseline searches ----------------------------
-    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
-        if (uniques[u].restored)
-            return;
-        SUNSTONE_TRACE_SPAN("net.search:" +
-                            uniques[u].ba->workload().name());
-        SunstoneOptions so;
-        obs::ConvergenceRecorder *conv = nullptr;
-        makeChild("sunstone:" + uniques[u].ba->workload().name(), so,
-                  &conv);
+    // Runs one Sunstone search in its own child context: the
+    // network-wide hard deadline and cancellation flag are shared
+    // through it, the per-search bounds are copied. Each search records
+    // one convergence trajectory under `label`. Fused variants share the
+    // per-op structure, so stored per-op bests seed them too.
+    const auto runSearch = [&](const BoundArch &ba,
+                               const std::string &label) {
+        SunstoneOptions so = opts.sunstone;
+        so.engine = &eng;
+        obs::ConvergenceRecorder *conv =
+            sc.convergence() ? sc.convergence() : so.convergence;
+        if (conv)
+            so.searchLabel = label;
         SearchContext child(&eng, netPolicy, conv);
-        child.policy().deadlineSeconds = 0;
+        child.policy().deadlineSeconds = 0; // network-wide, see above
         if (sc.hardDeadline())
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
         child.setSurrogate(sc.surrogate());
         if (useWarmstart)
-            child.setWarmStarts(wstore.query(*uniques[u].ba));
+            child.setWarmStarts(wstore.query(ba));
+        return sunstoneOptimize(child, ba, so);
+    };
+    const auto fom = [&](const CostResult &c) {
+        return opts.sunstone.optimizeEdp ? c.edp : c.totalEnergyPj;
+    };
+
+    // ---- Pass 1: per-op baseline searches ----------------------------
+    // One search per unique structure, concurrently on the shared pool.
+    // The search's own parallelFor nests on the same pool through
+    // group-scoped joins, so no thread oversubscription.
+    parallelFor(eng.pool(), uniques.size(), [&](std::size_t u) {
+        Unique &uq = uniques[u];
+        if (uq.done)
+            return;
+        const std::string &name = uq.ba->workload().name();
+        SUNSTONE_TRACE_SPAN("net.search:" + name);
         Timer t;
-        uniques[u].search = sunstoneOptimize(child, *uniques[u].ba, so);
-        eng.addPhaseSeconds(
-            "layer:" + uniques[u].ba->workload().name(), t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            uniques[u].restored = true;
-            writeNetCheckpoint();
-        }
+        uq.search = runSearch(*uq.ba, "sunstone:" + name);
+        eng.addPhaseSeconds("layer:" + name, t.seconds());
+        if (!cancelled(uq.search))
+            recordDone(uq.done);
         board.noteUnitDone();
     });
     obs::metrics().counter("net.unique_searches").add(
@@ -932,29 +649,16 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     // candidate whenever one is valid.
     parallelFor(eng.pool(), fusedUnits.size(), [&](std::size_t fi) {
         FusedUnit &fu = fusedUnits[fi];
-        if (fu.restored)
+        if (fu.done)
             return;
         SUNSTONE_TRACE_SPAN("net.search.fused:" +
                             fu.members.front().ba->workload().name());
         Timer t;
+        bool complete = true;
         for (FusedMember &fm : fu.members) {
-            SunstoneOptions so;
-            obs::ConvergenceRecorder *conv = nullptr;
-            makeChild("sunstone:" + fm.ba->workload().name() + "+fused",
-                      so, &conv);
-            SearchContext child(&eng, netPolicy, conv);
-            child.policy().deadlineSeconds = 0;
-            if (sc.hardDeadline())
-                child.setHardDeadline(*sc.hardDeadline());
-            if (sc.hasSeed())
-                child.setSeed(sc.seed());
-            child.setSurrogate(sc.surrogate());
-            // Fused variants share the per-op structure, so stored
-            // per-op bests still seed them; fused results are not
-            // recorded back (their costs assume ephemeral residency).
-            if (useWarmstart)
-                child.setWarmStarts(wstore.query(*fm.ba));
-            fm.search = sunstoneOptimize(child, *fm.ba, so);
+            fm.search = runSearch(
+                *fm.ba, "sunstone:" + fm.ba->workload().name() + "+fused");
+            complete &= !cancelled(fm.search);
             const Unique &base = uniques[nodeToUnique[fm.node]];
             if (base.search.found) {
                 Mapping seeded =
@@ -973,15 +677,13 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         eng.addPhaseSeconds(
             "fused:" + fu.members.front().ba->workload().name(),
             t.seconds());
-        {
-            std::lock_guard<std::mutex> lk(checkpointMtx);
-            fu.restored = true;
-            writeNetCheckpoint();
-        }
+        if (complete)
+            recordDone(fu.done);
         board.noteUnitDone();
     });
-    obs::metrics().counter("net.fusion.unit_searches").add(
-        static_cast<std::int64_t>(fusedUnits.size()));
+    if (greedy)
+        obs::metrics().counter("net.fusion.unit_searches").add(
+            static_cast<std::int64_t>(fusedUnits.size()));
 
     if (useWarmstart) {
         // Serial, in unique order: deterministic store contents. Only
@@ -1000,6 +702,8 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     }
 
     // ---- Decide per group --------------------------------------------
+    // The first interrupting reason wins over "exhausted"; cancellation
+    // outranks the deadline.
     result.stopReason = "exhausted";
     const auto foldStop = [&](const std::string &s) {
         if (s == "deadline" && result.stopReason == "exhausted")
@@ -1013,9 +717,12 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         for (const FusedMember &fm : fu.members)
             foldStop(fm.search.stopReason);
 
+    // Group entries are reported in greedy mode only; Off mode's
+    // singleton groups have nothing to decide.
     std::vector<bool> accepted(groupNodes.size(), false);
-    result.groups.resize(groupNodes.size());
-    for (std::size_t gi = 0; gi < groupNodes.size(); ++gi) {
+    if (greedy)
+        result.groups.resize(groupNodes.size());
+    for (std::size_t gi = 0; gi < result.groups.size(); ++gi) {
         const std::vector<int> &chain = groupNodes[gi];
         GroupSchedule &gr = result.groups[gi];
         gr.count = g.node(chain.front()).count;
@@ -1075,9 +782,12 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             obs::flightRecorder().record(
                 "chain.rejected", detail + " reason=" + gr.rejectReason);
     }
-    obs::metrics().counter("net.fusion.groups_fused").add(
-        result.groupsFused);
-    obs::metrics().counter("net.fusion.ops_fused").add(result.opsFused);
+    if (greedy) {
+        obs::metrics().counter("net.fusion.groups_fused").add(
+            result.groupsFused);
+        obs::metrics().counter("net.fusion.ops_fused").add(
+            result.opsFused);
+    }
 
     // ---- Assemble per-node results (node order) ----------------------
     result.allFound = true;
@@ -1088,7 +798,8 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         LayerSchedule ls;
         ls.name = g.node(n).workload.name();
         ls.count = g.node(n).count;
-        ls.group = gi;
+        if (greedy)
+            ls.group = gi;
         if (accepted[gi]) {
             const FusedUnit &fu = fusedUnits[groupUnit[gi]];
             std::size_t pos = 0;
@@ -1117,6 +828,11 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             ls.found = uq.search.found;
             ls.mapping = uq.search.mapping;
             if (seen[u]) {
+                // Broadcast: re-validate the chosen mapping under this
+                // node's own context. Identical structure means an
+                // identical cache key, so this is a guaranteed hit — the
+                // dedup shows up in the telemetry instead of as a
+                // repeated search.
                 ls.deduplicated = true;
                 ls.stopReason = "dedup";
                 obs::metrics().counter("net.dedup_broadcasts").add(1);
@@ -1146,34 +862,9 @@ scheduleNetGreedy(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     result.layersUnique = static_cast<int>(uniques.size());
     result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
     result.seconds = baseSeconds + timer.seconds();
-    eng.addPhaseSeconds("net.schedule.fused", timer.seconds());
+    eng.addPhaseSeconds("net.schedule", timer.seconds());
     result.stats = eng.stats();
     return result;
-}
-
-} // anonymous namespace
-
-NetScheduleResult
-scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &graph,
-            const NetSchedulerOptions &opts)
-{
-    std::string err;
-    if (!graph.validate(&err))
-        SUNSTONE_FATAL("invalid network graph: ", err);
-    // FusionMode::Off takes the exact per-layer code path over the
-    // graph's node list, so its results are bit-identical to the flat
-    // scheduler's.
-    if (opts.fusion == FusionMode::Off)
-        return scheduleNet(sc, arch, graph.toLayers(), opts);
-    return scheduleNetGreedy(sc, arch, graph, opts);
-}
-
-NetScheduleResult
-scheduleNet(const ArchSpec &arch, const NetGraph &graph,
-            const NetSchedulerOptions &opts)
-{
-    SearchContext sc;
-    return scheduleNet(sc, arch, graph, opts);
 }
 
 } // namespace sunstone

@@ -1,12 +1,13 @@
 /**
  * @file
- * Network-level scheduler: maps a whole network (a list of layers with
- * multiplicities) onto one architecture through a shared EvalEngine.
+ * Network-level scheduler: maps a whole network (a NetGraph of einsum
+ * ops with multiplicities) onto one architecture through a shared
+ * EvalEngine.
  *
  * Real networks repeat layer structures heavily — ResNet-18's basic
  * blocks, Inception's parallel towers — and per-layer schedulers redo
  * the identical search for every repetition. The scheduler instead
- *  - deduplicates layers by the engine's structural fingerprint (display
+ *  - deduplicates nodes by the engine's structural fingerprint (display
  *    names excluded, so differently-named twins still merge),
  *  - runs the Sunstone search once per unique structure, concurrently on
  *    the engine's shared worker pool (the search's own parallelism nests
@@ -19,15 +20,17 @@
  * delays weighted by layer multiplicity (layers execute sequentially on
  * the accelerator), EDP as total energy x total delay.
  *
- * Given a NetGraph and FusionMode::Greedy, the scheduler additionally
- * co-searches fusion grouping with per-subgraph mappings (DESIGN.md
- * §13): producer→consumer chains whose shared tensor statically fits on
- * chip are searched both per-op and as a fused subgraph (the shared
- * tensors marked Ephemeral), and a chain is fused only when the fused
- * mappings dominate the per-op ones (no worse energy and delay, strictly
- * better EDP) with every ephemeral tensor fully resident — otherwise the
- * group falls back to its per-op results, so fused totals never regress.
- * FusionMode::Off runs the per-layer path unchanged.
+ * One pipeline serves both fusion modes (DESIGN.md §13): bind + dedup,
+ * plan groups, search per-op baselines, search fused units, decide per
+ * group, assemble. FusionMode::Off plans every node as a group of its
+ * own, so there are no fused units and the schedule is the paper's
+ * per-layer one. FusionMode::Greedy plans producer→consumer chains whose
+ * shared tensor statically fits on chip and searches each as a fused
+ * subgraph (the shared tensors marked Ephemeral) as well; a chain is
+ * fused only when the fused mappings dominate the per-op ones (no worse
+ * energy and delay, strictly better EDP) with every ephemeral tensor
+ * fully resident — otherwise the group falls back to its per-op results,
+ * so fused totals never regress.
  */
 
 #ifndef SUNSTONE_CORE_NET_SCHEDULER_HH
@@ -40,14 +43,13 @@
 #include "core/sunstone.hh"
 #include "model/eval_engine.hh"
 #include "workload/net_graph.hh"
-#include "workload/nets.hh"
 
 namespace sunstone {
 
 /** How the scheduler treats producer→consumer edges of a NetGraph. */
 enum class FusionMode
 {
-    /** Ignore edges; per-layer scheduling, bit-identical to before. */
+    /** Ignore edges: every node is a group of its own (per-layer). */
     Off,
     /** Greedily fuse single-consumer chains when they win (see above). */
     Greedy,
@@ -60,16 +62,14 @@ struct NetSchedulerOptions
     SunstoneOptions sunstone;
 
     /**
-     * Shared evaluation engine; a private one is created when null. The
-     * engine's pool carries both the layer-level and the search-level
-     * parallelism.
+     * Shared evaluation engine, used when the context carries none;
+     * when both are null the context creates a private one with
+     * sunstone.threads workers. The engine's pool carries both the
+     * layer-level and the search-level parallelism.
      */
     EvalEngine *engine = nullptr;
 
-    /** Pool size for a private engine; 0 falls back to sunstone.threads. */
-    unsigned threads = 0;
-
-    /** Fusion mode for the NetGraph overload (layer lists are flat). */
+    /** How producer→consumer edges are treated. */
     FusionMode fusion = FusionMode::Off;
 
     /**
@@ -187,44 +187,26 @@ struct NetScheduleResult
 };
 
 /**
- * Schedules every layer of a network on `arch` under the caller's
+ * Schedules every node of a network DAG on `arch` under the caller's
  * SearchContext. The context's StopPolicy applies to the whole network:
  * `deadlineSeconds` is converted into one absolute hard deadline shared
- * by every per-layer search (layers launched late do not each get a
- * fresh budget), and the cancellation flag is polled by all of them.
- * When the context carries a checkpoint path, a net-level checkpoint
- * (search "net") is written after each completed unique search, and a
- * pending resume snapshot skips those searches on the next run.
+ * by every search (searches launched late do not each get a fresh
+ * budget), and the cancellation flag is polled by all of them. When the
+ * context carries a checkpoint path, a net-level checkpoint (search
+ * "net") is written after each completed per-op search and fused unit,
+ * and a pending resume snapshot skips those on the next run; cancelled
+ * searches are not recorded, so a resume runs them again. With
+ * FusionMode::Greedy the result gains per-group entries and fusion
+ * counters. A layer list schedules as NetGraph::fromLayers(layers). The
+ * graph must validate(); fatal() otherwise.
  *
  * @param sc search context (policy, checkpoint/resume, engine)
- * @param arch the architecture (bound per layer internally)
- * @param layers layer table with multiplicities (see workload/nets.hh)
+ * @param arch the architecture (bound per node internally)
+ * @param graph the network (see workload/net_graph.hh)
  * @param opts scheduler configuration
  */
 NetScheduleResult scheduleNet(SearchContext &sc, const ArchSpec &arch,
-                              const std::vector<Layer> &layers,
-                              const NetSchedulerOptions &opts = {});
-
-/** Convenience overload running under a fresh default context. */
-NetScheduleResult scheduleNet(const ArchSpec &arch,
-                              const std::vector<Layer> &layers,
-                              const NetSchedulerOptions &opts = {});
-
-/**
- * Schedules a network DAG. With FusionMode::Off (or an edge-free graph)
- * this is exactly the per-layer scheduler over the graph's node list.
- * With FusionMode::Greedy, single-consumer producer→consumer chains
- * whose shared tensors statically fit on chip are searched both per-op
- * and fused, and each chain keeps whichever variant dominates; the
- * result gains per-group entries and fusion counters. The graph must
- * validate(); fatal() otherwise.
- */
-NetScheduleResult scheduleNet(SearchContext &sc, const ArchSpec &arch,
                               const NetGraph &graph,
-                              const NetSchedulerOptions &opts = {});
-
-/** Convenience overload running under a fresh default context. */
-NetScheduleResult scheduleNet(const ArchSpec &arch, const NetGraph &graph,
                               const NetSchedulerOptions &opts = {});
 
 } // namespace sunstone

@@ -11,6 +11,8 @@
 #include <iterator>
 #include <string>
 
+#include "common/json.hh"
+
 namespace sunstone {
 namespace {
 
@@ -165,6 +167,93 @@ TEST(Cli, MapNetSchedulesWholeNetworkWithStatsJson)
     }
     EXPECT_NE(json.find("\"totalEdp\""), std::string::npos) << json;
     EXPECT_NE(json.find("\"layersUnique\""), std::string::npos) << json;
+}
+
+/** Removes the named field from a parsed JSON object, if present. */
+void
+dropField(JsonValue &obj, const std::string &name)
+{
+    std::erase_if(obj.fields,
+                  [&](const auto &f) { return f.first == name; });
+}
+
+/** @return the named field of a parsed JSON object, or nullptr. */
+JsonValue *
+fieldOf(JsonValue &obj, const std::string &name)
+{
+    return const_cast<JsonValue *>(obj.find(name));
+}
+
+/**
+ * Reads a --stats-json file and projects its network result onto the
+ * deterministic part: wall-clock and engine telemetry dropped (the top
+ * level `seconds` and `stats`, every layer's `seconds`, every fusion
+ * group's `searchSeconds`). Numbers keep their source text, so equal
+ * projections mean bit-identical values.
+ */
+std::string
+goldenProjection(const std::string &path)
+{
+    std::ifstream in(path);
+    const std::string text((std::istreambuf_iterator<char>(in)),
+                           std::istreambuf_iterator<char>());
+    JsonValue doc;
+    std::string err;
+    if (!parseJson(text, doc, &err))
+        return "unparsable " + path + ": " + err;
+    JsonValue *r = fieldOf(doc, "result");
+    if (!r)
+        return "no result in " + path;
+    dropField(*r, "seconds");
+    dropField(*r, "stats");
+    if (JsonValue *layers = fieldOf(*r, "layers"))
+        for (JsonValue &l : layers->items)
+            dropField(l, "seconds");
+    if (JsonValue *fusion = fieldOf(*r, "fusion"))
+        if (JsonValue *groups = fieldOf(*fusion, "groups"))
+            for (JsonValue &gr : groups->items)
+                dropField(gr, "searchSeconds");
+    return r->dump();
+}
+
+/**
+ * Runs `map <args>` and expects its --stats-json result to match
+ * tests/golden/<golden>.json under goldenProjection().
+ */
+void
+expectMatchesGolden(const std::string &golden, const std::string &args)
+{
+    const std::string out = ::testing::TempDir() + "/" + golden + ".json";
+    std::remove(out.c_str());
+    auto r = runCli("map " + args + " --stats-json " + out);
+    ASSERT_EQ(r.exitCode, 0) << r.output;
+    EXPECT_EQ(goldenProjection(out),
+              goldenProjection(std::string(SUNSTONE_SOURCE_DIR) +
+                               "/tests/golden/" + golden + ".json"))
+        << "map " << args << " diverged from tests/golden/" << golden
+        << ".json";
+}
+
+TEST(CliGolden, TclFuseOffMatchesGolden)
+{
+    expectMatchesGolden("net_tcl_fuse_off", "--net tcl --fuse off");
+}
+
+TEST(CliGolden, AttentionFuseGreedyMatchesGolden)
+{
+    expectMatchesGolden("net_attention_fuse_greedy",
+                        "--net attention --seq 64 --fuse greedy --seed 7 "
+                        "--max-evals 2000");
+}
+
+TEST(CliGolden, Resnet18FuseGreedyMatchesGolden)
+{
+    // Greedy fusion finds no fusable chain in ResNet-18, so every group
+    // is a singleton. Most searches end at the eval budget, and the core
+    // search's max-evals cut is exact only single-threaded.
+    expectMatchesGolden("net_resnet18_fuse_greedy",
+                        "--net resnet18 --arch simba --fuse greedy --seed 7 "
+                        "--max-evals 2000 --threads 1");
 }
 
 TEST(Cli, ArchDumpRoundTripsThroughFile)

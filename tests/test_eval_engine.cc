@@ -235,8 +235,9 @@ TEST(NetScheduler, DeduplicatesStructurallyIdenticalLayers)
     EvalEngine engine;
     opts.engine = &engine;
 
-    NetScheduleResult r =
-        scheduleNet(makeToyArch(64, 4), layers, opts);
+    SearchContext sc;
+    NetScheduleResult r = scheduleNet(sc, makeToyArch(64, 4),
+                                      NetGraph::fromLayers(layers), opts);
 
     ASSERT_TRUE(r.allFound);
     EXPECT_EQ(r.layersTotal, 4);
@@ -278,8 +279,9 @@ TEST(NetScheduler, SurfacesUnschedulableLayers)
     // normal net for allFound).
     NetSchedulerOptions opts;
     opts.sunstone.beamWidth = 4;
-    NetScheduleResult empty =
-        scheduleNet(makeToyArch(64, 4), std::vector<Layer>{}, opts);
+    SearchContext sc;
+    NetScheduleResult empty = scheduleNet(sc, makeToyArch(64, 4),
+                                          NetGraph::fromLayers({}), opts);
     EXPECT_TRUE(empty.allFound);
     EXPECT_EQ(empty.layersTotal, 0);
     EXPECT_EQ(empty.layersUnique, 0);

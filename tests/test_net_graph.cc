@@ -14,6 +14,7 @@
 #include "arch/presets.hh"
 #include "core/net_scheduler.hh"
 #include "model/cost_model.hh"
+#include "obs/metrics.hh"
 #include "search/checkpoint.hh"
 #include "workload/net_graph.hh"
 #include "workload/nets.hh"
@@ -225,7 +226,7 @@ TEST(NetScheduler, FuseOffMatchesPerLayerSchedulerBitForBit)
     sb.setPolicy(pol);
     sb.setSeed(11);
     const NetScheduleResult rb =
-        scheduleNet(sb, arch, g.toLayers(), opts);
+        scheduleNet(sb, arch, NetGraph::fromLayers(g.toLayers()), opts);
 
     EXPECT_EQ(ra.totalEnergyPj, rb.totalEnergyPj);
     EXPECT_EQ(ra.totalDelaySeconds, rb.totalDelaySeconds);
@@ -295,6 +296,70 @@ TEST(NetScheduler, GreedyFusionNeverRegressesAndFusesAttention)
     EXPECT_NE(j.find("\"groupsFused\":1"), std::string::npos);
 }
 
+TEST(NetScheduler, IdenticalFusedChainsShareOneFusedSearch)
+{
+    // Two attention heads as differently named but structurally
+    // identical chains: the fused subgraph is searched once, and the
+    // second chain receives the first chain's fused mappings as dedup
+    // broadcasts.
+    NetGraph g;
+    for (const std::string head : {"head0", "head1"}) {
+        const int qk = g.addNode(
+            parseEinsum(head + "_qk", "S[i,k] = Q[i,j] * K[k,j]",
+                        {{"i", 64}, {"j", 64}, {"k", 64}}),
+            1);
+        const int sm = g.addNode(
+            parseEinsum(head + "_softmax", "P[i,k] = S[i,k] * G[i]",
+                        {{"i", 64}, {"k", 64}}),
+            1);
+        const int pv = g.addNode(
+            parseEinsum(head + "_pv", "O[i,l] = P[i,k] * V[k,l]",
+                        {{"i", 64}, {"k", 64}, {"l", 64}}),
+            1);
+        g.addEdge(qk, "S", sm, "S");
+        g.addEdge(sm, "P", pv, "P");
+    }
+
+    NetSchedulerOptions opts;
+    opts.sunstone.threads = 2;
+    opts.fusion = FusionMode::Greedy;
+    SearchContext sc;
+    sc.policy().maxEvals = 300;
+    sc.policy().plateau = 1'000'000'000;
+    sc.setSeed(11);
+    obs::Counter &unitSearches =
+        obs::metrics().counter("net.fusion.unit_searches");
+    const std::int64_t unitsBefore = unitSearches.value();
+    const NetScheduleResult r =
+        scheduleNet(sc, makeConventional(), g, opts);
+
+    EXPECT_EQ(unitSearches.value() - unitsBefore, 1);
+    ASSERT_TRUE(r.allFound);
+    EXPECT_EQ(r.layersUnique, 3);
+    EXPECT_EQ(r.groupsFusable, 2);
+    EXPECT_EQ(r.groupsFused, 2);
+    ASSERT_EQ(r.layers.size(), 6u);
+    for (std::size_t i = 0; i < 3; ++i) {
+        const LayerSchedule &first = r.layers[i];
+        const LayerSchedule &second = r.layers[i + 3];
+        EXPECT_TRUE(first.fused);
+        EXPECT_FALSE(first.deduplicated);
+        EXPECT_NE(first.stopReason, "dedup");
+        EXPECT_EQ(first.group, 0);
+        EXPECT_TRUE(second.fused);
+        EXPECT_TRUE(second.deduplicated) << second.name;
+        EXPECT_EQ(second.stopReason, "dedup") << second.name;
+        EXPECT_EQ(second.group, 1);
+        EXPECT_EQ(second.seconds, 0.0);
+        EXPECT_EQ(second.candidatesExamined, 0);
+        EXPECT_EQ(mappingToJson(second.mapping),
+                  mappingToJson(first.mapping));
+        EXPECT_EQ(second.cost.totalEnergyPj, first.cost.totalEnergyPj);
+        EXPECT_EQ(second.cost.delaySeconds, first.cost.delaySeconds);
+        EXPECT_EQ(second.cost.edp, first.cost.edp);
+    }
+}
+
 TEST(NetScheduler, DedupLayersReportDedupStopReason)
 {
     // Two structurally identical layers: the broadcast copy must say
@@ -307,7 +372,8 @@ TEST(NetScheduler, DedupLayersReportDedupStopReason)
     SearchContext sc;
     sc.policy().maxEvals = 200;
     sc.setSeed(3);
-    const NetScheduleResult r = scheduleNet(sc, arch, layers, opts);
+    const NetScheduleResult r =
+        scheduleNet(sc, arch, NetGraph::fromLayers(layers), opts);
     ASSERT_EQ(r.layers.size(), 2u);
     EXPECT_FALSE(r.layers[0].deduplicated);
     EXPECT_TRUE(r.layers[1].deduplicated);

@@ -8,6 +8,9 @@
  *    to the same search run uninterrupted — per mapper.
  *  - Hostile beam checkpoints: a tampered Sunstone beam payload is a
  *    clean fatal, never an out-of-bounds access.
+ *  - Network checkpoints: a cancelled network schedule resumes to the
+ *    uninterrupted result in both fusion modes, and a tampered restored
+ *    mapping is a clean fatal.
  *  - Thread-count determinism: the same seed yields identical best cost
  *    and eval counts at 1/4/8 evaluation threads for the Sunstone core
  *    search, the refine hill-climb, and the Timeloop random search.
@@ -15,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <atomic>
 #include <cstdio>
 #include <functional>
 #include <stdexcept>
@@ -325,7 +329,7 @@ TEST_F(ResumeFixture, SunstoneRejectsTamperedBeamCheckpoints)
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 {
     // Interrupt/resume for the fusion-aware network scheduler: the
-    // "net-fused" checkpoint records one entry per completed per-op
+    // "net" checkpoint records one entry per completed per-op
     // baseline and one per completed fused unit. We take a complete
     // checkpoint and truncate it so that one baseline and the whole
     // fused unit are missing — exactly the state left by an interrupt
@@ -361,7 +365,7 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
     SearchCheckpoint ck;
     std::string err;
     ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
-    EXPECT_EQ(ck.search, "net-fused");
+    EXPECT_EQ(ck.search, "net");
 
     JsonValue state;
     ASSERT_TRUE(parseJson(ck.streamState, state));
@@ -413,6 +417,190 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
         EXPECT_EQ(ra.layers[i].group, rc.layers[i].group);
     }
     std::remove(path.c_str());
+}
+
+/** Seeded, eval-budgeted setup shared by the network-checkpoint tests. */
+void
+setUpNetContext(SearchContext &sc, std::atomic<bool> *cancel = nullptr)
+{
+    StopPolicy pol;
+    pol.maxEvals = 300;
+    pol.plateau = 1'000'000'000;
+    pol.cancel = cancel;
+    sc.setPolicy(pol);
+    sc.setSeed(7);
+}
+
+/**
+ * Writes the complete "net" checkpoint of a seeded attention schedule
+ * to `path` and returns the schedule.
+ */
+NetScheduleResult
+writeNetCheckpoint(const ArchSpec &arch, const NetGraph &g,
+                   const NetSchedulerOptions &opts, const std::string &path)
+{
+    std::remove(path.c_str());
+    SearchContext writer;
+    setUpNetContext(writer);
+    writer.setCheckpointPath(path);
+    return scheduleNet(writer, arch, g, opts);
+}
+
+/**
+ * A cancellation that lands after the first per-op search completed:
+ * the complete checkpoint is cut down to that one entry and resumed with
+ * the cancellation flag raised, so every other search ends "cancelled".
+ * Those must stay out of the checkpoint, and resuming it with the flag
+ * clear must reproduce the uninterrupted run bit for bit.
+ */
+void
+expectCancelledNetResumesBitIdentically(FusionMode mode)
+{
+    const ArchSpec arch = makeConventional();
+    const NetGraph g = attentionGraph(64, 1);
+    NetSchedulerOptions opts;
+    opts.sunstone.threads = 2;
+    opts.fusion = mode;
+    const std::string path =
+        ::testing::TempDir() + "/resume_net_cancelled.json";
+    const NetScheduleResult ra = writeNetCheckpoint(arch, g, opts, path);
+    ASSERT_TRUE(ra.allFound);
+    ASSERT_EQ(ra.stopReason, "exhausted");
+
+    SearchCheckpoint ck;
+    std::string err;
+    ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    JsonValue state;
+    ASSERT_TRUE(parseJson(ck.streamState, state));
+    const JsonValue *done = state.find("done");
+    ASSERT_NE(done, nullptr);
+    ASSERT_FALSE(done->items.empty());
+    ck.streamState = "{\"done\": [" + done->items[0].dump() + "]}";
+
+    std::atomic<bool> cancel{true};
+    SearchContext interrupted;
+    setUpNetContext(interrupted, &cancel);
+    interrupted.setCheckpointPath(path);
+    interrupted.setResume(std::move(ck));
+    EXPECT_EQ(scheduleNet(interrupted, arch, g, opts).stopReason,
+              "cancelled");
+
+    SearchCheckpoint after;
+    ASSERT_TRUE(SearchCheckpoint::load(path, after, &err)) << err;
+    cancel = false;
+    SearchContext resumed;
+    setUpNetContext(resumed, &cancel);
+    resumed.setCheckpointPath(path);
+    resumed.setResume(std::move(after));
+    const NetScheduleResult rc = scheduleNet(resumed, arch, g, opts);
+
+    EXPECT_EQ(ra.allFound, rc.allFound);
+    EXPECT_EQ(ra.totalEnergyPj, rc.totalEnergyPj);
+    EXPECT_EQ(ra.totalDelaySeconds, rc.totalDelaySeconds);
+    EXPECT_EQ(ra.totalEdp, rc.totalEdp);
+    EXPECT_EQ(ra.stopReason, rc.stopReason);
+    EXPECT_EQ(ra.groupsFused, rc.groupsFused);
+    ASSERT_EQ(ra.layers.size(), rc.layers.size());
+    for (std::size_t i = 0; i < ra.layers.size(); ++i) {
+        EXPECT_EQ(mappingToJson(ra.layers[i].mapping),
+                  mappingToJson(rc.layers[i].mapping))
+            << "layer " << i;
+        EXPECT_EQ(ra.layers[i].cost.edp, rc.layers[i].cost.edp);
+        EXPECT_EQ(ra.layers[i].candidatesExamined,
+                  rc.layers[i].candidatesExamined);
+        EXPECT_EQ(ra.layers[i].stopReason, rc.layers[i].stopReason);
+        EXPECT_EQ(ra.layers[i].fused, rc.layers[i].fused);
+    }
+    std::remove(path.c_str());
+}
+
+TEST(NetResume, CancelledNetResumesBitIdenticallyFuseOff)
+{
+    expectCancelledNetResumesBitIdentically(FusionMode::Off);
+}
+
+TEST(NetResume, CancelledNetResumesBitIdenticallyFuseGreedy)
+{
+    expectCancelledNetResumesBitIdentically(FusionMode::Greedy);
+}
+
+/**
+ * Tampers with one restored mapping of a complete "net" checkpoint — the
+ * first per-op entry in Off mode, the first member of the fused unit in
+ * greedy mode — and expects each resume to fail with the clean
+ * "malformed 'net' checkpoint" fatal instead of reporting a found layer
+ * with a garbage cost.
+ */
+void
+expectTamperedNetMappingsRejected(FusionMode mode)
+{
+    const ArchSpec arch = makeConventional();
+    const NetGraph g = attentionGraph(64, 1);
+    NetSchedulerOptions opts;
+    opts.sunstone.threads = 2;
+    opts.fusion = mode;
+    const std::string path = ::testing::TempDir() + "/hostile_net.json";
+    ASSERT_TRUE(writeNetCheckpoint(arch, g, opts, path).allFound);
+    SearchCheckpoint ck;
+    std::string err;
+    ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    std::remove(path.c_str());
+
+    auto levels = [mode](JsonValue &payload) -> std::vector<JsonValue> & {
+        std::vector<JsonValue> &done = fieldOf(payload, "done").items;
+        JsonValue *entry = &done.front();
+        if (mode == FusionMode::Greedy)
+            entry = &fieldOf(done.back(), "fused").items.front();
+        return fieldOf(fieldOf(*entry, "mapping"), "levels").items;
+    };
+    const std::vector<std::pair<std::string, Tamper>> cases{
+        {"a level dropped",
+         [&](JsonValue &p) { levels(p).pop_back(); }},
+        {"a dim dropped from every level",
+         [&](JsonValue &p) {
+             for (JsonValue &l : levels(p))
+                 for (const char *k : {"t", "s", "o"})
+                     fieldOf(l, k).items.pop_back();
+         }},
+        {"a zero temporal factor",
+         [&](JsonValue &p) {
+             fieldOf(levels(p).front(), "t").items.front() = jsonInt(0);
+         }},
+        {"order entry 99",
+         [&](JsonValue &p) {
+             fieldOf(levels(p).front(), "o").items.front() = jsonInt(99);
+         }},
+    };
+    for (const auto &[what, tamper] : cases) {
+        JsonValue payload;
+        ASSERT_TRUE(parseJson(ck.streamState, payload)) << what;
+        tamper(payload);
+        SearchCheckpoint bad = ck;
+        bad.streamState = payload.dump();
+        SearchContext sc;
+        setUpNetContext(sc);
+        sc.setResume(std::move(bad));
+        ScopedFatalCapture capture;
+        try {
+            scheduleNet(sc, arch, g, opts);
+            ADD_FAILURE() << what << ": the tampered mapping was resumed";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find(
+                          "malformed 'net' checkpoint"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    }
+}
+
+TEST(NetResume, RejectsTamperedNetCheckpointsFuseOff)
+{
+    expectTamperedNetMappingsRejected(FusionMode::Off);
+}
+
+TEST(NetResume, RejectsTamperedNetCheckpointsFuseGreedy)
+{
+    expectTamperedNetMappingsRejected(FusionMode::Greedy);
 }
 
 // ---------------------------------------------------------------------
