@@ -4,6 +4,7 @@
 #include <atomic>
 #include <limits>
 #include <map>
+#include <unordered_map>
 #include <unordered_set>
 
 #include "common/json.hh"
@@ -17,6 +18,7 @@
 #include "core/unrolling.hh"
 #include "model/eval_engine.hh"
 #include "obs/convergence.hh"
+#include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "search/checkpoint.hh"
 #include "search/search_driver.hh"
@@ -127,6 +129,122 @@ beamPayload(int next_step, bool bottom_up, std::int64_t examined,
     }
     return s + "]}";
 }
+
+/** A tiling walk's maximal tiles, flat in growTiles' order (tile i at
+ *  [i * nDims, (i + 1) * nDims)), and the nodes the walk examined. */
+struct Walk
+{
+    std::vector<std::int64_t> tiles;
+    std::int64_t nodesVisited = 0;
+};
+
+/**
+ * The tiling walks of one bottom-up expansion (DESIGN.md §4, "Walk reuse
+ * within an expansion"). Level and base shape are fixed within an
+ * expansion, so (grow dims, quotient) identifies a walk; orderings that
+ * fully reuse the same tensors share a grow set and ask for the same
+ * walks. A walk is kept only while a later ordering of the expansion has
+ * its grow set, and the caller drops a grow set's walks after its last
+ * ordering. Private to one expansion: no locks, and the walk sequence is
+ * the same at any --threads.
+ */
+class WalkMemo
+{
+  public:
+    WalkMemo(const BoundArch &ba, int level,
+             const std::vector<std::int64_t> &base_shape)
+        : ba_(ba), level_(level), baseShape_(base_shape)
+    {
+    }
+
+    WalkMemo(const WalkMemo &) = delete;
+    WalkMemo &operator=(const WalkMemo &) = delete;
+
+    /** Publishes the expansion's walk counts, once. */
+    ~WalkMemo()
+    {
+        static obs::Counter &walks =
+            obs::metrics().counter("sunstone.tiling.walks");
+        static obs::Counter &reused =
+            obs::metrics().counter("sunstone.tiling.walks_reused");
+        walks.add(walks_);
+        reused.add(reused_);
+    }
+
+    /**
+     * The walk for (grow, rem): an earlier ordering's when it asked for
+     * the same one, else a fresh walk, kept for later orderings when
+     * `retain`. The reference is valid until the next call.
+     */
+    const Walk &
+    get(DimSet grow, const std::vector<std::int64_t> &rem, bool retain)
+    {
+        ++walks_;
+        Walks *kept = find(grow);
+        if (kept) {
+            const auto it = kept->find(rem);
+            if (it != kept->end()) {
+                ++reused_;
+                return it->second;
+            }
+        }
+        SUNSTONE_TRACE_SPAN("sunstone.tiling");
+        if (retain && !kept)
+            kept = &buckets_.emplace_back(grow, Walks{}).second;
+        Walk &w = retain ? (*kept)[rem] : scratch_;
+        // One flat allocation per kept walk rather than one per tile.
+        const TilingTreeResult r =
+            growTiles(ba_, level_, baseShape_, rem, grow);
+        w.tiles.clear();
+        for (const auto &tile : r.maximal)
+            w.tiles.insert(w.tiles.end(), tile.begin(), tile.end());
+        w.nodesVisited = r.nodesVisited;
+        return w;
+    }
+
+    /** Forgets grow's walks; called after its last ordering. */
+    void
+    drop(DimSet grow)
+    {
+        for (auto it = buckets_.begin(); it != buckets_.end(); ++it) {
+            if (it->first == grow) {
+                buckets_.erase(it);
+                return;
+            }
+        }
+    }
+
+  private:
+    struct RemHash
+    {
+        std::size_t
+        operator()(const std::vector<std::int64_t> &v) const
+        {
+            return hashFactors(v);
+        }
+    };
+    using Walks =
+        std::unordered_map<std::vector<std::int64_t>, Walk, RemHash>;
+
+    Walks *
+    find(DimSet grow)
+    {
+        for (auto &[g, walks] : buckets_)
+            if (g == grow)
+                return &walks;
+        return nullptr;
+    }
+
+    const BoundArch &ba_;
+    const int level_;
+    const std::vector<std::int64_t> &baseShape_;
+    /** Kept walks per grow set (a handful per expansion). */
+    std::vector<std::pair<DimSet, Walks>> buckets_;
+    /** A walk no later ordering asks for again. */
+    Walk scratch_;
+    std::int64_t walks_ = 0;
+    std::int64_t reused_ = 0;
+};
 
 /**
  * One base's expansion at one step. Each candidate is built in `work` in
@@ -777,6 +895,18 @@ class Driver
                        : opts.utilizationThreshold;
         };
 
+        // Each ordering's grow set, and whether a later ordering shares
+        // it (its walks are then kept for that ordering).
+        WalkMemo walks(ba, k, base_shape);
+        std::vector<DimSet> grows;
+        std::vector<bool> shared_later(orderings.size(), false);
+        for (std::uint32_t o = 0; o < orderings.size(); ++o) {
+            grows.push_back(growFor(orderings[o]));
+            for (std::uint32_t p = 0; p < o; ++p)
+                if (grows[p] == grows[o])
+                    shared_later[p] = true;
+        }
+
         using IO = SunstoneOptions::IntraOrder;
         if (opts.intraOrder == IO::UnrollTileOrder) {
             // The paper's default: per ordering, spatial unrolling first
@@ -800,18 +930,20 @@ class Driver
                               });
                     unrolls.resize(24);
                 }
+                std::vector<std::int64_t> rem(nDims);
                 for (const auto &u : unrolls) {
-                    std::vector<std::int64_t> rem = base_rem;
                     for (DimId d = 0; d < nDims; ++d)
-                        rem[d] /= u[d];
-                    const auto tiles =
-                        tracedTiles(k, base_shape, rem, growFor(ord));
-                    examined.fetch_add(tiles.nodesVisited,
+                        rem[d] = base_rem[d] / u[d];
+                    const Walk &w =
+                        walks.get(grows[o], rem, shared_later[o]);
+                    examined.fetch_add(w.nodesVisited,
                                        std::memory_order_relaxed);
-                    for (const auto &tile : tiles.maximal)
-                        emitCandidate(ex, k, first_ordering + o, tile, u,
-                                      ph);
+                    for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
+                        emitCandidate(ex, k, first_ordering + o,
+                                      w.tiles.data() + t, u.data(), ph);
                 }
+                if (!shared_later[o])
+                    walks.drop(grows[o]);
             }
             return;
         }
@@ -820,15 +952,16 @@ class Driver
             // Per ordering, temporal tile first, then unrolling from the
             // leftover quotient.
             for (std::uint32_t o = 0; o < orderings.size(); ++o) {
-                const OrderingCandidate &ord = orderings[o];
-                const auto tiles =
-                    tracedTiles(k, base_shape, base_rem, growFor(ord));
-                examined.fetch_add(tiles.nodesVisited,
+                const Walk &w =
+                    walks.get(grows[o], base_rem, shared_later[o]);
+                examined.fetch_add(w.nodesVisited,
                                    std::memory_order_relaxed);
-                for (const auto &tile : tiles.maximal)
-                    emitTileUnrolls(ex, k, first_ordering + o, tile,
-                                    fanout_above, allowedUnrollDimsFor(ord),
-                                    ph);
+                for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
+                    emitTileUnrolls(ex, k, first_ordering + o,
+                                    w.tiles.data() + t, fanout_above,
+                                    allowedUnrollDimsFor(orderings[o]), ph);
+                if (!shared_later[o])
+                    walks.drop(grows[o]);
             }
             return;
         }
@@ -842,17 +975,18 @@ class Driver
             allow_union =
                 allow_union.unionWith(allowedUnrollDimsFor(ord));
         }
-        const auto tiles = tracedTiles(k, base_shape, base_rem, grow_union);
-        examined.fetch_add(tiles.nodesVisited, std::memory_order_relaxed);
-        for (const auto &tile : tiles.maximal)
+        const Walk &w = walks.get(grow_union, base_rem, /*retain=*/false);
+        examined.fetch_add(w.nodesVisited, std::memory_order_relaxed);
+        for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
             for (std::uint32_t o = 0; o < orderings.size(); ++o)
-                emitTileUnrolls(ex, k, first_ordering + o, tile,
+                emitTileUnrolls(ex, k, first_ordering + o, w.tiles.data() + t,
                                 fanout_above, allow_union, ph);
     }
 
     // Span-wrapped enumerators: every (order, tile, unroll) decision in
-    // either inter-level order routes through these, so each per-level
-    // phase shows up as its own named span in the trace.
+    // either inter-level order routes through these (tiles through
+    // WalkMemo::get and firstFitTiles), so each per-level phase shows up
+    // as its own named span in the trace.
 
     std::vector<OrderingCandidate>
     tracedOrderings(DimSet active) const
@@ -882,26 +1016,17 @@ class Driver
         return std::move(ur.candidates);
     }
 
-    TilingTreeResult
-    tracedTiles(int k, const std::vector<std::int64_t> &shape,
-                const std::vector<std::int64_t> &rem, DimSet grow) const
-    {
-        SUNSTONE_TRACE_SPAN("sunstone.tiling");
-        return growTiles(ba, k, shape, rem, grow);
-    }
-
     void
     emitTileUnrolls(Expansion &ex, int k, std::uint32_t ordering,
-                    const std::vector<std::int64_t> &tile,
-                    std::int64_t fanout_above, DimSet allowed,
-                    const EvalEngine::PrefixHandle &ph)
+                    const std::int64_t *tile, std::int64_t fanout_above,
+                    DimSet allowed, const EvalEngine::PrefixHandle &ph)
     {
         std::vector<std::int64_t> rem = ex.base.remaining;
         for (DimId d = 0; d < nDims; ++d)
             rem[d] /= tile[d];
         for (const auto &u : countedUnrolls(allowed, rem, fanout_above,
                                             opts.utilizationThreshold))
-            emitCandidate(ex, k, ordering, tile, u, ph);
+            emitCandidate(ex, k, ordering, tile, u.data(), ph);
     }
 
     /** Capacity check of m's level-l tile (`shape` is scratch). */
@@ -918,17 +1043,15 @@ class Driver
      *  unroll) triple in ex.work, then resets the levels it touched. */
     void
     emitCandidate(Expansion &ex, int k, std::uint32_t ordering,
-                  const std::vector<std::int64_t> &tile,
-                  const std::vector<std::int64_t> &unroll,
+                  const std::int64_t *tile, const std::int64_t *unroll,
                   const EvalEngine::PrefixHandle &ph)
     {
-        apply(ex.work, k, /*bottom_up=*/true, tile.data(), unroll.data(),
+        apply(ex.work, k, /*bottom_up=*/true, tile, unroll,
               ex.col.orderings[ordering]);
         // The spatially enlarged tile must fit the level above even
         // before its own temporal loops are chosen.
         if (tileFits(ex.work.m, k + 1, ex.shape))
-            emit(ex, ordering, tile.data(), unroll.data(),
-                 /*bottom_up=*/true, ph);
+            emit(ex, ordering, tile, unroll, /*bottom_up=*/true, ph);
         ex.reset(k, k + 1);
     }
 

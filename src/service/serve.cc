@@ -7,6 +7,7 @@
 #include <cstdio>
 #include <fstream>
 #include <string>
+#include <string_view>
 
 #include "common/json.hh"
 #include "service/signals.hh"
@@ -15,6 +16,28 @@ namespace sunstone {
 namespace service {
 
 namespace {
+
+/** Longest request line served. A longer one is answered ok:false once
+ *  and its bytes up to the next newline are dropped unread, so a line
+ *  that never ends cannot grow the input buffer without limit. */
+constexpr std::size_t kMaxLineBytes = std::size_t(1) << 20;
+
+void
+writeResponse(const MappingResponse &resp)
+{
+    std::printf("%s\n", resp.toJson().c_str());
+    std::fflush(stdout);
+}
+
+/** Answers an over-long line. */
+void
+rejectLongLine()
+{
+    MappingResponse resp;
+    resp.error = "bad request: line longer than " +
+                 std::to_string(kMaxLineBytes) + " bytes";
+    writeResponse(resp);
+}
 
 /** One request line in, one response line out. */
 void
@@ -30,13 +53,10 @@ serveLine(SchedulerSession &session, const std::string &line)
         if (const JsonValue *id = v.isObject() ? v.find("id") : nullptr)
             resp.id = id->asString();
         resp.error = "bad request: " + err;
-        std::printf("%s\n", resp.toJson().c_str());
-        std::fflush(stdout);
+        writeResponse(resp);
         return;
     }
-    const MappingResponse resp = session.execute(req);
-    std::printf("%s\n", resp.toJson().c_str());
-    std::fflush(stdout);
+    writeResponse(session.execute(req));
 }
 
 } // anonymous namespace
@@ -57,6 +77,8 @@ runServe(ServeOptions opts)
                  session.threads(), opts.session.queueCapacity);
 
     std::string buffer;
+    // Set while the rest of an over-long line is being dropped.
+    bool skipping = false;
     bool eof = false;
     while (!eof && SignalBridge::instance().signalCount() == 0) {
         struct pollfd pfd = {opts.inputFd, POLLIN, 0};
@@ -79,15 +101,23 @@ runServe(ServeOptions opts)
             std::fprintf(stderr, "sunstone serve: read failed\n");
             break;
         }
-        if (n == 0) {
+        std::string_view in(chunk, n > 0 ? static_cast<std::size_t>(n) : 0);
+        if (n == 0)
             eof = true;
-        } else {
-            buffer.append(chunk, static_cast<std::size_t>(n));
+        if (skipping) {
+            const std::size_t nl = in.find('\n');
+            skipping = nl == std::string_view::npos;
+            in.remove_prefix(skipping ? in.size() : nl + 1);
         }
+        buffer.append(in);
         std::size_t start = 0;
         for (std::size_t nl; (nl = buffer.find('\n', start)) !=
                              std::string::npos;
              start = nl + 1) {
+            if (nl - start > kMaxLineBytes) {
+                rejectLongLine();
+                continue;
+            }
             const std::string line = buffer.substr(start, nl - start);
             if (line.find_first_not_of(" \t\r") == std::string::npos)
                 continue;
@@ -96,6 +126,11 @@ runServe(ServeOptions opts)
                 break;
         }
         buffer.erase(0, start);
+        if (buffer.size() > kMaxLineBytes) {
+            rejectLongLine();
+            buffer.clear();
+            skipping = true;
+        }
     }
     // EOF with a trailing unterminated line: still a request.
     if (eof && SignalBridge::instance().signalCount() == 0 &&

@@ -17,7 +17,9 @@
  *
  * Malformed input lines produce an ok=false error response and the
  * server keeps going; SUNSTONE_FATAL raised by a bad request is
- * captured per request (ScopedFatalCapture) instead of exiting.
+ * captured per request (ScopedFatalCapture) instead of exiting. A line
+ * longer than 1 MiB gets one ok=false response and is dropped up to
+ * its newline, so input memory stays bounded.
  */
 
 #ifndef SUNSTONE_SERVICE_SERVE_HH

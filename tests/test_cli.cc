@@ -9,7 +9,9 @@
 #include <cstdio>
 #include <fstream>
 #include <iterator>
+#include <sstream>
 #include <string>
+#include <vector>
 
 #include "common/json.hh"
 
@@ -343,6 +345,36 @@ TEST(Cli, ServeAnswersNdjsonRequestsAndDedups)
                     std::istreambuf_iterator<char>());
     EXPECT_NE(doc.find("\"executed\": 3"), std::string::npos) << doc;
     EXPECT_NE(doc.find("\"deduped\": 1"), std::string::npos) << doc;
+}
+
+TEST(Cli, ServeRejectsOverlongLineAndKeepsServing)
+{
+    const std::string dir = ::testing::TempDir();
+    const std::string reqs = dir + "/serve_long.ndjson";
+    {
+        // A 4 MiB line (4x the cap) that only ends after all of it has
+        // arrived, then a valid request.
+        std::ofstream f(reqs);
+        f << std::string(std::size_t(4) << 20, 'x') << "\n";
+        f << "{\"id\": \"after\", \"kind\": \"map\", \"workload\": "
+             "{\"conv\": \"n=1,k=4,c=4,p=4,q=4,r=1,s=1\"}, "
+             "\"stop\": {\"seed\": 1, \"max_evals\": 200}}\n";
+    }
+    auto r = runCli("serve < " + reqs);
+    EXPECT_EQ(r.exitCode, 0) << r.output;
+    // Response lines only: runCli also captures the stderr banner.
+    std::vector<std::string> lines;
+    std::istringstream is(r.output);
+    for (std::string line; std::getline(is, line);)
+        if (!line.empty() && line[0] == '{')
+            lines.push_back(line);
+    ASSERT_EQ(lines.size(), 2u) << r.output.substr(0, 2000);
+    EXPECT_NE(lines[0].find("\"ok\": false"), std::string::npos) << lines[0];
+    EXPECT_NE(lines[0].find("line longer than"), std::string::npos)
+        << lines[0];
+    EXPECT_NE(lines[1].find("\"id\": \"after\""), std::string::npos)
+        << lines[1];
+    EXPECT_NE(lines[1].find("\"ok\": true"), std::string::npos) << lines[1];
 }
 
 TEST(Cli, ServeShutsDownCleanlyOnSigterm)

@@ -16,6 +16,7 @@
 #include "mappers/exhaustive_mapper.hh"
 #include "mapping/serialize.hh"
 #include "model/eval_engine.hh"
+#include "obs/metrics.hh"
 #include "search/checkpoint.hh"
 #include "search/search_context.hh"
 #include "workload/zoo.hh"
@@ -260,7 +261,9 @@ fnv1a(const std::string &s)
 /** A search outcome recorded before candidate emission reused one
  *  working partial per expansion; the beam digest and the engine's
  *  prune and evaluation counts were recorded before kept candidates
- *  became compact records materialized only when they survive. */
+ *  became compact records materialized only when they survive. The
+ *  conventional-machine outcomes were recorded before an expansion
+ *  reused tiling walks across its orderings. */
 struct PinnedOutcome
 {
     const char *problem;
@@ -275,6 +278,22 @@ struct PinnedOutcome
     std::int64_t prunes;
     std::int64_t evaluations;
 };
+
+/** A ResNet-style 3x3 conv on the conventional machine, whose tiling
+ *  walks are large (hundreds of nodes) and often repeated across the
+ *  orderings of one expansion. */
+BoundArch
+conventionalConv()
+{
+    ConvShape sh;
+    sh.k = 64;
+    sh.c = 64;
+    sh.p = 28;
+    sh.q = 28;
+    sh.r = 3;
+    sh.s = 3;
+    return BoundArch(makeConventional(), makeConv2D(sh));
+}
 
 const PinnedOutcome kPinned[] = {
     {"simba", LO::BottomUp, IO::OrderTileUnroll, 0x1.be093c743c028p-36, 47615,
@@ -409,6 +428,48 @@ level L2 temporal k=32 spatial i=16,l=2,j=8 order i,j,l,k
 level DRAM temporal - spatial - order i,k,l,j
 )",
      0xa10912f9206b6420, 99, 1378},
+    {"conventional", LO::BottomUp, IO::OrderTileUnroll, 0x1.1507bd845b9d5p-28, 883294,
+     R"(mapping
+level L1 temporal c=2,p=7,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal c=32 spatial k=64,p=4,q=4 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)",
+     0x203056c6463eca2, 66972, 76257},
+    {"conventional", LO::BottomUp, IO::TileUnrollOrder, 0x1.1507bd845b9d5p-28, 125130,
+     R"(mapping
+level L1 temporal c=2,p=7,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal - spatial k=64,p=4,q=4 order n,k,c,p,q,r,s
+level DRAM temporal c=32 spatial - order n,k,c,p,q,r,s
+)",
+     0xd8d91604f5d63115, 7850, 9315},
+    {"conventional", LO::BottomUp, IO::UnrollTileOrder, 0x1.1507bd845b9d5p-28, 28468,
+     R"(mapping
+level L1 temporal p=7,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal c=64 spatial k=64,p=4,q=4 order n,k,p,q,s,c,r
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)",
+     0x9eceeeb332848c9a, 775, 1628},
+    {"conventional", LO::TopDown, IO::OrderTileUnroll, 0x1.3c4b6b58ec7b6p-28, 70592,
+     R"(mapping
+level L1 temporal k=8,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal c=64 spatial k=8,p=28,q=4 order n,k,p,q,r,s,c
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)",
+     0xe9f92d2ea34eb6d2, 3546, 4545},
+    {"conventional", LO::TopDown, IO::TileUnrollOrder, 0x1.3c4b6b58ec7b6p-28, 70592,
+     R"(mapping
+level L1 temporal k=8,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal c=64 spatial k=8,p=28,q=4 order n,k,p,q,r,s,c
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)",
+     0xe9f92d2ea34eb6d2, 3546, 4545},
+    {"conventional", LO::TopDown, IO::UnrollTileOrder, 0x1.3c4b6b58ec7b6p-28, 70592,
+     R"(mapping
+level L1 temporal k=8,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal c=64 spatial k=8,p=28,q=4 order n,k,p,q,r,s,c
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)",
+     0xe9f92d2ea34eb6d2, 3546, 4545},
 };
 
 /**
@@ -421,7 +482,10 @@ level DRAM temporal - spatial - order i,k,l,j
  * the last beam checkpoint, and a changed keep rule moves the prune and
  * evaluation counts. Covers every level order x intra-level order on a
  * partitioned hierarchy with vector lanes below level 0 (Simba), a
- * unified one (Eyeriss), and a non-conv einsum, at 1 and 4 threads.
+ * unified one (Eyeriss), a non-conv einsum, and a conv on the
+ * conventional machine, where a walk served from the expansion's memo
+ * must add the same examined nodes as the walk itself, at 1 and 4
+ * threads.
  */
 TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
 {
@@ -446,6 +510,7 @@ TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
         {"eyeriss", BoundArch(makeEyerissLike(), makeConv2D(eyeriss_sh))},
         {"mttkrp",
          BoundArch(makeConventional(), makeMTTKRP(64, 32, 32, 8))},
+        {"conventional", conventionalConv()},
     };
     for (const PinnedOutcome &pin : kPinned) {
         const BoundArch &ba = problems.at(pin.problem);
@@ -482,6 +547,41 @@ TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
             EXPECT_EQ(engine.stats().evaluations, pin.evaluations);
         }
     }
+}
+
+/**
+ * Orderings of one expansion that fully reuse the same tensors share a
+ * grow set and so ask for the same tiling walks; the memo answers the
+ * repeats. Both counts are a pure function of the search, so they agree
+ * at any thread count.
+ */
+TEST(Sunstone, TilingWalkReuseCountsAreThreadInvariant)
+{
+    const BoundArch ba = conventionalConv();
+    obs::Counter &walks = obs::metrics().counter("sunstone.tiling.walks");
+    obs::Counter &reused =
+        obs::metrics().counter("sunstone.tiling.walks_reused");
+    std::int64_t counts[2][2];
+    double edp[2];
+    for (int i = 0; i < 2; ++i) {
+        const unsigned threads = i == 0 ? 1u : 4u;
+        SunstoneOptions opts;
+        opts.threads = threads;
+        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        SearchContext sc(&engine);
+        const std::int64_t w0 = walks.value();
+        const std::int64_t r0 = reused.value();
+        SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+        ASSERT_TRUE(r.found);
+        counts[i][0] = walks.value() - w0;
+        counts[i][1] = reused.value() - r0;
+        edp[i] = r.cost.edp;
+    }
+    EXPECT_GT(counts[0][1], 0);
+    EXPECT_LT(counts[0][1], counts[0][0]);
+    EXPECT_EQ(counts[0][0], counts[1][0]);
+    EXPECT_EQ(counts[0][1], counts[1][1]);
+    EXPECT_EQ(edp[0], edp[1]);
 }
 
 TEST(Sunstone, UtilizationThresholdRaisesParallelism)
