@@ -613,7 +613,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
-        child.setSurrogate(sc.surrogate());
         if (useWarmstart)
             child.setWarmStarts(wstore.query(ba));
         return sunstoneOptimize(child, ba, so);

@@ -136,56 +136,6 @@ polishMapping(const BoundArch &ba, const Mapping &m, bool optimize_edp,
         // the touched levels are recomputed.
         const Mapping base = best;
         std::vector<Neighbour> ns = neighbours(ba, base);
-
-        // Surrogate hook (serial, like the whole hill-climb): rank the
-        // round's neighbours cheapest-first by predicted metric and,
-        // once the confidence gate is open, skip the predicted-worst
-        // tail entirely. Realized objectives stream back into the
-        // model, and each round contributes a rank-correlation sample
-        // to the gate.
-        SurrogateModel *sm = driver ? driver->surrogate() : nullptr;
-        std::vector<double> feat, preds;
-        if (sm && sm->ranking() && ns.size() > 1) {
-            sm->refit();
-            preds.reserve(ns.size());
-            for (const Neighbour &n : ns) {
-                sm->featurize(n.m, feat);
-                preds.push_back(sm->predict(feat));
-            }
-            std::vector<std::size_t> order(ns.size());
-            for (std::size_t i = 0; i < order.size(); ++i)
-                order[i] = i;
-            std::stable_sort(order.begin(), order.end(),
-                             [&preds](std::size_t a, std::size_t b) {
-                                 return preds[a] < preds[b];
-                             });
-            std::size_t keep = ns.size();
-            if (sm->gateOpen()) {
-                const double pf = std::clamp(
-                    sm->options().pruneFraction, 0.0, 0.95);
-                keep = std::max<std::size_t>(
-                    1, ns.size() -
-                           static_cast<std::size_t>(
-                               pf * static_cast<double>(ns.size())));
-                driver->noteSurrogatePruned(
-                    static_cast<std::int64_t>(ns.size() - keep));
-            }
-            std::vector<Neighbour> ranked;
-            ranked.reserve(keep);
-            std::vector<double> rankedPreds;
-            rankedPreds.reserve(keep);
-            for (std::size_t j = 0; j < keep; ++j) {
-                ranked.push_back(std::move(ns[order[j]]));
-                rankedPreds.push_back(preds[order[j]]);
-            }
-            ns = std::move(ranked);
-            preds = std::move(rankedPreds);
-        } else {
-            preds.clear();
-        }
-
-        std::vector<double> realized;
-        realized.reserve(ns.size());
         for (auto &n : ns) {
             if (driver && driver->shouldStop())
                 break;
@@ -193,20 +143,11 @@ polishMapping(const BoundArch &ba, const Mapping &m, bool optimize_edp,
                 eng.prefix(ctx, base, n.prefixLevels);
             const double obj =
                 objective(eng, ctx, ph, n.m, optimize_edp, stats, driver);
-            if (sm) {
-                sm->featurize(n.m, feat);
-                sm->observe(feat, obj);
-                realized.push_back(obj);
-            }
             if (obj < best_obj) {
                 best_obj = obj;
                 best = std::move(n.m);
                 improved = true;
             }
-        }
-        if (sm && !preds.empty()) {
-            preds.resize(realized.size());
-            sm->updateGate(preds, realized);
         }
         if (!improved)
             break;

@@ -95,13 +95,6 @@ class SingleShotStream : public CandidateStream
 
     ResumeMode resumeMode() const override { return ResumeMode::Replay; }
 
-    /** One constructed candidate; it must always be evaluated. */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankOnly;
-    }
-
   private:
     Mapping m_;
     bool emitted_ = false;

@@ -267,10 +267,7 @@ DMazeMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     DriverOutcome o;
     {
-        // A plain enumeration: every candidate is interchangeable, so
-        // the surrogate may prune ranked batch tails freely.
-        GeneratorStream stream(producer, 2048,
-                               SurrogatePolicy::RankAndPrune);
+        GeneratorStream stream(producer);
         o = drv.run(stream);
     } // joins the producer before the utilization flags are read
 

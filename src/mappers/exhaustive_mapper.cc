@@ -141,14 +141,9 @@ ExhaustiveMapper::optimize(SearchContext &sc, const BoundArch &ba)
 
     SearchDriver drv(sc, eng, ba, "exhaustive", opts.optimizeEdp);
     ExhaustiveProducer producer(ba);
-    // Exhaustive sweeps stay exhaustive only with the surrogate off;
-    // with it on, pruning trades completeness for time-to-quality,
-    // which is exactly what the flag requests.
-    GeneratorStream stream(
-        [&producer](const GeneratorStream::Sink &sink) {
-            producer.run(sink);
-        },
-        2048, SurrogatePolicy::RankAndPrune);
+    GeneratorStream stream([&producer](const GeneratorStream::Sink &sink) {
+        producer.run(sink);
+    });
     DriverOutcome o = drv.run(stream);
     return toMapperResult(o, o.found ? "" : "no valid mapping exists");
 }

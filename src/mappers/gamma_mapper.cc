@@ -71,16 +71,9 @@ class GammaStream : public CandidateStream
 
     /**
      * The GA scores whole generations: every generated individual's
-     * fitness must come back (in generation order) before the
-     * population can promote. Batches may be reordered best-first but
-     * never truncated.
+     * fitness comes back in generation order before the population can
+     * promote.
      */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankOnly;
-    }
-
     void
     onResult(std::size_t, const Mapping &, const CostResult &cr) override
     {

@@ -211,9 +211,7 @@ InterstellarMapper::optimize(SearchContext &sc, const BoundArch &ba)
         }
     };
 
-    // Preset-dataflow enumeration; batch tails may be pruned.
-    GeneratorStream stream(producer, 2048,
-                           SurrogatePolicy::RankAndPrune);
+    GeneratorStream stream(producer);
     DriverOutcome o = drv.run(stream);
     return toMapperResult(
         o, o.found ? "" : "no valid mapping with the preset unrolling");

@@ -49,13 +49,6 @@ class TimeloopStream : public CandidateStream
 
     ResumeMode resumeMode() const override { return ResumeMode::State; }
 
-    /** Uniform random samples are interchangeable; prune freely. */
-    SurrogatePolicy
-    surrogatePolicy() const override
-    {
-        return SurrogatePolicy::RankAndPrune;
-    }
-
     std::string
     saveState() const override
     {

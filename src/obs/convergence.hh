@@ -65,8 +65,8 @@ class ConvergenceTrajectory
 /**
  * Time-to-quality summary of one trajectory: how much search effort it
  * took to first come within 1% / 5% of the trajectory's final metric.
- * The sample-efficiency scalar behind the paper's convergence figures,
- * and the quantity the surrogate ranker is meant to shrink.
+ * The sample-efficiency scalar behind the paper's convergence figures;
+ * warm starts (DESIGN.md §15) shrink it on repeated shapes.
  */
 struct TimeToQuality
 {

@@ -111,8 +111,6 @@ SearchCheckpoint::toJson() const
        << ", \"best_metric\": " << jsonDouble(bestMetric);
     if (found)
         os << ", \"best_mapping\": " << mappingToJson(bestMapping);
-    if (!surrogateState.empty())
-        os << ", \"surrogate\": " << surrogateState;
     os << ", \"stream\": " << streamState << "}";
     return os.str();
 }
@@ -139,6 +137,15 @@ SearchCheckpoint::fromJson(const std::string &text, SearchCheckpoint &out,
                << " (expected " << kSearchCheckpointVersion << ")";
             *err = os.str();
         }
+        return false;
+    }
+    if (root.find("surrogate")) {
+        // Resuming such a run unranked would silently continue a
+        // different search than the one that was checkpointed.
+        if (err)
+            *err = "checkpoint carries surrogate ranker state; the "
+                   "surrogate ranker was removed, so this run cannot be "
+                   "resumed";
         return false;
     }
     if (const JsonValue *f = root.find("search"))
@@ -175,14 +182,6 @@ SearchCheckpoint::fromJson(const std::string &text, SearchCheckpoint &out,
                 *err = "malformed best_mapping";
             return false;
         }
-    }
-    if (const JsonValue *f = root.find("surrogate")) {
-        if (!f->isObject()) {
-            if (err)
-                *err = "surrogate payload is not an object";
-            return false;
-        }
-        out.surrogateState = f->dump();
     }
     if (const JsonValue *f = root.find("stream")) {
         if (!f->isObject()) {

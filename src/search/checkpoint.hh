@@ -66,11 +66,10 @@ struct SearchCheckpoint
     double seconds = 0;
 
     /**
-     * Stream positions consumed, which exceeds `evaluated` when the
-     * surrogate pruned candidates or warm-start seeds were evaluated
-     * outside the stream. Serialized only when it differs from
-     * `evaluated` (so legacy checkpoints stay byte-identical); -1 on
-     * load means "same as evaluated".
+     * Stream positions consumed, which trails `evaluated` by the
+     * warm-start seeds evaluated outside the stream. Serialized only
+     * when it differs from `evaluated` (so legacy checkpoints stay
+     * byte-identical); -1 on load means "same as evaluated".
      */
     std::int64_t consumed = -1;
 
@@ -78,13 +77,6 @@ struct SearchCheckpoint
     bool found = false;
     double bestMetric = std::numeric_limits<double>::infinity();
     Mapping bestMapping;
-
-    /**
-     * Surrogate model state (SurrogateModel::saveState() text), empty
-     * when the surrogate is off; omitted from the JSON when empty so
-     * surrogate-off checkpoints keep their pre-surrogate byte layout.
-     */
-    std::string surrogateState;
 
     /** Opaque per-stream payload (a JSON object rendered to text). */
     std::string streamState = "{}";

@@ -28,7 +28,6 @@
 #include "search/checkpoint.hh"
 #include "search/rng.hh"
 #include "search/stop_policy.hh"
-#include "search/surrogate.hh"
 
 namespace sunstone {
 
@@ -119,11 +118,7 @@ class SearchContext
     /** Consumes the pending resume snapshot (driver-internal). */
     std::optional<SearchCheckpoint> takeResume();
 
-    // -- Surrogate ranking / warm starts -------------------------------
-
-    /** Surrogate ranker configuration (disabled by default). */
-    const SurrogateOptions &surrogate() const { return surrogate_; }
-    void setSurrogate(const SurrogateOptions &o) { surrogate_ = o; }
+    // -- Warm starts ---------------------------------------------------
 
     /**
      * Seed mappings evaluated once at a fresh search start (warm
@@ -163,7 +158,6 @@ class SearchContext
     std::vector<RngStream> streams_;
     std::string checkpointPath_;
     std::optional<SearchCheckpoint> resume_;
-    SurrogateOptions surrogate_;
     std::vector<Mapping> warmStarts_;
     std::optional<std::chrono::steady_clock::time_point> hardDeadline_;
 };

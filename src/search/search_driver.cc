@@ -49,10 +49,9 @@ CandidateStream::skip(std::int64_t n)
 // ---------------------------------------------------------------------
 
 GeneratorStream::GeneratorStream(Producer producer,
-                                 std::size_t queue_capacity,
-                                 SurrogatePolicy policy)
+                                 std::size_t queue_capacity)
     : producer_(std::move(producer)),
-      cap_(std::max<std::size_t>(1, queue_capacity)), policy_(policy)
+      cap_(std::max<std::size_t>(1, queue_capacity))
 {
 }
 
@@ -122,8 +121,6 @@ SearchDriver::SearchDriver(SearchContext &sc, EvalEngine &engine,
     : sc_(sc), engine_(engine), evalCtx_(engine.context(ba)),
       label_(std::move(label)), optimizeEdp_(optimize_edp)
 {
-    if (sc_.surrogate().enabled)
-        surrogate_ = std::make_unique<SurrogateModel>(ba, sc_.surrogate());
     if (sc_.convergence())
         traj_ = &sc_.convergence()->start(label_);
     const StopPolicy &pol = sc_.policy();
@@ -217,10 +214,6 @@ SearchDriver::consumeResumePayload()
     plateauLength_ = ck->plateauLength;
     invalidStreak_ = ck->invalidStreak;
     consumed_ = ck->consumed >= 0 ? ck->consumed : ck->evaluated;
-    if (surrogate_ && !ck->surrogateState.empty() &&
-        !surrogate_->restoreState(ck->surrogateState))
-        SUNSTONE_FATAL("malformed surrogate state in '", label_,
-                       "' checkpoint");
     baseSeconds_ = ck->seconds;
     if (ck->found) {
         found_ = true;
@@ -271,8 +264,6 @@ SearchDriver::writeCheckpoint(const std::string &payload)
     // position is by definition the evaluation count (and the field is
     // then omitted from the JSON, keeping legacy byte layout).
     ck.consumed = streamMode_ ? consumed_ : evaluated();
-    if (surrogate_)
-        ck.surrogateState = surrogate_->saveState();
     ck.seconds = seconds();
     ck.found = found_;
     ck.bestMetric = bestMetric_;
@@ -304,8 +295,8 @@ SearchDriver::run(CandidateStream &stream)
                                "' checkpoint stream payload");
             break;
         case CandidateStream::ResumeMode::Replay:
-            // consumed_, not evaluated(): pruned candidates were
-            // generated too and must be replayed past.
+            // consumed_, not evaluated(): warm-start seeds were
+            // evaluated outside the stream.
             stream.skip(consumed_);
             break;
         case CandidateStream::ResumeMode::RngCursor:
@@ -339,28 +330,15 @@ SearchDriver::run(CandidateStream &stream)
             break; // exhausted
         consumed_ += static_cast<std::int64_t>(batch.size());
 
-        if (surrogate_ && surrogate_->ranking()) {
-            midBatchStop = runRankedBatch(stream, batch, results);
-        } else {
-            engine_.evaluateBatch(evalCtx_, batch, stream.costOptions(),
-                                  stream.cachePolicy(), results);
-            // Serial, in-order consumption: this loop is the only place
-            // stream-mode incumbent/streak state advances, which is what
-            // makes results independent of the evaluation thread count.
-            for (std::size_t i = 0; i < batch.size() && !midBatchStop;
-                 ++i) {
-                noteEvaluated(1);
-                const CostResult &cr = results[i];
-                if (surrogate_) {
-                    // Cold start: keep training pass-through until the
-                    // ranking warmup is met; the search itself is
-                    // byte-identical to surrogate-off in this phase.
-                    surrogate_->featurize(batch[i], featRow_);
-                    surrogate_->observe(featRow_, metricOf(cr));
-                }
-                stream.onResult(i, batch[i], cr);
-                midBatchStop = consume(batch[i], cr);
-            }
+        engine_.evaluateBatch(evalCtx_, batch, stream.costOptions(),
+                              stream.cachePolicy(), results);
+        // Serial, in-order consumption: this loop is the only place
+        // stream-mode incumbent/streak state advances, which is what
+        // makes results independent of the evaluation thread count.
+        for (std::size_t i = 0; i < batch.size() && !midBatchStop; ++i) {
+            noteEvaluated(1);
+            stream.onResult(i, batch[i], results[i]);
+            midBatchStop = consume(batch[i], results[i]);
         }
         if (midBatchStop)
             break;
@@ -406,66 +384,6 @@ SearchDriver::consume(const Mapping &m, const CostResult &cr)
            latchReason(StopReason::Plateau);
 }
 
-bool
-SearchDriver::runRankedBatch(CandidateStream &stream,
-                             const std::vector<Mapping> &batch,
-                             std::vector<CostResult> &results)
-{
-    const std::size_t n = batch.size();
-    surrogate_->rankBatch(batch, rankOrder_, rankPreds_);
-
-    std::size_t keep = n;
-    if (stream.surrogatePolicy() == SurrogatePolicy::RankAndPrune &&
-        surrogate_->gateOpen()) {
-        const double pf = std::clamp(
-            surrogate_->options().pruneFraction, 0.0, 0.95);
-        keep = std::max<std::size_t>(
-            1, n - static_cast<std::size_t>(pf * static_cast<double>(n)));
-    }
-    if (keep < n)
-        noteSurrogatePruned(static_cast<std::int64_t>(n - keep));
-
-    keptBatch_.resize(keep);
-    for (std::size_t j = 0; j < keep; ++j)
-        keptBatch_[j] = batch[rankOrder_[j]];
-    engine_.evaluateBatch(evalCtx_, keptBatch_, stream.costOptions(),
-                          stream.cachePolicy(), results);
-
-    // Rank-correlation gate: this batch's predictions (made with the
-    // pre-batch weights) against realized metrics.
-    gatePreds_.clear();
-    gateMetrics_.clear();
-    for (std::size_t j = 0; j < keep; ++j) {
-        gatePreds_.push_back(rankPreds_[rankOrder_[j]]);
-        gateMetrics_.push_back(metricOf(results[j]));
-    }
-    surrogate_->updateGate(gatePreds_, gateMetrics_);
-
-    // Serial bookkeeping in ranked (consumption) order. Pruned
-    // candidates never reach this loop: only full-model evaluations
-    // advance the plateau and invalid-streak windows.
-    bool midBatchStop = false;
-    std::size_t done = 0;
-    while (done < keep && !midBatchStop) {
-        noteEvaluated(1);
-        surrogate_->featurize(keptBatch_[done], featRow_);
-        surrogate_->observe(featRow_, gateMetrics_[done]);
-        midBatchStop = consume(keptBatch_[done], results[done]);
-        ++done;
-    }
-
-    // The stream observes results in generation order, exactly like
-    // the pass-through path (the GA attributes fitness by arrival
-    // order, so delivery order is part of the stream contract).
-    deliver_.clear();
-    for (std::size_t j = 0; j < done; ++j)
-        deliver_.emplace_back(rankOrder_[j], j);
-    std::sort(deliver_.begin(), deliver_.end());
-    for (const auto &[orig, res] : deliver_)
-        stream.onResult(orig, batch[orig], results[res]);
-    return midBatchStop;
-}
-
 void
 SearchDriver::seedWarmStarts()
 {
@@ -478,10 +396,6 @@ SearchDriver::seedWarmStarts()
             break;
         const CostResult cr = engine_.evaluate(evalCtx_, m);
         noteEvaluated(1);
-        if (surrogate_) {
-            surrogate_->featurize(m, featRow_);
-            surrogate_->observe(featRow_, metricOf(cr));
-        }
         reg.counter("search." + label_ + ".warmstart.seeds").add(1);
         obs::flightRecorder().record(
             "warmstart.seeded",
@@ -511,16 +425,6 @@ SearchDriver::finish(StopReason natural)
             .add(1);
         reg.gauge("search." + label_ + ".rng_shards")
             .set(static_cast<double>(sc_.rngStates().size()));
-        if (surrogate_) {
-            reg.counter("search." + label_ + ".surrogate.pruned")
-                .add(prunedTotal_);
-            reg.counter("search." + label_ + ".surrogate.observed")
-                .add(surrogate_->observed());
-            reg.gauge("search." + label_ + ".surrogate.tau")
-                .set(surrogate_->tau());
-            reg.gauge("search." + label_ + ".surrogate.gate_open")
-                .set(surrogate_->gateOpen() ? 1.0 : 0.0);
-        }
     }
     DriverOutcome o;
     o.found = found_;

@@ -33,7 +33,6 @@
 #include <deque>
 #include <functional>
 #include <limits>
-#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -101,17 +100,6 @@ class CandidateStream
 
     virtual ResumeMode resumeMode() const { return ResumeMode::State; }
 
-    /**
-     * Whether the surrogate ranker may truncate this stream's batches.
-     * Streams that must see a result for every generated candidate
-     * (the GA scores whole generations) return RankOnly.
-     */
-    virtual SurrogatePolicy
-    surrogatePolicy() const
-    {
-        return SurrogatePolicy::RankAndPrune;
-    }
-
     /** Opaque checkpoint payload (a JSON object rendered to text). */
     virtual std::string saveState() const { return "{}"; }
 
@@ -144,21 +132,18 @@ class GeneratorStream : public CandidateStream
     using Sink = std::function<bool(Mapping &&)>;
     using Producer = std::function<void(const Sink &)>;
 
-    explicit GeneratorStream(
-        Producer producer, std::size_t queue_capacity = 2048,
-        SurrogatePolicy policy = SurrogatePolicy::RankAndPrune);
+    explicit GeneratorStream(Producer producer,
+                             std::size_t queue_capacity = 2048);
     ~GeneratorStream() override;
 
     bool nextBatch(std::size_t max, std::vector<Mapping> &out) override;
     ResumeMode resumeMode() const override { return ResumeMode::Replay; }
-    SurrogatePolicy surrogatePolicy() const override { return policy_; }
 
   private:
     void ensureStarted();
 
     Producer producer_;
     const std::size_t cap_;
-    const SurrogatePolicy policy_;
     std::thread worker_;
     std::mutex mtx_;
     std::condition_variable cv_;
@@ -249,15 +234,6 @@ class SearchDriver
     void seedWarmStarts();
 
     /**
-     * The online surrogate ranker, or nullptr when --surrogate is off.
-     * Serial contexts only (the driver loop, refine's hill-climb).
-     */
-    SurrogateModel *surrogate() { return surrogate_.get(); }
-
-    /** Accounts candidates skipped on the surrogate's verdict. */
-    void noteSurrogatePruned(std::int64_t n) { prunedTotal_ += n; }
-
-    /**
      * Finalizes accounting and telemetry; records the final convergence
      * point. `natural` is the reason reported when no StopPolicy bound
      * fired. @return the outcome.
@@ -302,10 +278,6 @@ class SearchDriver
      * result. @return true when a streak bound (plateau, invalid) fired.
      */
     bool consume(const Mapping &m, const CostResult &cr);
-    /** Surrogate-ranked batch path. @return true on a mid-batch stop. */
-    bool runRankedBatch(CandidateStream &stream,
-                        const std::vector<Mapping> &batch,
-                        std::vector<CostResult> &results);
 
     SearchContext &sc_;
     EvalEngine &engine_;
@@ -329,17 +301,11 @@ class SearchDriver
     std::int64_t plateauLength_ = 0;
     std::int64_t invalidStreak_ = 0;
 
-    // Surrogate ranking state (serial). consumed_ counts stream
-    // positions generated — it exceeds evaluated_ once pruning starts,
-    // and Replay resume repositions by it.
-    std::unique_ptr<SurrogateModel> surrogate_;
+    // Stream positions generated (serial). Warm-start seeds are
+    // evaluated outside the stream, so consumed_ trails evaluated_ by
+    // the seed count; Replay resume repositions by consumed_.
     std::int64_t consumed_ = 0;
-    std::int64_t prunedTotal_ = 0;
     bool streamMode_ = false;
-    std::vector<double> featRow_, rankPreds_, gatePreds_, gateMetrics_;
-    std::vector<std::size_t> rankOrder_;
-    std::vector<Mapping> keptBatch_;
-    std::vector<std::pair<std::size_t, std::size_t>> deliver_;
 
     obs::ConvergenceTrajectory *traj_ = nullptr;
     obs::SearchStatus *status_ = nullptr; // board entry; never null

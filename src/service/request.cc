@@ -165,12 +165,6 @@ MappingRequest::toJson() const
         appendStringField(out, "resume", resumePath, f);
     }
 
-    if (surrogate) {
-        out += ", \"surrogate\": {\"enabled\": true";
-        if (surrogatePrune)
-            out += ", \"prune\": " + jsonDouble(*surrogatePrune);
-        out += "}";
-    }
     if (warmStart) {
         bool f = false;
         appendBoolField(out, "warm_start", warmStart, f);
@@ -322,24 +316,6 @@ MappingRequest::fromJson(const JsonValue &v, MappingRequest &out,
             out.checkpointPath = field.asString();
         } else if (name == "resume") {
             out.resumePath = field.asString();
-        } else if (name == "surrogate") {
-            if (!field.isObject())
-                return fail(err, "surrogate must be an object");
-            for (const auto &[sn, sv] : field.fields) {
-                if (sn == "enabled") {
-                    out.surrogate = sv.asBool();
-                } else if (sn == "prune") {
-                    const double f = sv.asDouble(-1);
-                    if (f < 0 || f > 0.95)
-                        return fail(err,
-                                    "surrogate.prune must be in "
-                                    "[0, 0.95]");
-                    out.surrogatePrune = f;
-                } else {
-                    return fail(err,
-                                "unknown surrogate field '" + sn + "'");
-                }
-            }
         } else if (name == "warm_start") {
             out.warmStart = field.asBool();
         } else if (name == "net") {

@@ -6,7 +6,7 @@
  * commands used to parse ad hoc: the workload (einsum + dims, a conv
  * preset string, or a workload file), the architecture, the mapper
  * choice, the stop policy (deadline / max-evals / plateau / seed), the
- * fusion mode, and the surrogate/warm-start options. One struct serves
+ * fusion mode, and the warm-start option. One struct serves
  * three callers: the CLI (fills it from argv), `sunstone serve` (parses
  * it from a newline-delimited JSON line), and embedders (construct it
  * directly). Field values are deliberately the same strings the CLI
@@ -96,9 +96,6 @@ struct MappingRequest
 
     std::string checkpointPath; ///< --checkpoint path (CLI)
     std::string resumePath;     ///< --resume path (CLI)
-
-    bool surrogate = false;
-    std::optional<double> surrogatePrune;
 
     /**
      * Seed this search from the session's warm-start store (and record

@@ -264,12 +264,6 @@ SchedulerSession::makeContext(const MappingRequest &req,
     if (seed)
         sc.setSeed(*seed);
 
-    SurrogateOptions so;
-    so.enabled = req.surrogate;
-    if (req.surrogatePrune)
-        so.pruneFraction = *req.surrogatePrune;
-    sc.setSurrogate(so);
-
     if (!req.checkpointPath.empty())
         sc.setCheckpointPath(req.checkpointPath);
     if (!req.resumePath.empty()) {

@@ -24,13 +24,16 @@ struct CliResult
     std::string output;
 };
 
-/** Runs the CLI with the given arguments, capturing stdout+stderr. */
+/**
+ * Runs the CLI with the given arguments, capturing stdout+stderr, or
+ * only stderr when `stderr_only` is set.
+ */
 CliResult
-runCli(const std::string &args)
+runCli(const std::string &args, bool stderr_only = false)
 {
     const std::string cmd =
         std::string(SUNSTONE_BIN_DIR) + "/tools/sunstone " + args +
-        " 2>&1";
+        (stderr_only ? " 2>&1 >/dev/null" : " 2>&1");
     CliResult res;
     FILE *pipe = popen(cmd.c_str(), "r");
     if (!pipe)
@@ -148,6 +151,51 @@ TEST(Cli, NumericFlagMatrixRejectsJunkCleanly)
                          "--budget");
         expectUsageError(net + "--deadline-ms " + v, "--deadline-ms");
     }
+}
+
+/** Expects `args` to fail before any work, naming `flag` on stderr. */
+void
+expectUnknownFlag(const std::string &args, const std::string &flag)
+{
+    auto r = runCli(args, /*stderr_only=*/true);
+    EXPECT_NE(r.exitCode, 0) << args << "\n" << r.output;
+    EXPECT_NE(r.output.find("unknown option " + flag), std::string::npos)
+        << args << "\n" << r.output;
+}
+
+TEST(Cli, RejectsMisspelledFlag)
+{
+    // A misspelled bound must fail, not run the search unbounded.
+    expectUnknownFlag("map --net tcl --fuse off --max-eval 5",
+                      "--max-eval");
+    expectUnknownFlag("map --conv n=1,k=4,c=4,p=4,q=4,r=1,s=1 "
+                      "--max-eval 5",
+                      "--max-eval");
+}
+
+TEST(Cli, RejectsRetiredSurrogateFlag)
+{
+    // The surrogate ranker's flags went with it; a script that still
+    // passes them must fail instead of silently running unranked.
+    const std::string flag = "--" + std::string("surrogate");
+    expectUnknownFlag("map --net tcl --fuse off " + flag + " on", flag);
+    expectUnknownFlag("map --conv n=1,k=4,c=4,p=4,q=4,r=1,s=1 " + flag +
+                          "-prune 0.5",
+                      flag + "-prune");
+}
+
+TEST(Cli, FlagsAreCheckedPerSubcommand)
+{
+    // A flag another subcommand reads is still unknown here.
+    expectUnknownFlag("check --trials 1 --max-evals 5", "--max-evals");
+    expectUnknownFlag("arch --arch eyeriss --conv n=1", "--conv");
+    expectUnknownFlag("bench --only eval_random --search-out x.json",
+                      "--search-out");
+    // A mode-conditional flag counts as known: --budget is read only
+    // for timeloop, and other mappers ignore it.
+    auto r = runCli("map --conv n=1,k=4,c=4,p=4,q=4,r=1,s=1 "
+                    "--budget 1");
+    EXPECT_EQ(r.exitCode, 0) << r.output;
 }
 
 TEST(Cli, MapNetSchedulesWholeNetworkWithStatsJson)

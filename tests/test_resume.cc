@@ -8,6 +8,8 @@
  *    to the same search run uninterrupted — per mapper.
  *  - Hostile beam checkpoints: a tampered Sunstone beam payload is a
  *    clean fatal, never an out-of-bounds access.
+ *  - Retired state: a checkpoint carrying surrogate-ranker state is a
+ *    load error naming the removal, not a silently different resume.
  *  - Network checkpoints: a cancelled network schedule resumes to the
  *    uninterrupted result in both fusion modes, and a tampered restored
  *    mapping is a clean fatal.
@@ -324,6 +326,30 @@ TEST_F(ResumeFixture, SunstoneRejectsTamperedBeamCheckpoints)
                                      setStep(n_levels)},
                                     {"top-down negative step", setStep(-1)},
                                 });
+}
+
+TEST(CheckpointFormat, RejectsSurrogateStateFromRemovedRanker)
+{
+    // A run checkpointed with the surrogate ranker on carried its model
+    // state under "surrogate". Resuming it without the ranker would
+    // continue a different (unranked) search, so loading must fail and
+    // say why rather than drop the key.
+    SearchCheckpoint ck;
+    ck.search = "timeloop";
+    std::string text = ck.toJson();
+    const std::string tail = ", \"stream\": ";
+    const std::size_t at = text.rfind(tail);
+    ASSERT_NE(at, std::string::npos) << text;
+    text.insert(at, ", \"surrogate\": {\"n\": 64, \"gate_open\": true}");
+
+    SearchCheckpoint out;
+    std::string err;
+    EXPECT_FALSE(SearchCheckpoint::fromJson(text, out, &err)) << text;
+    EXPECT_NE(err.find("surrogate ranker was removed"), std::string::npos)
+        << err;
+
+    // The same checkpoint without the key still loads.
+    EXPECT_TRUE(SearchCheckpoint::fromJson(ck.toJson(), out, &err)) << err;
 }
 
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)

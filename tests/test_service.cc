@@ -57,8 +57,6 @@ TEST(ServiceRequest, JsonRoundTrip)
     req.maxEvals = 1000;
     req.plateau = 64;
     req.seed = 42;
-    req.surrogate = true;
-    req.surrogatePrune = 0.25;
     req.warmStart = true;
 
     JsonValue v;
@@ -73,8 +71,6 @@ TEST(ServiceRequest, JsonRoundTrip)
     EXPECT_EQ(back.beamWidth, 4);
     ASSERT_TRUE(back.seed);
     EXPECT_EQ(*back.seed, 42u);
-    ASSERT_TRUE(back.surrogatePrune);
-    EXPECT_DOUBLE_EQ(*back.surrogatePrune, 0.25);
     EXPECT_TRUE(back.warmStart);
 }
 
@@ -119,8 +115,9 @@ TEST(ServiceRequest, RejectsUnknownAndMalformedFields)
     EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
 
     ASSERT_TRUE(
-        parseJson("{\"surrogate\": {\"prune\": 0.99}}", v, &err));
+        parseJson("{\"surrogate\": {\"enabled\": true}}", v, &err));
     EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
+    EXPECT_NE(err.find("unknown request field"), std::string::npos);
 
     EXPECT_FALSE(MappingRequest::fromJson(JsonValue{}, req, &err));
 }

@@ -23,18 +23,6 @@
  *                    end-to-end sunstoneOptimize() on a ResNet-style
  *                    conv layer; evals/sec is the engine's evaluation
  *                    counter delta over the search wall-clock.
- *  - search_ttq      time-to-quality of the surrogate ranker (DESIGN.md
- *                    §15): per workload (a large conv layer and a large
- *                    matmul) one seeded timeloop search with --surrogate
- *                    off, one with it on, and one warm-started repeat
- *                    from an in-memory WarmStartStore. Records each
- *                    run's evaluations-to-within-1%-of-the-baseline-best
- *                    and the resulting eval reductions into a separate
- *                    --search-out file (default BENCH_search.json,
- *                    schema "sunstone-search-ttq-v1", full convergence
- *                    trajectories included). Runs once — it measures
- *                    evaluation counts, which are seed-deterministic,
- *                    not wall time.
  *
  * Timing noise: alongside best/mean every benchmark reports the median
  * iteration and the coefficient of variation (stddev/mean) of the timed
@@ -67,14 +55,11 @@
 #include "common/parse.hh"
 #include "common/timer.hh"
 #include "core/sunstone.hh"
-#include "mappers/timeloop_mapper.hh"
 #include "model/batch_eval.hh"
 #include "model/diffcheck.hh"
 #include "model/eval_engine.hh"
-#include "obs/convergence.hh"
 #include "obs/progress.hh"
 #include "obs/snapshot.hh"
-#include "search/warmstart.hh"
 #include "workload/workload.hh"
 #include "workload/zoo.hh"
 
@@ -90,7 +75,6 @@ struct BenchConfig
     int warmup = 1;
     unsigned threads = 4;
     std::string out = "BENCH_eval.json";
-    std::string searchOut = "BENCH_search.json";
     std::string only; // substring filter on benchmark names
 
     /**
@@ -347,239 +331,6 @@ benchSearch(const BenchConfig &cfg, const std::string &archName)
     return r;
 }
 
-// -- search_ttq: surrogate / warm-start time-to-quality ---------------
-
-/** One seeded timeloop search leg of the search_ttq benchmark. */
-struct TtqRun
-{
-    std::string label; // "off" | "on" | "warm"
-    double finalMetric = 0;
-    std::int64_t evaluations = 0; // full-model evals consumed
-    double seconds = 0;
-    /** Evals until within 1% of the baseline (off) best; -1 = never. */
-    std::int64_t evalsToBand = -1;
-    std::vector<obs::ConvergencePoint> points;
-};
-
-/** First evaluation count at which metric enters target*1.01. */
-std::int64_t
-evalsToBand(const std::vector<obs::ConvergencePoint> &pts, double target)
-{
-    for (const obs::ConvergencePoint &p : pts)
-        if (p.metric <= target * 1.01)
-            return p.evaluations;
-    return -1;
-}
-
-TtqRun
-runTtqLeg(const BenchConfig &cfg, const BoundArch &ba, const char *label,
-          bool surrogateOn, const std::vector<Mapping> &seeds,
-          MapperResult *mrOut = nullptr)
-{
-    TtqRun run;
-    run.label = label;
-
-    EvalEngine engine(EvalEngineOptions{.threads = cfg.threads});
-    obs::ConvergenceRecorder rec;
-    StopPolicy policy = cfg.policy;
-    if (policy.maxEvals <= 0)
-        policy.maxEvals = 8000;
-    if (policy.plateau <= 0)
-        policy.plateau = policy.maxEvals;
-    SearchContext sc(&engine, policy, &rec);
-    sc.setSeed(cfg.seed);
-    SurrogateOptions so;
-    so.enabled = surrogateOn;
-    sc.setSurrogate(so);
-    if (!seeds.empty())
-        sc.setWarmStarts(seeds);
-
-    // The slow (conservative) Timeloop profile, with the wall-clock cap
-    // lifted: the leg is bounded by max-evals/plateau only, so the
-    // evaluation trajectory is a pure function of the seed.
-    TimeloopOptions to = TimeloopOptions::slow();
-    to.threads = cfg.threads;
-    to.maxSeconds = 1e9;
-    TimeloopMapper tl(to);
-
-    Timer t;
-    MapperResult mr = tl.optimize(sc, ba);
-    run.seconds = t.seconds();
-    run.finalMetric = mr.found && !mr.invalid ? mr.cost.edp : -1;
-    run.evaluations = engine.stats().evaluations;
-    const auto trajs = rec.trajectories();
-    if (!trajs.empty())
-        run.points = trajs.back()->points();
-    if (mrOut)
-        *mrOut = mr;
-    return run;
-}
-
-/** One search_ttq workload: baseline, surrogate-on, warm repeat. */
-struct TtqWorkload
-{
-    std::string name;
-    std::vector<TtqRun> runs;
-    double evalReduction = 0; // surrogate-on vs baseline, to 1% band
-    double warmReduction = 0; // warm repeat vs baseline, to 1% band
-    bool onWithin1pct = false;
-};
-
-TtqWorkload
-benchTtqWorkload(const BenchConfig &cfg, const std::string &name,
-                 const Workload &wl)
-{
-    ArchSpec arch = makeConventional();
-    BoundArch ba(arch, wl);
-
-    TtqWorkload w;
-    w.name = name;
-
-    MapperResult coldBest;
-    TtqRun off = runTtqLeg(cfg, ba, "off", false, {}, &coldBest);
-    TtqRun on = runTtqLeg(cfg, ba, "on", true, {});
-
-    // Warm repeat: the baseline's best seeds a fresh run of the same
-    // layer through the store's query/adapt path (exactly what
-    // --warmstart-store does on a repeated shape).
-    WarmStartStore store;
-    std::vector<Mapping> seeds;
-    if (coldBest.found && !coldBest.invalid) {
-        store.record(ba, name, coldBest.cost.edp, coldBest.mapping);
-        seeds = store.query(ba);
-    }
-    TtqRun warm = runTtqLeg(cfg, ba, "warm", false, seeds);
-
-    // Target quality is the baseline's final best. The baseline's own
-    // entry is the evaluation count at which it locked that best in
-    // (its last improvement) — the full price of producing the target —
-    // while the on/warm entries are their first step into the 1% band
-    // around it: "reaches within 1% of the baseline best with N% fewer
-    // evaluations than the baseline spent finding it".
-    const double target = off.finalMetric;
-    for (const obs::ConvergencePoint &p : off.points)
-        if (p.metric <= target) {
-            off.evalsToBand = p.evaluations;
-            break;
-        }
-    on.evalsToBand = evalsToBand(on.points, target);
-    warm.evalsToBand = evalsToBand(warm.points, target);
-    if (off.evalsToBand > 0 && on.evalsToBand > 0)
-        w.evalReduction = 1.0 - static_cast<double>(on.evalsToBand) /
-                                    static_cast<double>(off.evalsToBand);
-    if (off.evalsToBand > 0 && warm.evalsToBand > 0)
-        w.warmReduction = 1.0 - static_cast<double>(warm.evalsToBand) /
-                                    static_cast<double>(off.evalsToBand);
-    w.onWithin1pct = on.finalMetric > 0 && target > 0 &&
-                     on.finalMetric <= target * 1.01;
-    w.runs = {std::move(off), std::move(on), std::move(warm)};
-    return w;
-}
-
-std::string
-ttqToJson(const BenchConfig &cfg, const std::vector<TtqWorkload> &wls)
-{
-    std::ostringstream os;
-    os.precision(17);
-    os << "{\"schema\": \"sunstone-search-ttq-v1\""
-       << ", \"seed\": " << cfg.seed << ", \"threads\": " << cfg.threads
-       << ", \"workloads\": [";
-    for (std::size_t i = 0; i < wls.size(); ++i) {
-        const TtqWorkload &w = wls[i];
-        if (i)
-            os << ", ";
-        os << "{\"name\": \"" << w.name << "\""
-           << ", \"baseline_best\": " << w.runs[0].finalMetric
-           << ", \"eval_reduction\": " << w.evalReduction
-           << ", \"warm_reduction\": " << w.warmReduction
-           << ", \"on_within_1pct\": "
-           << (w.onWithin1pct ? "true" : "false") << ", \"runs\": [";
-        for (std::size_t j = 0; j < w.runs.size(); ++j) {
-            const TtqRun &r = w.runs[j];
-            if (j)
-                os << ", ";
-            os << "{\"label\": \"" << r.label << "\""
-               << ", \"final_metric\": " << r.finalMetric
-               << ", \"evaluations\": " << r.evaluations
-               << ", \"seconds\": " << r.seconds
-               << ", \"evals_to_band\": " << r.evalsToBand
-               << ", \"trajectory\": [";
-            for (std::size_t k = 0; k < r.points.size(); ++k) {
-                const obs::ConvergencePoint &p = r.points[k];
-                if (k)
-                    os << ", ";
-                os << "{\"evaluations\": " << p.evaluations
-                   << ", \"metric\": " << p.metric
-                   << ", \"seconds\": " << p.seconds << "}";
-            }
-            os << "]}";
-        }
-        os << "]}";
-    }
-    os << "]}";
-    return os.str();
-}
-
-/**
- * Runs the two search_ttq workloads, writes --search-out, and appends
- * one summary row per workload to the main results table. Single-shot:
- * its numbers are evaluation counts, deterministic under the seed.
- */
-bool
-benchSearchTtq(const BenchConfig &cfg, std::vector<BenchResult> &results)
-{
-    std::vector<std::pair<std::string, Workload>> wls;
-    {
-        ConvShape sh;
-        sh.n = 1;
-        sh.k = 128;
-        sh.c = 128;
-        sh.p = 56;
-        sh.q = 56;
-        sh.r = 3;
-        sh.s = 3;
-        wls.emplace_back("conv_n1k128c128p56", makeConv2D(sh));
-    }
-    wls.emplace_back(
-        "matmul_1024x1024x64",
-        parseEinsum("mm", "out[i,j] = A[i,k] * B[k,j]",
-                    {{"i", 1024}, {"j", 1024}, {"k", 64}}));
-
-    std::vector<TtqWorkload> done;
-    for (const auto &[name, wl] : wls) {
-        TtqWorkload w = benchTtqWorkload(cfg, name, wl);
-
-        BenchResult r;
-        r.name = "search_ttq_" + name;
-        r.kind = "search";
-        r.evalsPerIter = w.runs[0].evaluations;
-        finalize(r, {w.runs[0].seconds + w.runs[1].seconds +
-                     w.runs[2].seconds});
-        r.extra["final_off"] = w.runs[0].finalMetric;
-        r.extra["final_on"] = w.runs[1].finalMetric;
-        r.extra["evals_to_band_off"] =
-            static_cast<double>(w.runs[0].evalsToBand);
-        r.extra["evals_to_band_on"] =
-            static_cast<double>(w.runs[1].evalsToBand);
-        r.extra["evals_to_band_warm"] =
-            static_cast<double>(w.runs[2].evalsToBand);
-        r.extra["eval_reduction"] = w.evalReduction;
-        r.extra["warm_reduction"] = w.warmReduction;
-        r.extra["on_within_1pct"] = w.onWithin1pct ? 1 : 0;
-        results.push_back(std::move(r));
-        done.push_back(std::move(w));
-    }
-
-    std::ofstream os(cfg.searchOut);
-    if (!os) {
-        std::fprintf(stderr, "cannot write '%s'\n", cfg.searchOut.c_str());
-        return false;
-    }
-    os << ttqToJson(cfg, done) << "\n";
-    std::printf("wrote %s\n", cfg.searchOut.c_str());
-    return true;
-}
-
 std::string
 toJson(const BenchConfig &cfg, const std::vector<BenchResult> &results)
 {
@@ -672,8 +423,6 @@ run(const std::map<std::string, std::string> &kv)
         intArg("threads", 1, 4096, cfg.threads));
     if (const auto *v = get("out"))
         cfg.out = *v;
-    if (const auto *v = get("search-out"))
-        cfg.searchOut = *v;
     if (const auto *v = get("only"))
         cfg.only = *v;
     if (get("deadline-ms"))
@@ -724,8 +473,6 @@ run(const std::map<std::string, std::string> &kv)
         results.push_back(benchSearch(cfg, "conventional"));
     if (wanted("search_simba"))
         results.push_back(benchSearch(cfg, "simba"));
-    if (wanted("search_ttq") && !benchSearchTtq(cfg, results))
-        return 1;
 
     if (progress)
         progress->stop();

@@ -7,8 +7,7 @@
  *   --metrics-json F      {"engine": ..., "registry": ...}
  *   --snapshot-json F     live-telemetry JSONL time series
  *   --convergence-json F  incumbent trajectories
- *   --bench-json F        a `sunstone bench` artifact (BENCH_eval.json
- *                         or BENCH_search.json; schema-sniffed)
+ *   --bench-json F        a `sunstone bench` artifact (BENCH_eval.json)
  *   --trace-json F        Chrome trace_event spans
  *   --diag-dir D          a crash/exit bundle (reads metrics.json,
  *                         engine.json, events.jsonl, crash.txt, and
@@ -21,7 +20,7 @@
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
- * surrogate/warm-start counters from the metrics registry, bench timing
+ * warm-start counters from the metrics registry, bench timing
  * tables (iterations whose coefficient of variation exceeds 15% are
  * flagged as noisy), span totals, and the flight-event tail. Sections
  * whose artifact was not supplied are skipped, so the command composes
@@ -398,8 +397,7 @@ printConvergence(const JsonValue &doc)
 /**
  * Time-to-quality per trajectory (DESIGN.md §15): the evaluation count
  * and wall-clock at which the incumbent first came within 1% and 5% of
- * the trajectory's final metric — the number the surrogate ranker is
- * meant to shrink.
+ * the trajectory's final metric.
  */
 void
 printTimeToQuality(const JsonValue &doc)
@@ -437,23 +435,22 @@ printTimeToQuality(const JsonValue &doc)
 }
 
 /**
- * Surrogate ranker and warm-start counters from the flat metrics
- * registry ("search.<mapper>.surrogate.*" / ".warmstart.*" keys).
+ * Warm-start counters from the flat metrics registry
+ * ("search.<mapper>.warmstart.*" keys).
  */
 void
-printSurrogate(const JsonValue &metricsDoc)
+printWarmStart(const JsonValue &metricsDoc)
 {
     const JsonValue *reg = metricsDoc.find("registry");
     if (!reg || !reg->isObject())
         return;
     std::vector<std::pair<std::string, double>> rows;
     for (const auto &[name, v] : reg->fields)
-        if (name.find(".surrogate.") != std::string::npos ||
-            name.find(".warmstart.") != std::string::npos)
+        if (name.find(".warmstart.") != std::string::npos)
             rows.emplace_back(name, v.asDouble());
     if (rows.empty())
         return;
-    section("surrogate / warm start");
+    section("warm start");
     std::sort(rows.begin(), rows.end());
     for (const auto &[name, v] : rows)
         std::printf("  %-40s %.6g\n", name.c_str(), v);
@@ -463,67 +460,39 @@ printSurrogate(const JsonValue &metricsDoc)
 constexpr double kNoisyCv = 0.15;
 
 /**
- * A `sunstone bench` artifact. Sniffs the schema: the timing document
- * (BENCH_eval.json) prints best/median/CV per benchmark and flags noisy
- * iteration sets; the search time-to-quality document
- * (BENCH_search.json) prints per-workload eval reductions.
+ * A `sunstone bench` timing artifact (BENCH_eval.json): best/median/CV
+ * per benchmark, with noisy iteration sets flagged.
  */
 void
 printBench(const JsonValue &doc)
 {
-    if (const JsonValue *benches = doc.find("benchmarks");
-        benches && benches->isArray()) {
-        section("bench timings");
-        std::printf("  %-30s %12s %12s %8s\n", "benchmark", "best s",
-                    "median s", "cv");
-        int noisy = 0;
-        for (const JsonValue &b : benches->items) {
-            const double cv =
-                b.find("cv") ? b.find("cv")->asDouble() : 0;
-            const bool flag = cv > kNoisyCv;
-            noisy += flag;
-            std::printf("  %-30s %12.6f %12.6f %7.1f%%%s\n",
-                        b.find("name")
-                            ? b.find("name")->asString().c_str()
-                            : "?",
-                        b.find("best_seconds")
-                            ? b.find("best_seconds")->asDouble()
-                            : 0,
-                        b.find("median_seconds")
-                            ? b.find("median_seconds")->asDouble()
-                            : 0,
-                        100.0 * cv, flag ? "  NOISY" : "");
-        }
-        if (noisy)
-            std::printf("  %d benchmark(s) above %.0f%% CV: timings on "
-                        "this host are unstable; prefer median over "
-                        "best/mean.\n",
-                        noisy, 100.0 * kNoisyCv);
+    const JsonValue *benches = doc.find("benchmarks");
+    if (!benches || !benches->isArray())
         return;
-    }
-    const JsonValue *wls = doc.find("workloads");
-    if (!wls || !wls->isArray())
-        return;
-    section("search time to quality (bench)");
-    std::printf("  %-24s %12s %12s %12s %s\n", "workload", "base best",
-                "surr. cut", "warm cut", "within 1%");
-    for (const JsonValue &w : wls->items) {
-        const auto pct = [&](const char *key) {
-            const JsonValue *v = w.find(key);
-            return v ? 100.0 * v->asDouble() : 0.0;
-        };
-        std::printf("  %-24s %12.6g %11.1f%% %11.1f%% %s\n",
-                    w.find("name") ? w.find("name")->asString().c_str()
+    section("bench timings");
+    std::printf("  %-30s %12s %12s %8s\n", "benchmark", "best s",
+                "median s", "cv");
+    int noisy = 0;
+    for (const JsonValue &b : benches->items) {
+        const double cv = b.find("cv") ? b.find("cv")->asDouble() : 0;
+        const bool flag = cv > kNoisyCv;
+        noisy += flag;
+        std::printf("  %-30s %12.6f %12.6f %7.1f%%%s\n",
+                    b.find("name") ? b.find("name")->asString().c_str()
                                    : "?",
-                    w.find("baseline_best")
-                        ? w.find("baseline_best")->asDouble()
+                    b.find("best_seconds")
+                        ? b.find("best_seconds")->asDouble()
                         : 0,
-                    pct("eval_reduction"), pct("warm_reduction"),
-                    w.find("on_within_1pct") &&
-                            w.find("on_within_1pct")->asBool()
-                        ? "yes"
-                        : "NO");
+                    b.find("median_seconds")
+                        ? b.find("median_seconds")->asDouble()
+                        : 0,
+                    100.0 * cv, flag ? "  NOISY" : "");
     }
+    if (noisy)
+        std::printf("  %d benchmark(s) above %.0f%% CV: timings on "
+                    "this host are unstable; prefer median over "
+                    "best/mean.\n",
+                    noisy, 100.0 * kNoisyCv);
 }
 
 void
@@ -677,9 +646,9 @@ run(const std::map<std::string, std::string> &kv)
         printTimeToQuality(conv);
     }
     if (haveMetrics)
-        printSurrogate(metricsDoc);
+        printWarmStart(metricsDoc);
     else if (!diagDir.empty())
-        printSurrogate(diagMetrics);
+        printWarmStart(diagMetrics);
     if (!benchPath.empty()) {
         JsonValue benchDoc;
         if (!loadJson(benchPath, benchDoc))

@@ -37,15 +37,7 @@
  * at the next batch boundary, writes a final checkpoint, and the
  * best-so-far result is reported with stop reason "cancelled".
  *
- * Surrogate ranking + warm starting (both map modes; DESIGN.md §15):
- *   --surrogate on|off    online linear ranker over cheap mapping
- *                         features reorders each candidate batch
- *                         best-first and, once its streaming rank
- *                         correlation clears a confidence gate, prunes
- *                         the predicted-worst tail (default off; `off`
- *                         is bit-identical to builds without the flag)
- *   --surrogate-prune F   fraction of each batch pruned once the gate
- *                         opens (default 0.5, clamped to [0, 0.95])
+ * Warm starting (both map modes; DESIGN.md §15):
  *   --warmstart-store F   persistent best-mapping store; searches are
  *                         seeded from stored bests of structurally
  *                         similar layers and realized bests are
@@ -122,6 +114,10 @@
  * preset: --conv n=16,k=64,c=64,p=56,q=56,r=3,s=3[,stride=1].
  * Architectures: conventional (default), simba, eyeriss, diannao, toy,
  * or --arch-file with a config in the arch_config format.
+ *
+ * Each subcommand accepts only the options it reads (kKnownFlags); any
+ * other --option is a fatal usage error naming it, so a misspelled or
+ * retired flag never runs silently ignored.
  */
 
 #include <algorithm>
@@ -129,6 +125,7 @@
 #include <cstring>
 #include <fstream>
 #include <map>
+#include <set>
 #include <sstream>
 #include <string>
 #include <thread>
@@ -169,6 +166,38 @@ struct Args
     }
 };
 
+/**
+ * The options each subcommand reads. Mode-conditional ones (--budget is
+ * read only for timeloop, --save-mapping only without --net) count as
+ * known: they are valid input that the chosen mode ignores.
+ */
+const std::map<std::string, std::set<std::string>> kKnownFlags = {
+    {"describe",
+     {"workload-file", "conv", "einsum", "dims", "bits", "name"}},
+    {"map",
+     {"workload-file", "conv", "einsum", "dims", "bits", "name", "arch",
+      "arch-file", "mapper", "energy", "beam", "budget", "stop-policy",
+      "deadline-ms", "max-evals", "plateau", "seed", "checkpoint",
+      "resume", "warmstart-store", "net", "batch", "seq", "fuse",
+      "threads", "save-mapping", "save-workload", "stats-json",
+      "trace-json", "metrics-json", "convergence-json", "snapshot-json",
+      "snapshot-interval-ms", "progress", "diag-dir"}},
+    {"eval",
+     {"workload-file", "conv", "einsum", "dims", "bits", "name", "arch",
+      "arch-file", "mapping", "threads"}},
+    {"arch", {"arch", "arch-file", "save"}},
+    {"check", {"trials", "seed", "no-shrink", "inject-fault",
+               "repro-prefix", "threads"}},
+    {"serve", {"threads", "warmstart-store", "queue-capacity",
+               "metrics-json"}},
+    {"bench", {"seed", "repeat", "warmup", "threads", "out", "only",
+               "deadline-ms", "max-evals", "plateau", "snapshot-json",
+               "snapshot-interval-ms", "progress"}},
+    {"report", {"stats-json", "metrics-json", "snapshot-json",
+                "convergence-json", "bench-json", "trace-json",
+                "diag-dir"}},
+};
+
 Args
 parseArgs(int argc, char **argv)
 {
@@ -187,6 +216,12 @@ parseArgs(int argc, char **argv)
             value = argv[++i];
         a.kv[key] = value;
     }
+    const auto known = kKnownFlags.find(a.command);
+    if (known != kKnownFlags.end())
+        for (const auto &[key, value] : a.kv)
+            if (!known->second.count(key))
+                SUNSTONE_FATAL("unknown option --", key, " for '",
+                               a.command, "'");
     return a;
 }
 
@@ -299,24 +334,6 @@ requestFromArgs(const Args &a)
     req.checkpointPath = a.get("checkpoint");
     req.resumePath = a.get("resume");
 
-    if (a.has("surrogate")) {
-        const std::string s = a.get("surrogate");
-        if (s == "on")
-            req.surrogate = true;
-        else if (s != "off")
-            SUNSTONE_FATAL("--surrogate expects 'on' or 'off', got '", s,
-                           "'");
-    }
-    if (a.has("surrogate-prune")) {
-        if (!req.surrogate)
-            SUNSTONE_FATAL("--surrogate-prune requires --surrogate on");
-        const double f = finiteArg(a, "surrogate-prune");
-        if (f < 0 || f > 0.95)
-            SUNSTONE_FATAL("--surrogate-prune must be in [0, 0.95], "
-                           "got '",
-                           a.get("surrogate-prune"), "'");
-        req.surrogatePrune = f;
-    }
     // --warmstart-store both names the session's store (below) and opts
     // the request into seeding, exactly the old coupled behavior.
     req.warmStart = a.has("warmstart-store");
