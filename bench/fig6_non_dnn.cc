@@ -21,7 +21,7 @@ using namespace sunstone;
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     ArchSpec arch = makeConventional();
     const double budget = bench::baselineBudgetSeconds();
 

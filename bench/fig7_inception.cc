@@ -43,7 +43,7 @@ cell(const MapperResult &r)
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     bench::ObsArgs oargs(argc, argv);
     ArchSpec arch = makeConventional();
     const double budget = bench::baselineBudgetSeconds();

@@ -28,7 +28,7 @@ using namespace sunstone;
 int
 main(int argc, char **argv)
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     bench::ObsArgs oargs(argc, argv);
     ArchSpec arch = makeSimbaLike();
     const double budget = bench::baselineBudgetSeconds();

@@ -45,7 +45,7 @@ run(const ArchSpec &arch, const NetGraph &g, FusionMode mode,
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     const ArchSpec arch = makeConventional();
     const std::int64_t max_evals = 4000;
 

@@ -74,7 +74,7 @@ costOf(const ArchSpec &arch, Workload wl)
 int
 main()
 {
-    setQuiet(true);
+    setLogLevel(LogLevel::Silent);
     auto layers = resnet18Layers(4);
     const Workload &layer = layers[7].workload; // conv4_x
 

@@ -14,9 +14,6 @@
  * environment variable ("debug", "info", "warn", or "silent"; default
  * "info") and adjustable at runtime via setLogLevel(). Messages carry a
  * wall-clock [HH:MM:SS.mmm] timestamp. panic/fatal banners always print.
- *
- * setQuiet(true/false) is kept as a shim over setLogLevel(Silent/Info)
- * for the benchmark tools that predate log levels.
  */
 
 #ifndef SUNSTONE_COMMON_LOGGING_HH
@@ -100,15 +97,6 @@ void setLogLevel(LogLevel level);
 
 /** @return the global verbosity threshold. */
 LogLevel logLevel();
-
-/**
- * Legacy knob: suppress warn()/inform() output (used by benchmarks).
- * Equivalent to setLogLevel(Silent) / setLogLevel(Info).
- */
-void setQuiet(bool quiet);
-
-/** @return whether warn()/inform() output is suppressed. */
-bool quiet();
 
 } // namespace sunstone
 

@@ -1,134 +1,24 @@
 /**
  * @file
- * Structure-of-arrays batch evaluator (ROADMAP item 2): evaluates groups
- * of candidate mappings against one bound (architecture, workload) pair
- * with the per-candidate floating-point finalization vectorized across
- * simd::kLanes lanes.
+ * Name of the evaluation backend. Every evaluation runs the scalar cost
+ * model (cost_model.hh); EvalEngine::evaluateBatch evaluates its cache
+ * misses one by one through evaluateMappingInto().
  *
- * Division of labor with the scalar model (cost_model.hh):
- *
- *  - The integer access-count kernels (satMul chains with data-dependent
- *    skip rules and saturating 64-bit multiplies, which AVX2/NEON cannot
- *    vectorize profitably) run per lane through the exact
- *    detail::countAccess the scalar path uses, so every counter is
- *    bit-identical by construction. Counters are written straight into
- *    the caller's CostResult rows; only the per-(level, tensor) read and
- *    write word sums — already converted to double, the form the packed
- *    kernels consume — are gathered lane-contiguous into SoA arrays.
- *  - The floating-point finalization (per-level energy accumulation,
- *    bandwidth-bound latency, EDP) runs packed over the SoA lanes with
- *    vec4d, in the scalar path's per-lane operation order. Because every
- *    wrapped operation is IEEE correctly rounded and no FMA contraction
- *    is enabled (CMake adds -mavx2 only, never -mfma), the packed
- *    results match the scalar path bitwise on mainstream toolchains; the
- *    contract tests still allow a small relative tolerance for exotic
- *    platforms (see tests/test_batch_eval.cc).
- *  - CostResults are emitted lane-by-lane into caller-owned storage,
- *    reusing buffer capacity — the batch path allocates nothing in
- *    steady state.
- *
- * Runtime fallback: when simd::simdRuntimeEnabled() is false (the
- * SUNSTONE_SIMD environment variable, or setSimdRuntimeEnabled(false)),
- * evaluate() degrades to a loop of evaluateMappingInto() — bit-identical
- * to the historical serial batch path by construction.
- *
- * A BatchEvaluator is bound to one (BoundArch, CostModelOptions) pair at
- * construction and is not thread-safe; EvalEngine keeps one per thread
- * per pair (see eval_engine.cc).
+ * Nothing in the library reads this header. It stays only because
+ * benchmark/driver.cc prints backendName() in its run header and JSON
+ * result; drop it together with that line in the next change to the
+ * benchmark (ROADMAP item 4d).
  */
 
 #ifndef SUNSTONE_MODEL_BATCH_EVAL_HH
 #define SUNSTONE_MODEL_BATCH_EVAL_HH
 
-#include <cstdint>
-#include <span>
-#include <string>
-#include <vector>
-
-#include "common/simd.hh"
-#include "model/cost_model.hh"
-
 namespace sunstone {
 
-class BatchEvaluator
+struct BatchEvaluator
 {
-  public:
-    /**
-     * Precomputes everything shared across the batch: flattened
-     * per-(level, tensor) energy coefficients, MAC energy, clock and
-     * fanout constants. The BoundArch must outlive the evaluator.
-     */
-    BatchEvaluator(const BoundArch &ba, const CostModelOptions &opts);
-
-    /** Evaluates ms[i] into out[i]; out must hold ms.size() results. */
-    void evaluate(std::span<const Mapping> ms, CostResult *out);
-
-    /**
-     * Gather form for non-contiguous candidates (e.g. the cache misses
-     * of a memoized batch): evaluates *ms[i] into *out[i].
-     */
-    void evaluate(const Mapping *const *ms, std::size_t n,
-                  CostResult *const *out);
-
-    const BoundArch &boundArch() const { return *ba_; }
-    const CostModelOptions &options() const { return opts_; }
-
-    /** @return evaluations that reused the internal scratch (telemetry). */
-    std::int64_t scratchReuses() const { return scratch_.reuseCount(); }
-
-    /** @return the SIMD backend compiled into this translation unit
-     *         ("avx2", "neon", or "scalar"). */
-    static const char *backendName();
-
-    /** @return true when the packed SoA kernels are in use (backend
-     *         compiled in and not disabled at runtime). */
-    static bool simdActive();
-
-  private:
-    static constexpr int kW = simd::kLanes;
-
-    /** SoA kernel over one group of at most kW candidates. */
-    void evaluateGroup(const Mapping *const *ms, int n,
-                       CostResult *const *out);
-
-    /** Packed finalization across the gathered lanes. */
-    void finalizeLanes();
-
-    /** Writes the finalized state of a valid lane k into *out (the
-     *  access counters were already emitted during the integer pass). */
-    void emitLane(int k, CostResult &out) const;
-
-    const BoundArch *ba_;
-    CostModelOptions opts_;
-    int nl_ = 0;
-    int nt_ = 0;
-
-    // Shared-prefix terms of the whole batch: coefficients and constants
-    // every candidate multiplies into, computed once per evaluator.
-    std::vector<double> readPj_;  // [l * nt + t]
-    std::vector<double> writePj_; // [l * nt + t]
-    std::vector<double> readBw_;  // [l]
-    std::vector<double> writeBw_; // [l]
-    double macEnergyPj_ = 0;
-    double opsD_ = 0;
-    double clockHz_ = 0;
-    double fanoutD_ = 1;
-
-    // Per-lane state, gathered lane-contiguous ([idx * kW + k]). Word
-    // sums are stored as doubles — the int64 -> double conversion is the
-    // same one the scalar finalization applies to the summed counters,
-    // hoisted into the gather so the packed kernels load directly.
-    EvalScratch scratch_;
-    std::vector<double> soaWordsR_, soaWordsW_; // [(l * nt + t) * kW + k]
-    std::vector<std::int64_t> soaSpatial_;  // [l * kW + k], l in [0, nl]
-    std::vector<double> laneLevelE_;        // [l * kW + k]
-    double laneNoc_[kW];
-    double laneTotalE_[kW];
-    double laneCycles_[kW];
-    double laneUtil_[kW];
-    int laneBottleneck_[kW]; // level index, -1 = compute
-    bool laneValid_[kW];
-    std::string laneWhy_[kW];
+    /** @return the evaluation backend, always "scalar". */
+    static const char *backendName() { return "scalar"; }
 };
 
 } // namespace sunstone

@@ -328,7 +328,7 @@ physicalFanRange(const ArchSpec &arch, int lo, int hi)
 }
 
 /**
- * Shape half of detail::fillTables(): cumulative tile shapes and
+ * Shape half of fillTables(): cumulative tile shapes and
  * per-level spatial products. Reads only the factor arrays (never
  * lm.order), so it is safe to run before order validation; the column
  * folds are the exact satMul chains the per-dim factor-product check
@@ -358,7 +358,7 @@ fillShapes(const Mapping &m, EvalScratch &s)
 }
 
 /**
- * Loop half of detail::fillTables(): the linearized temporal nest and
+ * Loop half of fillTables(): the linearized temporal nest and
  * the suffix products. Walks lm.order with the DimIds as indices, so
  * orders must be validated (or trusted via assumeValid) first.
  */
@@ -454,10 +454,7 @@ fail(std::string *why, const Parts &...parts)
     return false;
 }
 
-} // anonymous namespace
-
-namespace detail {
-
+/** Resets `res` to a freshly constructed state, reusing capacity. */
 void
 resetCostResult(CostResult &res, int nl, int nt)
 {
@@ -492,10 +489,15 @@ fillTables(const Mapping &m, EvalScratch &s)
     fillLoops(m, s);
 }
 
+} // anonymous namespace
+
+namespace detail {
+
 /**
  * Mirror of Mapping::valid() for the evaluation fast path: identical
- * checks, order, and failure strings (pinned by the batch-eval test
- * suite — any edit here must be mirrored in mapping.cc and vice versa).
+ * checks, order, and failure strings (pinned by
+ * EvalEquivalence.CheckValidMatchesMappingValid — any edit here must be
+ * mirrored in mapping.cc and vice versa).
  * The difference is purely mechanical: the shape tables are built once
  * up front (fillShapes reads only the factor arrays, which are safe
  * before order validation) and every product the standalone check folds
@@ -622,6 +624,10 @@ checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
     s.tileFpReady = true;
     return true;
 }
+
+} // namespace detail
+
+namespace {
 
 /**
  * The integer half of the one true evaluation: computes every
@@ -925,15 +931,10 @@ finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
     res.edp = res.totalEnergyPj * 1e-12 * res.delaySeconds;
 }
 
-} // namespace detail
-
-namespace {
-
 /**
  * The one true evaluation, staged: prepare and reset, validity (through
  * the scratch's allocation-free buffers), integer access counting, then
- * floating-point finalization. The stages live in detail:: so the SoA
- * batch evaluator can drive them per lane with identical semantics.
+ * floating-point finalization.
  */
 void
 evaluateCore(const BoundArch &ba, const Mapping &m,
@@ -941,7 +942,7 @@ evaluateCore(const BoundArch &ba, const Mapping &m,
              EvalScratch &s, CostResult &res)
 {
     s.prepare(ba);
-    detail::resetCostResult(res, s.nl, s.nt);
+    resetCostResult(res, s.nl, s.nt);
 
     if (!opts.assumeValid) {
         if (!detail::checkValid(ba, m, s, &res.invalidReason)) {
@@ -951,12 +952,12 @@ evaluateCore(const BoundArch &ba, const Mapping &m,
             return;
         }
     } else {
-        detail::fillTables(m, s); // checkValid would have built them
+        fillTables(m, s); // checkValid would have built them
     }
     res.valid = true;
 
-    const double noc = detail::countAccess(ba, m, opts, prefix, s);
-    detail::finalizeResult(ba, opts, s, noc, res);
+    const double noc = countAccess(ba, m, opts, prefix, s);
+    finalizeResult(ba, opts, s, noc, res);
 }
 
 } // anonymous namespace
@@ -995,7 +996,7 @@ buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
     const ArchSpec &arch = ba.arch();
     EvalScratch &s = scratch;
     s.prepare(ba);
-    detail::fillTables(base, s);
+    fillTables(base, s);
 
     const int nl = s.nl;
     const int nt = s.nt;
@@ -1072,19 +1073,6 @@ buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
             }
         }
     }
-}
-
-double
-partialEnergyPj(const BoundArch &ba, const Mapping &m, int max_level)
-{
-    CostModelOptions opts;
-    opts.assumeValid = true;
-    opts.modelNoc = false;
-    CostResult r = evaluateMapping(ba, m, opts);
-    double e = r.macEnergyPj;
-    for (int l = 0; l <= max_level && l < (int)r.levelEnergyPj.size(); ++l)
-        e += r.levelEnergyPj[l];
-    return e;
 }
 
 } // namespace sunstone

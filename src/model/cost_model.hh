@@ -123,8 +123,8 @@ struct CostModelOptions
  * dimensions. Two bindings with identical (levels, tensors, dims) — e.g.
  * a bypass or residency variant of the same architecture — never share
  * the cached per-binding invariants below, because uids are process
- * unique and never recycled (see tests/test_batch_eval.cc,
- * ScratchRekeysAcrossBoundArchVariants).
+ * unique and never recycled (see
+ * EvalEquivalence.ScratchRekeysAcrossSameShapeArchVariants).
  */
 struct EvalScratch
 {
@@ -144,7 +144,7 @@ struct EvalScratch
     int nd = -1;
     std::int64_t reuses = 0;
 
-    /** Flattened access[l * nt + t] counters (SoA-style single block). */
+    /** Flattened access[l * nt + t] counters (one contiguous block). */
     std::vector<AccessCounts> access;
     /** Cumulative tile shape per level (rows reused across evals). */
     std::vector<std::vector<std::int64_t>> shapes;
@@ -230,7 +230,7 @@ struct EvalScratch
     /**
      * Per-(level, tensor) tile footprints of the current mapping,
      * filled by detail::checkValid() as a side product of the fits
-     * checks and consumed by detail::countAccess() so the tile
+     * checks and consumed by the access count so the tile
      * footprint of a chain pair is never computed twice. Only valid for
      * non-DRAM levels, and only when tileFpReady (checkValid ran and
      * passed for this mapping).
@@ -332,65 +332,20 @@ void evaluateMappingWithPrefixInto(const BoundArch &ba,
                                    const CostModelOptions &opts,
                                    EvalScratch &scratch, CostResult &res);
 
-/**
- * Cheap partial objective used by searches: total access energy of levels
- * <= max_level only (pJ), assuming the mapping prefix below is final.
- * This is the alpha-beta lower-bound surrogate of Section V-C.
- */
-double partialEnergyPj(const BoundArch &ba, const Mapping &m, int max_level);
-
 namespace detail {
 
 /**
- * Internal stages of evaluateMappingInto(), exported so the SoA batch
- * evaluator (model/batch_eval.hh) can reuse the exact integer kernels
- * and share the scalar path's bit-identity guarantees. Not a public API.
- */
-
-/** Resets `res` to a freshly constructed state, reusing capacity. */
-void resetCostResult(CostResult &res, int nl, int nt);
-
-/**
- * Builds the per-mapping tables (cumulative tile shapes, per-level
- * spatial products, linearized loop nest, suffix products) into the
- * scratch. Requires a prepared scratch and a mapping whose level/dim
- * counts and per-level orders are well formed (checkValid() runs it
- * only after establishing that; assumeValid callers vouch for it).
- */
-void fillTables(const Mapping &m, EvalScratch &s);
-
-/**
- * Validity check of the evaluation fast path: same checks, in the same
- * order, producing byte-identical failure messages as the public
- * Mapping::valid() (pinned by tests/test_batch_eval.cc,
- * CheckValidMatchesMappingValid — keep the two in sync). On the fits
- * pass it runs fillTables() and reuses the cumulative shapes, storing
- * every per-(level, tensor) footprint into s.tileFp for countAccess()
- * to consume. On success the scratch tables are fully built.
+ * Validity check of the evaluation fast path, the first stage of
+ * evaluateMappingInto(): same checks, in the same order, producing
+ * byte-identical failure messages as the public Mapping::valid()
+ * (pinned by EvalEquivalence.CheckValidMatchesMappingValid — keep the
+ * two in sync). Requires a prepared scratch. On the fits pass it builds
+ * the scratch's shape and loop tables and stores every per-(level,
+ * tensor) footprint into s.tileFp for the access count to consume.
+ * Exported for that test only; not a public API.
  */
 bool checkValid(const BoundArch &ba, const Mapping &m, EvalScratch &s,
                 std::string *why);
-
-/**
- * Computes every per-(level, tensor) access counter of `m` into
- * scratch.access. Requires the scratch tables to be built for `m`
- * (by checkValid() or fillTables()). Assumes the mapping is valid.
- *
- * @return the NoC energy (pJ) accumulated in chain-pair order — exactly
- *         the res.nocEnergyPj the monolithic evaluation produced
- */
-double countAccess(const BoundArch &ba, const Mapping &m,
-                   const CostModelOptions &opts, const PrefixTerms *prefix,
-                   EvalScratch &s);
-
-/**
- * Scalar finalization: copies the scratch counters into res.access and
- * derives energy, latency, utilization, and EDP, in the historical
- * accumulation order.
- */
-void finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
-                    const EvalScratch &s, double noc_energy_pj,
-                    CostResult &res);
 
 } // namespace detail
 

@@ -8,7 +8,6 @@
 #include <limits>
 
 #include "common/json.hh"
-#include "model/batch_eval.hh"
 #include "obs/flight_recorder.hh"
 
 namespace sunstone {
@@ -66,41 +65,6 @@ appendJsonDouble(std::string &out, double v)
     char buf[64];
     std::snprintf(buf, sizeof(buf), "%.17g", v);
     out += buf;
-}
-
-/**
- * Per-thread cache of BatchEvaluators, keyed by the engine context's
- * (BoundArch address, structural fingerprint) plus the option bits the
- * evaluator bakes in. The fingerprint guards the address: if a BoundArch
- * is destroyed and a structurally different one lands at the same
- * address, the fingerprints differ and a fresh evaluator is built; if
- * the fingerprints match, every coefficient the cached evaluator
- * precomputed is identical by construction. Small LRU-ish cap — search
- * drivers alternate between at most a handful of contexts.
- */
-BatchEvaluator &
-threadBatchEvaluator(const EvalEngine::Context &ctx,
-                     const CostModelOptions &opts)
-{
-    struct CacheEntry {
-        const void *ba;
-        std::uint64_t fp;
-        int bits;
-        std::unique_ptr<BatchEvaluator> be;
-    };
-    thread_local std::vector<CacheEntry> cache;
-    const int bits = (opts.assumeValid ? 1 : 0) | (opts.modelNoc ? 2 : 0);
-    const void *ba = &ctx.boundArch();
-    for (auto &e : cache)
-        if (e.ba == ba && e.fp == ctx.fingerprint() && e.bits == bits)
-            return *e.be;
-    constexpr std::size_t kMaxEvaluators = 8;
-    if (cache.size() >= kMaxEvaluators)
-        cache.erase(cache.begin());
-    cache.push_back({ba, ctx.fingerprint(), bits,
-                     std::make_unique<BatchEvaluator>(ctx.boundArch(),
-                                                      opts)});
-    return *cache.back().be;
 }
 
 } // anonymous namespace
@@ -495,28 +459,23 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
                           std::vector<CostResult> &out, std::size_t lo,
                           std::size_t hi)
 {
-    BatchEvaluator &be = threadBatchEvaluator(ctx, opts);
     evaluations_.add(static_cast<std::int64_t>(hi - lo));
     const bool useCache = opts_.enableCache && policy != CachePolicy::Bypass;
 
     // Gather the evaluations the cache cannot serve. Per-thread buffers:
     // steady-state batches allocate nothing beyond string churn.
-    thread_local std::vector<const Mapping *> missM;
-    thread_local std::vector<CostResult *> missR;
+    thread_local std::vector<std::size_t> miss;
     thread_local std::vector<std::uint64_t> missHash;
     thread_local std::vector<std::size_t> missKeyOff;
     thread_local std::vector<std::int64_t> keysFlat;
-    missM.clear();
-    missR.clear();
+    miss.clear();
     missHash.clear();
     missKeyOff.clear();
     keysFlat.clear();
 
     if (!useCache) {
-        for (std::size_t i = lo; i < hi; ++i) {
-            missM.push_back(&ms[i]);
-            missR.push_back(&out[i]);
-        }
+        for (std::size_t i = lo; i < hi; ++i)
+            miss.push_back(i);
     } else {
         thread_local std::vector<std::int64_t> key;
         for (std::size_t i = lo; i < hi; ++i) {
@@ -537,8 +496,7 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
                 continue;
             }
             misses_.add(1);
-            missM.push_back(&ms[i]);
-            missR.push_back(&out[i]);
+            miss.push_back(i);
             missHash.push_back(h);
             missKeyOff.push_back(keysFlat.size());
             keysFlat.insert(keysFlat.end(), key.begin(), key.end());
@@ -546,13 +504,15 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
         missKeyOff.push_back(keysFlat.size()); // end sentinel
     }
 
-    if (missM.empty())
+    if (miss.empty())
         return;
 
     const auto t0 = std::chrono::steady_clock::now();
-    const std::int64_t reuse0 = be.scratchReuses();
-    be.evaluate(missM.data(), missM.size(), missR.data());
-    scratchReuses_.add(be.scratchReuses() - reuse0);
+    EvalScratch &scratch = threadEvalScratch();
+    const std::int64_t reuse0 = scratch.reuseCount();
+    for (std::size_t i : miss)
+        evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch, out[i]);
+    scratchReuses_.add(scratch.reuseCount() - reuse0);
     // The chunk's per-eval mean, weighted by the evaluations it timed:
     // count and sum then match the per-call path (one observation per
     // model invocation, cache hits excluded) without a clock read per
@@ -560,11 +520,12 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
                           .count();
-    const auto timed = static_cast<std::int64_t>(missM.size());
+    const auto timed = static_cast<std::int64_t>(miss.size());
     evalLatencyUs_.record(us / static_cast<double>(timed), timed);
 
-    for (std::size_t j = 0; j < missM.size(); ++j) {
-        if (!missR[j]->valid)
+    for (std::size_t j = 0; j < miss.size(); ++j) {
+        const CostResult &res = out[miss[j]];
+        if (!res.valid)
             invalid_.add(1);
         if (!useCache)
             continue;
@@ -580,7 +541,7 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
         Entry &e = shard.map[missHash[j]];
         e.key.assign(keysFlat.begin() + missKeyOff[j],
                      keysFlat.begin() + missKeyOff[j + 1]);
-        e.result = *missR[j];
+        e.result = res;
     }
 }
 

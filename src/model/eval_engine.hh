@@ -222,23 +222,16 @@ class EvalEngine
                        const Mapping &m, const CostModelOptions &opts = {});
 
     /**
-     * Evaluates a batch of mappings through the SoA batch evaluator
-     * (model/batch_eval.hh): the batch is cut into fixed-size chunks
-     * (independent of the pool size, so results and cache contents are
-     * deterministic for any thread count) and each chunk runs through a
-     * per-thread BatchEvaluator with the floating-point finalization
-     * vectorized across candidate lanes. out[i] corresponds to ms[i].
-     *
-     * Results are identical to calling evaluate() per mapping: bitwise
-     * when the runtime scalar fallback is active (SUNSTONE_SIMD=off),
-     * and on mainstream toolchains also with the packed kernels (same
-     * IEEE operations in the same per-lane order, no FMA); the pinned
-     * contract for the packed path is integer-exact counters plus
-     * tightly tolerance-bounded doubles (tests/test_batch_eval.cc).
-     * Under CachePolicy::UseCache, hits are served per mapping and only
-     * the misses run through the SoA path (and are then inserted).
-     * The per-eval latency histogram records one sample per chunk (the
-     * chunk mean) rather than one per evaluation.
+     * Evaluates a batch of mappings: the batch is cut into fixed-size
+     * chunks (independent of the pool size, so results and cache
+     * contents are deterministic for any thread count) and the chunks
+     * are spread over the pool. out[i] corresponds to ms[i] and is
+     * bit-identical to evaluate() of ms[i], invalidReason included.
+     * Under CachePolicy::UseCache, hits are served per mapping and the
+     * misses are evaluated with evaluateMappingInto() on the thread's
+     * scratch (and are then inserted). The per-eval latency histogram
+     * records one sample per chunk (the chunk mean) rather than one per
+     * evaluation.
      */
     void evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
                        const CostModelOptions &opts, CachePolicy policy,

@@ -5,7 +5,6 @@
 #include <fstream>
 #include <sstream>
 
-#include "common/logging.hh"
 #include "common/parse.hh"
 
 namespace sunstone {
@@ -125,11 +124,6 @@ parseStopPolicyText(const std::string &text, StopPolicy &out,
         } else if (key == "plateau" || key == "victory") {
             out.plateau = n;
         } else if (key == "max_consecutive_invalid") {
-            out.maxConsecutiveInvalid = n;
-        } else if (key == "timeout") {
-            SUNSTONE_WARN("stop-policy key 'timeout' is deprecated; it "
-                          "bounds consecutive invalid evaluations, not "
-                          "time — use 'max_consecutive_invalid'");
             out.maxConsecutiveInvalid = n;
         } else if (key == "seed") {
             if (seed)

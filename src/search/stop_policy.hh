@@ -97,9 +97,10 @@ struct StopPolicy
 /**
  * Parses a stop-policy text config: one `key value` (or `key = value`)
  * pair per line, '#' comments. Keys: deadline_ms, deadline_s, max_evals,
- * plateau (alias: victory), max_consecutive_invalid, seed. The legacy
- * key `timeout` is accepted as a deprecated alias for
- * max_consecutive_invalid with a warning (it was never a time).
+ * plateau (alias: victory), max_consecutive_invalid, seed. Timeloop's
+ * `timeout` (which counts consecutive invalid samples, never time) is
+ * spelled max_consecutive_invalid here; any other key, `timeout`
+ * included, is an unknown-key error.
  *
  * @param seed optional; set to the `seed` key's value when present
  * @param err optional; receives a message naming the offending line

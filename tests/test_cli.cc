@@ -189,8 +189,13 @@ TEST(Cli, FlagsAreCheckedPerSubcommand)
     // A flag another subcommand reads is still unknown here.
     expectUnknownFlag("check --trials 1 --max-evals 5", "--max-evals");
     expectUnknownFlag("arch --arch eyeriss --conv n=1", "--conv");
-    expectUnknownFlag("bench --only eval_random --search-out x.json",
-                      "--search-out");
+    // Retired commands and flags: `bench` is no longer a subcommand,
+    // and `report` no longer reads its artifacts.
+    auto retired = runCli("bench");
+    EXPECT_EQ(retired.exitCode, 2) << retired.output;
+    EXPECT_NE(retired.output.find("usage: sunstone"), std::string::npos)
+        << retired.output;
+    expectUnknownFlag("report --bench-json x", "--bench-json");
     // A mode-conditional flag counts as known: --budget is read only
     // for timeloop, and other mappers ignore it.
     auto r = runCli("map --conv n=1,k=4,c=4,p=4,q=4,r=1,s=1 "

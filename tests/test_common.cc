@@ -29,12 +29,12 @@ TEST(Logging, AssertPassesAndFails)
 
 TEST(Logging, QuietSuppressesWarnings)
 {
-    setQuiet(true);
-    EXPECT_TRUE(quiet());
+    setLogLevel(LogLevel::Silent);
+    EXPECT_EQ(logLevel(), LogLevel::Silent);
     ::testing::internal::CaptureStderr();
     SUNSTONE_WARN("hidden");
     EXPECT_EQ(::testing::internal::GetCapturedStderr(), "");
-    setQuiet(false);
+    setLogLevel(LogLevel::Info);
     ::testing::internal::CaptureStderr();
     SUNSTONE_WARN("visible");
     EXPECT_NE(::testing::internal::GetCapturedStderr().find("visible"),

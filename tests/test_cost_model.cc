@@ -256,18 +256,6 @@ TEST(CostModelBasics, EnergyDecomposes)
                 1e-9 * r.edp);
 }
 
-TEST(CostModelBasics, PartialEnergyIsMonotoneInCutoff)
-{
-    Workload wl = makeConv1D(8, 4, 12, 3);
-    BoundArch ba(makeConventional(), wl);
-    Mapping m = naiveMapping(ba);
-    const double e0 = partialEnergyPj(ba, m, 0);
-    const double e1 = partialEnergyPj(ba, m, 1);
-    const double e2 = partialEnergyPj(ba, m, 2);
-    EXPECT_LE(e0, e1);
-    EXPECT_LE(e1, e2);
-}
-
 TEST(CostModelBasics, NocToggleOnlyAffectsNocEnergy)
 {
     Workload wl = makeConv1D(8, 4, 12, 3);

@@ -376,13 +376,11 @@ TEST(LogLevels, ThresholdGatesEachSeverity)
     setLogLevel(LogLevel::Info);
 }
 
-TEST(LogLevels, SetQuietShimMapsToLevels)
+TEST(LogLevels, SetLogLevelRoundTrips)
 {
-    setQuiet(true);
-    EXPECT_TRUE(quiet());
+    setLogLevel(LogLevel::Silent);
     EXPECT_EQ(logLevel(), LogLevel::Silent);
-    setQuiet(false);
-    EXPECT_FALSE(quiet());
+    setLogLevel(LogLevel::Info);
     EXPECT_EQ(logLevel(), LogLevel::Info);
 }
 

@@ -137,15 +137,17 @@ TEST(StopPolicy, AcceptsCommentsEqualsAndVictoryAlias)
     EXPECT_DOUBLE_EQ(p.deadlineSeconds, 2.0);
 }
 
-TEST(StopPolicy, DeprecatedTimeoutAliasIsAnInvalidStreakBound)
+TEST(StopPolicy, TimeoutKeyIsRejectedAsUnknown)
 {
     // Timeloop's `timeout` knob was never a time: it counts consecutive
-    // invalid samples. The alias must land on maxConsecutiveInvalid and
-    // must not touch the deadline.
+    // invalid samples, spelled max_consecutive_invalid here. The old
+    // alias is gone, so `timeout` is an unknown key like any other.
     StopPolicy p;
-    ASSERT_TRUE(parseStopPolicyText("timeout 1234\n", p));
-    EXPECT_EQ(p.maxConsecutiveInvalid, 1234);
-    EXPECT_DOUBLE_EQ(p.deadlineSeconds, 0.0);
+    std::string err;
+    EXPECT_FALSE(parseStopPolicyText("max_evals 10\ntimeout 1234\n", p,
+                                     nullptr, &err));
+    EXPECT_EQ(err, "line 2: unknown key 'timeout'");
+    EXPECT_EQ(p.maxConsecutiveInvalid, 0);
 }
 
 TEST(StopPolicy, RejectsMalformedInputWithLineNumbers)

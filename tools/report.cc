@@ -7,7 +7,6 @@
  *   --metrics-json F      {"engine": ..., "registry": ...}
  *   --snapshot-json F     live-telemetry JSONL time series
  *   --convergence-json F  incumbent trajectories
- *   --bench-json F        a `sunstone bench` artifact (BENCH_eval.json)
  *   --trace-json F        Chrome trace_event spans
  *   --diag-dir D          a crash/exit bundle (reads metrics.json,
  *                         engine.json, events.jsonl, crash.txt, and
@@ -20,11 +19,10 @@
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
- * warm-start counters from the metrics registry, bench timing
- * tables (iterations whose coefficient of variation exceeds 15% are
- * flagged as noisy), span totals, and the flight-event tail. Sections
- * whose artifact was not supplied are skipped, so the command composes
- * with whatever a run actually produced.
+ * warm-start counters from the metrics registry, span totals, and the
+ * flight-event tail. Sections whose artifact was not supplied are
+ * skipped, so the command composes with whatever a run actually
+ * produced.
  *
  * Torn trailing lines in the snapshot JSONL (a killed writer) are
  * counted and skipped — every complete line parses by construction.
@@ -456,45 +454,6 @@ printWarmStart(const JsonValue &metricsDoc)
         std::printf("  %-40s %.6g\n", name.c_str(), v);
 }
 
-/** CV above which a bench iteration set is reported as noisy. */
-constexpr double kNoisyCv = 0.15;
-
-/**
- * A `sunstone bench` timing artifact (BENCH_eval.json): best/median/CV
- * per benchmark, with noisy iteration sets flagged.
- */
-void
-printBench(const JsonValue &doc)
-{
-    const JsonValue *benches = doc.find("benchmarks");
-    if (!benches || !benches->isArray())
-        return;
-    section("bench timings");
-    std::printf("  %-30s %12s %12s %8s\n", "benchmark", "best s",
-                "median s", "cv");
-    int noisy = 0;
-    for (const JsonValue &b : benches->items) {
-        const double cv = b.find("cv") ? b.find("cv")->asDouble() : 0;
-        const bool flag = cv > kNoisyCv;
-        noisy += flag;
-        std::printf("  %-30s %12.6f %12.6f %7.1f%%%s\n",
-                    b.find("name") ? b.find("name")->asString().c_str()
-                                   : "?",
-                    b.find("best_seconds")
-                        ? b.find("best_seconds")->asDouble()
-                        : 0,
-                    b.find("median_seconds")
-                        ? b.find("median_seconds")->asDouble()
-                        : 0,
-                    100.0 * cv, flag ? "  NOISY" : "");
-    }
-    if (noisy)
-        std::printf("  %d benchmark(s) above %.0f%% CV: timings on "
-                    "this host are unstable; prefer median over "
-                    "best/mean.\n",
-                    noisy, 100.0 * kNoisyCv);
-}
-
 void
 printTrace(const JsonValue &doc)
 {
@@ -577,19 +536,17 @@ run(const std::map<std::string, std::string> &kv)
     std::string metricsPath = get("metrics-json");
     std::string snapshotPath = get("snapshot-json");
     std::string convergencePath = get("convergence-json");
-    std::string benchPath = get("bench-json");
     std::string tracePath = get("trace-json");
     const std::string diagDir = get("diag-dir");
 
     if (statsPath.empty() && metricsPath.empty() &&
         snapshotPath.empty() && convergencePath.empty() &&
-        benchPath.empty() && tracePath.empty() && diagDir.empty()) {
+        tracePath.empty() && diagDir.empty()) {
         std::printf(
             "usage: sunstone report [--stats-json F] [--metrics-json F]\n"
             "                       [--snapshot-json F] "
             "[--convergence-json F]\n"
-            "                       [--bench-json F] [--trace-json F] "
-            "[--diag-dir D]\n");
+            "                       [--trace-json F] [--diag-dir D]\n");
         return 2;
     }
 
@@ -649,12 +606,6 @@ run(const std::map<std::string, std::string> &kv)
         printWarmStart(metricsDoc);
     else if (!diagDir.empty())
         printWarmStart(diagMetrics);
-    if (!benchPath.empty()) {
-        JsonValue benchDoc;
-        if (!loadJson(benchPath, benchDoc))
-            SUNSTONE_FATAL("cannot read '", benchPath, "'");
-        printBench(benchDoc);
-    }
     if (!tracePath.empty() || !diagDir.empty()) {
         JsonValue trace;
         const std::string tp =

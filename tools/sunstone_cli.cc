@@ -27,9 +27,8 @@
  *   --max-evals N      total candidate evaluations
  *   --plateau N        stop after N consecutive non-improving evals
  *   --seed S           RNG seed (results are identical at any --threads)
- *   --stop-policy F    text config (deadline_ms/max_evals/plateau/seed;
- *                      the deprecated Timeloop key `timeout` still parses
- *                      as max_consecutive_invalid, with a warning)
+ *   --stop-policy F    text config (deadline_ms/max_evals/plateau/
+ *                      max_consecutive_invalid/seed)
  *   --checkpoint F     periodically snapshot resumable search state
  *   --resume F         continue from a snapshot written by --checkpoint
  * SIGINT/SIGTERM raise the cooperative cancellation flag (see
@@ -96,7 +95,7 @@
  *
  *   sunstone report [--stats-json F] [--metrics-json F]
  *                   [--snapshot-json F] [--convergence-json F]
- *                   [--bench-json F] [--trace-json F] [--diag-dir D]
+ *                   [--trace-json F] [--diag-dir D]
  *       Digest run artifacts offline.
  *
  *   sunstone eval --mapping F [workload opts] [--arch ...]
@@ -190,12 +189,8 @@ const std::map<std::string, std::set<std::string>> kKnownFlags = {
                "repro-prefix", "threads"}},
     {"serve", {"threads", "warmstart-store", "queue-capacity",
                "metrics-json"}},
-    {"bench", {"seed", "repeat", "warmup", "threads", "out", "only",
-               "deadline-ms", "max-evals", "plateau", "snapshot-json",
-               "snapshot-interval-ms", "progress"}},
     {"report", {"stats-json", "metrics-json", "snapshot-json",
-                "convergence-json", "bench-json", "trace-json",
-                "diag-dir"}},
+                "convergence-json", "trace-json", "diag-dir"}},
 };
 
 Args
@@ -627,7 +622,7 @@ void
 usage()
 {
     std::printf(
-        "usage: sunstone <describe|map|eval|arch|check|serve|bench|"
+        "usage: sunstone <describe|map|eval|arch|check|serve|"
         "report> [options]\n"
         "see the header of tools/sunstone_cli.cc for the full option "
         "list\n");
@@ -636,10 +631,6 @@ usage()
 } // anonymous namespace
 
 namespace sunstone {
-namespace bench {
-// Implemented in tools/bench.cc (compiled into this binary).
-int run(const std::map<std::string, std::string> &kv);
-} // namespace bench
 namespace report {
 // Implemented in tools/report.cc (compiled into this binary).
 int run(const std::map<std::string, std::string> &kv);
@@ -663,8 +654,6 @@ main(int argc, char **argv)
         return cmdCheck(a);
     if (a.command == "serve")
         return cmdServe(a);
-    if (a.command == "bench")
-        return sunstone::bench::run(a.kv);
     if (a.command == "report")
         return sunstone::report::run(a.kv);
     usage();
