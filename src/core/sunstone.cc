@@ -29,6 +29,10 @@ namespace {
 
 constexpr double kInf = std::numeric_limits<double>::infinity();
 
+/** A collector passes its counts on after this many scored candidates
+ *  (and at the end of its entry's expansion). */
+constexpr std::int64_t kFlushEvery = 64;
+
 /** A partially decided mapping plus its search bookkeeping. */
 struct Partial
 {
@@ -76,6 +80,10 @@ struct CandidateRecord
  * own emission sequence — never on how expansions interleave across
  * worker threads. The serial in-entry-order merge in expandBeam applies
  * the global incumbent afterwards.
+ *
+ * The collector also counts its expansion's work in plain integers and
+ * hands them to the engine and the driver in batches (Driver::flush),
+ * so scoring a candidate writes no state another thread writes.
  */
 struct Collector
 {
@@ -86,6 +94,14 @@ struct Collector
     std::vector<Partial> bases;
     std::vector<OrderingEntry> orderings;
     double inc = kInf;
+
+    // Not yet flushed: the completion scores (tally.calls is also the
+    // count of scored candidates the driver has not been told of),
+    // examined walk nodes, unroll combos and candidates, and alpha-beta
+    // prunes.
+    EvalEngine::ScoreTally tally;
+    std::int64_t examined = 0;
+    std::int64_t prunes = 0;
 };
 
 template <class Int>
@@ -321,14 +337,16 @@ class Driver
                 CostModelOptions cmo;
                 cmo.assumeValid = true;
                 cmo.modelNoc = false;
+                EvalEngine::ScoreTally tally;
                 for (const Mapping &seed : sc.warmStarts()) {
                     if (!seed.valid(ba))
                         continue;
                     const double e = engine.scoreEnergy(
-                        ctx, EvalEngine::PrefixHandle{}, seed, cmo);
+                        ctx, EvalEngine::PrefixHandle{}, seed, cmo, tally);
                     if (e < incumbent_)
                         incumbent_ = e;
                 }
+                engine.addScores(tally);
             }
         }
 
@@ -605,8 +623,8 @@ class Driver
      */
     double
     scoreCompletion(Partial &p, const std::vector<DimId> &fill_order,
-                    bool bottom_up,
-                    const EvalEngine::PrefixHandle &ph) const
+                    bool bottom_up, const EvalEngine::PrefixHandle &ph,
+                    EvalEngine::ScoreTally &tally) const
     {
         const int fill = bottom_up ? nLevels - 1 : 0;
         auto &lm = p.m.level(fill);
@@ -633,7 +651,7 @@ class Driver
         // are nearly all distinct, so scoring goes through the
         // allocation-free fast path (never cached); the decided-level
         // prefix terms come from the step's shared handle.
-        const double e = engine.scoreEnergy(ctx, ph, p.m, cmo);
+        const double e = engine.scoreEnergy(ctx, ph, p.m, cmo, tally);
         lm.temporal.assign(saved_temporal.begin(), saved_temporal.end());
         if (bottom_up)
             lm.order.assign(saved_order.begin(), saved_order.end());
@@ -670,18 +688,20 @@ class Driver
          const std::int64_t *unroll, bool bottom_up,
          const EvalEngine::PrefixHandle &ph)
     {
-        if (drv_->shouldStop())
-            return;
         Collector &col = ex.col;
-        const double score = scoreCompletion(
-            ex.work, col.orderings[ordering].order, bottom_up, ph);
-        examined.fetch_add(1, std::memory_order_relaxed);
-        drv_->noteEvaluated(1);
+        if (drv_->shouldStop(col.tally.calls))
+            return;
+        const double score =
+            scoreCompletion(ex.work, col.orderings[ordering].order,
+                            bottom_up, ph, col.tally);
+        ++col.examined;
+        if (col.tally.calls == kFlushEvery)
+            flush(col);
         if (opts.alphaBeta) {
             if (score < col.inc)
                 col.inc = score;
             if (score > col.inc * opts.alphaSlack) {
-                engine.notePrune();
+                ++col.prunes;
                 return;
             }
         }
@@ -690,6 +710,22 @@ class Driver
              floorLog2(std::max<std::int64_t>(1, ex.work.m.totalSpatial()))});
         col.arena.insert(col.arena.end(), tile, tile + nDims);
         col.arena.insert(col.arena.end(), unroll, unroll + nDims);
+    }
+
+    /**
+     * Adds a collector's counts to the engine, `examined` and the
+     * driver, and zeroes them: an expansion's only shared writes.
+     */
+    void
+    flush(Collector &col)
+    {
+        drv_->noteEvaluated(col.tally.calls);
+        engine.addScores(col.tally);
+        if (col.prunes > 0)
+            engine.notePrune(col.prunes);
+        examined.fetch_add(col.examined, std::memory_order_relaxed);
+        col.examined = 0;
+        col.prunes = 0;
     }
 
     /** Registers an expansion's ordering candidates with the collector;
@@ -729,6 +765,7 @@ class Driver
                 expandBottomUp(beam[i], k, cols[i]);
             else
                 expandTopDown(beam[i], k, cols[i]);
+            flush(cols[i]);
         });
 
         struct Kept
@@ -738,6 +775,7 @@ class Driver
             std::uint32_t record;
         };
         std::vector<Kept> merged;
+        std::int64_t prunes = 0;
         for (std::uint32_t c = 0; c < cols.size(); ++c) {
             const auto &records = cols[c].records;
             for (std::uint32_t r = 0; r < records.size(); ++r) {
@@ -746,13 +784,15 @@ class Driver
                     if (score < incumbent_)
                         incumbent_ = score;
                     if (score > incumbent_ * opts.alphaSlack) {
-                        engine.notePrune();
+                        ++prunes;
                         continue;
                     }
                 }
                 merged.push_back({score, c, r});
             }
         }
+        if (prunes > 0)
+            engine.notePrune(prunes);
         std::stable_sort(merged.begin(), merged.end(),
                          [](const Kept &a, const Kept &b) {
                              return a.score < b.score;
@@ -915,7 +955,7 @@ class Driver
             for (std::uint32_t o = 0; o < orderings.size(); ++o) {
                 const OrderingCandidate &ord = orderings[o];
                 auto unrolls =
-                    countedUnrolls(allowedUnrollDimsFor(ord), base_rem,
+                    countedUnrolls(col, allowedUnrollDimsFor(ord), base_rem,
                                    fanout_above, utilFor(ord));
                 if (isGeneralist(ord) && unrolls.size() > 24) {
                     auto product = [&](const auto &v) {
@@ -936,8 +976,7 @@ class Driver
                         rem[d] = base_rem[d] / u[d];
                     const Walk &w =
                         walks.get(grows[o], rem, shared_later[o]);
-                    examined.fetch_add(w.nodesVisited,
-                                       std::memory_order_relaxed);
+                    col.examined += w.nodesVisited;
                     for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
                         emitCandidate(ex, k, first_ordering + o,
                                       w.tiles.data() + t, u.data(), ph);
@@ -954,8 +993,7 @@ class Driver
             for (std::uint32_t o = 0; o < orderings.size(); ++o) {
                 const Walk &w =
                     walks.get(grows[o], base_rem, shared_later[o]);
-                examined.fetch_add(w.nodesVisited,
-                                   std::memory_order_relaxed);
+                col.examined += w.nodesVisited;
                 for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
                     emitTileUnrolls(ex, k, first_ordering + o,
                                     w.tiles.data() + t, fanout_above,
@@ -976,7 +1014,7 @@ class Driver
                 allow_union.unionWith(allowedUnrollDimsFor(ord));
         }
         const Walk &w = walks.get(grow_union, base_rem, /*retain=*/false);
-        examined.fetch_add(w.nodesVisited, std::memory_order_relaxed);
+        col.examined += w.nodesVisited;
         for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
             for (std::uint32_t o = 0; o < orderings.size(); ++o)
                 emitTileUnrolls(ex, k, first_ordering + o, w.tiles.data() + t,
@@ -1006,13 +1044,14 @@ class Driver
     /** Unroll candidates for a fanout (the identity when there is no
      *  fanout to fill), their visited combos counted as examined. */
     std::vector<std::vector<std::int64_t>>
-    countedUnrolls(DimSet allowed, const std::vector<std::int64_t> &rem,
-                   std::int64_t fanout, double util)
+    countedUnrolls(Collector &col, DimSet allowed,
+                   const std::vector<std::int64_t> &rem,
+                   std::int64_t fanout, double util) const
     {
         if (fanout <= 1)
             return {std::vector<std::int64_t>(nDims, 1)};
         UnrollResult ur = tracedUnrolls(allowed, rem, fanout, util);
-        examined.fetch_add(ur.combosVisited, std::memory_order_relaxed);
+        col.examined += ur.combosVisited;
         return std::move(ur.candidates);
     }
 
@@ -1024,7 +1063,8 @@ class Driver
         std::vector<std::int64_t> rem = ex.base.remaining;
         for (DimId d = 0; d < nDims; ++d)
             rem[d] /= tile[d];
-        for (const auto &u : countedUnrolls(allowed, rem, fanout_above,
+        for (const auto &u : countedUnrolls(ex.col, allowed, rem,
+                                            fanout_above,
                                             opts.utilizationThreshold))
             emitCandidate(ex, k, ordering, tile, u.data(), ph);
     }
@@ -1063,7 +1103,7 @@ class Driver
     void
     expandTopDown(const Partial &base, int k, Collector &col)
     {
-        const auto tiles = firstFitTiles(base.remaining, k);
+        const auto tiles = firstFitTiles(base.remaining, k, col);
         col.bases.push_back(base);
         Expansion ex{col, static_cast<std::uint32_t>(col.bases.size() - 1),
                      col.bases.back()};
@@ -1079,7 +1119,7 @@ class Driver
             const std::uint32_t first_ordering = addOrderings(col, orderings);
             for (std::uint32_t o = 0; o < orderings.size(); ++o) {
                 for (const auto &u : countedUnrolls(
-                         allowedUnrollDimsFor(orderings[o]), rem,
+                         col, allowedUnrollDimsFor(orderings[o]), rem,
                          ba.arch().levels[k].fanout,
                          opts.utilizationThreshold)) {
                     apply(ex.work, k, /*bottom_up=*/false, tile.data(),
@@ -1099,7 +1139,8 @@ class Driver
      * yet, which is a key reason top-down explores more (Section V-C).
      */
     std::vector<std::vector<std::int64_t>>
-    firstFitTiles(const std::vector<std::int64_t> &remaining, int k)
+    firstFitTiles(const std::vector<std::int64_t> &remaining, int k,
+                  Collector &col) const
     {
         SUNSTONE_TRACE_SPAN("sunstone.tiling");
         std::vector<std::vector<std::int64_t>> result;
@@ -1125,7 +1166,7 @@ class Driver
         while (!frontier.empty()) {
             std::vector<std::vector<std::int64_t>> next;
             for (auto &node : frontier) {
-                examined.fetch_add(1, std::memory_order_relaxed);
+                ++col.examined;
                 if (++visited_nodes > node_cap) {
                     SUNSTONE_WARN("top-down tiling frontier capped at ",
                                   node_cap, " nodes");

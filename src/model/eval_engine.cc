@@ -111,7 +111,8 @@ SearchStats::toJson() const
     auto field = [&](const char *name, std::int64_t v, bool comma = true) {
         out += "\"";
         out += name;
-        out += "\": " + std::to_string(v);
+        out += "\": ";
+        out += std::to_string(v);
         if (comma)
             out += ", ";
     };
@@ -125,13 +126,19 @@ SearchStats::toJson() const
     field("prefix_misses", prefixMisses);
     field("scratch_reuses", scratchReuses);
     field("batches", batches);
-    out += "\"eval_latency_us\": " + evalLatencyUs.toJson() + ", ";
-    out += "\"batch_size\": " + batchSize.toJson() + ", ";
-    out += "\"phase_seconds\": {";
+    // Piece by piece: GCC 12 raises a false -Wrestrict on
+    // `literal + std::string` temporaries here.
+    out += "\"eval_latency_us\": ";
+    out += evalLatencyUs.toJson();
+    out += ", \"batch_size\": ";
+    out += batchSize.toJson();
+    out += ", \"phase_seconds\": {";
     for (std::size_t i = 0; i < phaseSeconds.size(); ++i) {
         if (i)
             out += ", ";
-        out += "\"" + jsonEscape(phaseSeconds[i].first) + "\": ";
+        out += "\"";
+        out += jsonEscape(phaseSeconds[i].first);
+        out += "\": ";
         appendJsonDouble(out, phaseSeconds[i].second);
     }
     out += "}}";
@@ -401,10 +408,13 @@ EvalEngine::evaluateWithPrefix(const Context &ctx, const PrefixHandle &ph,
 
 double
 EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
-                        const Mapping &m, const CostModelOptions &opts)
+                        const Mapping &m, const CostModelOptions &opts,
+                        ScoreTally &tally)
 {
-    evaluations_.add(1);
-    const auto t0 = std::chrono::steady_clock::now();
+    const bool timed = tally.calls++ % kScoreSampleEvery == 0;
+    std::chrono::steady_clock::time_point t0;
+    if (timed)
+        t0 = std::chrono::steady_clock::now();
     EvalScratch &scratch = threadEvalScratch();
     const std::int64_t reuse0 = scratch.reuseCount();
     thread_local CostResult res;
@@ -413,15 +423,35 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
                                       scratch, res);
     else
         evaluateMappingInto(ctx.boundArch(), m, opts, scratch, res);
-    scratchReuses_.add(scratch.reuseCount() - reuse0);
-    evalLatencyUs_.record(std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count());
+    tally.scratchReuses += scratch.reuseCount() - reuse0;
+    if (timed) {
+        ++tally.timedCalls;
+        tally.timedUs += std::chrono::duration<double, std::micro>(
+                             std::chrono::steady_clock::now() - t0)
+                             .count();
+    }
     if (!res.valid) {
-        invalid_.add(1);
+        ++tally.invalid;
         return std::numeric_limits<double>::infinity();
     }
     return res.totalEnergyPj;
+}
+
+void
+EvalEngine::addScores(ScoreTally &tally)
+{
+    if (tally.calls > 0) {
+        evaluations_.add(tally.calls);
+        invalid_.add(tally.invalid);
+        scratchReuses_.add(tally.scratchReuses);
+        // Every call counts; the timed ones stand in for the rest.
+        const double mean =
+            tally.timedCalls > 0
+                ? tally.timedUs / static_cast<double>(tally.timedCalls)
+                : 0.0;
+        evalLatencyUs_.record(mean, tally.calls);
+    }
+    tally = {};
 }
 
 void
@@ -491,17 +521,18 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
                     hit = true;
                 }
             }
-            if (hit) {
-                hits_.add(1);
+            if (hit)
                 continue;
-            }
-            misses_.add(1);
             miss.push_back(i);
             missHash.push_back(h);
             missKeyOff.push_back(keysFlat.size());
             keysFlat.insert(keysFlat.end(), key.begin(), key.end());
         }
         missKeyOff.push_back(keysFlat.size()); // end sentinel
+        // Each counter once per chunk, not once per mapping.
+        const auto misses = static_cast<std::int64_t>(miss.size());
+        hits_.add(static_cast<std::int64_t>(hi - lo) - misses);
+        misses_.add(misses);
     }
 
     if (miss.empty())
@@ -523,12 +554,14 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
     const auto timed = static_cast<std::int64_t>(miss.size());
     evalLatencyUs_.record(us / static_cast<double>(timed), timed);
 
+    std::int64_t invalid = 0;
+    for (std::size_t i : miss)
+        invalid += out[i].valid ? 0 : 1;
+    invalid_.add(invalid);
+    if (!useCache)
+        return;
     for (std::size_t j = 0; j < miss.size(); ++j) {
         const CostResult &res = out[miss[j]];
-        if (!res.valid)
-            invalid_.add(1);
-        if (!useCache)
-            continue;
         Shard &shard = *shards_[missHash[j] & (shards_.size() - 1)];
         std::lock_guard<std::mutex> lk(shard.mtx);
         if (shard.map.size() >= opts_.maxEntriesPerShard) {

@@ -212,14 +212,45 @@ class EvalEngine
                                       CachePolicy::UseCache);
 
     /**
+     * Caller-owned counts of scoreEnergy() calls, added to the engine's
+     * counters by addScores(). A search keeps one per worker task, so
+     * scoring a candidate writes no shared state (DESIGN.md §11,
+     * "Scoring tallies").
+     */
+    struct ScoreTally
+    {
+        std::int64_t calls = 0;
+        std::int64_t invalid = 0;
+        std::int64_t scratchReuses = 0;
+        /** The calls that read the clock (one in kScoreSampleEvery). */
+        std::int64_t timedCalls = 0;
+        double timedUs = 0;
+    };
+
+    /** scoreEnergy() times call 0, N, 2N, ... of a tally. */
+    static constexpr std::int64_t kScoreSampleEvery = 64;
+
+    /**
      * Allocation-free scoring fast path: evaluates into per-thread
      * buffers and returns only the total energy (pJ); infinity for
-     * invalid mappings. Counted as an evaluation, never cached. This is
-     * what high-volume completion scoring calls — identical numbers to
+     * invalid mappings. Never cached. This is what high-volume
+     * completion scoring calls — identical numbers to
      * evaluate(...).totalEnergyPj without materializing a CostResult.
+     * The call is counted in `tally`, not in the engine: it makes no
+     * atomic write, and reads the clock only for one call in
+     * kScoreSampleEvery.
      */
     double scoreEnergy(const Context &ctx, const PrefixHandle &ph,
-                       const Mapping &m, const CostModelOptions &opts = {});
+                       const Mapping &m, const CostModelOptions &opts,
+                       ScoreTally &tally);
+
+    /**
+     * Adds a tally's calls, invalid results and scratch reuses to the
+     * counters and zeroes it. The latency histogram gets one sample,
+     * the timed calls' mean weighted by every call: its count stays
+     * exact and its sum is a sampled estimate.
+     */
+    void addScores(ScoreTally &tally);
 
     /**
      * Evaluates a batch of mappings: the batch is cut into fixed-size
@@ -250,7 +281,7 @@ class EvalEngine
     ThreadPool &pool();
 
     /** Records alpha-beta (or equivalent) prunes for telemetry. */
-    void notePrune(std::int64_t n = 1) { prunes_.add(n); }
+    void notePrune(std::int64_t n) { prunes_.add(n); }
 
     /** Accumulates wall-clock into a named phase. */
     void addPhaseSeconds(const std::string &phase, double seconds);

@@ -147,7 +147,7 @@ SearchDriver::latchReason(StopReason r)
 }
 
 bool
-SearchDriver::shouldStop()
+SearchDriver::shouldStop(std::int64_t pending)
 {
     if (reason() != StopReason::None)
         return true;
@@ -160,7 +160,7 @@ SearchDriver::shouldStop()
     if (sc_.hardDeadline() &&
         std::chrono::steady_clock::now() >= *sc_.hardDeadline())
         return latchReason(StopReason::Deadline);
-    if (pol.maxEvals > 0 && evaluated() >= pol.maxEvals)
+    if (pol.maxEvals > 0 && evaluated() + pending >= pol.maxEvals)
         return latchReason(StopReason::MaxEvals);
     return false;
 }

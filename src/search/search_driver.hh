@@ -194,9 +194,13 @@ class SearchDriver
     /**
      * Thread-safe stop check for structured searches: deadline, hard
      * deadline, cancellation, and max-evals. The first reason to trip
-     * is latched.
+     * is latched. `pending` is the caller's evaluations not yet passed
+     * to noteEvaluated(); they count toward max-evals, so a search that
+     * reports its evaluations in batches still stops on the candidate
+     * that reaches the bound, unless other threads hold unreported
+     * evaluations too.
      */
-    bool shouldStop();
+    bool shouldStop(std::int64_t pending = 0);
 
     /** Thread-safe evaluation accounting (manual mode). */
     void

@@ -6,6 +6,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cmath>
 #include <vector>
 
 #include "arch/presets.hh"
@@ -133,6 +134,55 @@ TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
             << threads << " threads";
         EXPECT_GT(s.evalLatencyUs.sum, 0.0) << threads << " threads";
     }
+}
+
+TEST(EvalEngine, ScoreTallyAddsExactCounts)
+{
+    // Scoring counts into the caller's tally, not the engine; addScores
+    // moves every count over exactly and zeroes the tally. The latency
+    // histogram gets one sample per call, timed one call in 64.
+    Workload wl = makeGemm(16, 16, 16);
+    BoundArch ba(makeToyArch(64, 4), wl);
+    const Mapping good = naiveMapping(ba);
+    Mapping bad = good;
+    bad.level(0).temporal[0] *= 2; // factor product no longer the dim
+
+    EvalEngine engine;
+    const EvalEngine::Context ctx = engine.context(ba);
+    const EvalEngine::PrefixHandle none;
+    EvalEngine::ScoreTally tally;
+    engine.scoreEnergy(ctx, none, good, {}, tally); // warms the scratch
+    engine.addScores(tally);
+    const SearchStats before = engine.stats();
+
+    constexpr std::int64_t n = 150; // spans three sampling periods
+    std::int64_t invalid = 0;
+    for (std::int64_t i = 0; i < n; ++i) {
+        const bool broken = i % 7 == 3;
+        const double e = engine.scoreEnergy(ctx, none, broken ? bad : good,
+                                            {}, tally);
+        EXPECT_EQ(std::isinf(e), broken) << i;
+        invalid += broken ? 1 : 0;
+    }
+    EXPECT_EQ(engine.stats().evaluations, before.evaluations);
+    EXPECT_EQ(tally.calls, n);
+    EXPECT_EQ(tally.invalid, invalid);
+    EXPECT_EQ(tally.timedCalls, 3);
+    const std::int64_t reuses = tally.scratchReuses;
+    EXPECT_GT(reuses, 0);
+
+    engine.addScores(tally);
+    const SearchStats s = engine.stats();
+    EXPECT_EQ(s.evaluations - before.evaluations, n);
+    EXPECT_EQ(s.invalidMappings - before.invalidMappings, invalid);
+    EXPECT_EQ(s.scratchReuses - before.scratchReuses, reuses);
+    EXPECT_EQ(s.evalLatencyUs.count - before.evalLatencyUs.count, n);
+    EXPECT_GT(s.evalLatencyUs.sum, before.evalLatencyUs.sum);
+    EXPECT_EQ(tally.calls, 0);
+    EXPECT_EQ(tally.invalid, 0);
+    EXPECT_EQ(tally.scratchReuses, 0);
+    EXPECT_EQ(tally.timedCalls, 0);
+    EXPECT_EQ(tally.timedUs, 0.0);
 }
 
 TEST(EvalEngine, DistinctContextsDoNotShareEntries)

@@ -18,6 +18,7 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
 #include <random>
 #include <string>
 #include <vector>
@@ -286,13 +287,41 @@ TEST(EvalEquivalence, StridedConvAndBypassCovered)
     }
 }
 
+/** Which class of Mapping::valid() reason `why` is. */
+std::string
+reasonClass(const std::string &why)
+{
+    // "mesh" first: the mesh reason also says "spatial factors".
+    for (const char *c : {"mesh", "factors of dim", "order", "fanout",
+                          "tile"})
+        if (why.find(c) != std::string::npos)
+            return c;
+    return why;
+}
+
 /** The evaluation fast path's validity check is a separate
  *  implementation from Mapping::valid(); both the verdict and the
- *  human-readable reason it reports must stay in lockstep. */
+ *  human-readable reason it reports must stay in lockstep. Broken
+ *  mappings that should fail a later check keep every dim's factor
+ *  product (factors move between levels), so the factor check, which
+ *  runs first, does not hide the branch under test. */
 TEST(EvalEquivalence, CheckValidMatchesMappingValid)
 {
-    constexpr int kTrials = 120;
     EvalScratch scratch;
+    std::map<std::string, int> reached;
+    auto compare = [&](const BoundArch &ba, const Mapping &m,
+                       const std::string &label) {
+        std::string ref_why, got_why;
+        const bool ref_ok = m.valid(ba, &ref_why);
+        scratch.prepare(ba);
+        const bool got_ok = detail::checkValid(ba, m, scratch, &got_why);
+        EXPECT_EQ(ref_ok, got_ok) << label;
+        EXPECT_EQ(ref_why, got_why) << label;
+        if (!ref_ok)
+            ++reached[reasonClass(ref_why)];
+    };
+
+    constexpr int kTrials = 120;
     for (int i = 0; i < kTrials; ++i) {
         std::mt19937_64 rng = diffcheckTrialRng(54000 + i);
         const Workload wl = randomDiffcheckWorkload(rng);
@@ -308,8 +337,8 @@ TEST(EvalEquivalence, CheckValidMatchesMappingValid)
         case 1: // factor product too large
             m.level(i % nl).temporal[i % nd] *= 3;
             break;
-        case 2: // spatial product exceeds the fanout
-            m.level(i % nl).spatial[i % nd] *= 4096;
+        case 2: // the whole problem unrolled under the GLB's fanout of 8
+            collapseOnto(m, wl, 1, /*spatial=*/true);
             break;
         case 3: // order is not a permutation
             if (nd >= 2)
@@ -318,21 +347,46 @@ TEST(EvalEquivalence, CheckValidMatchesMappingValid)
         case 4: // order has the wrong arity
             m.level(i % nl).order.push_back(0);
             break;
-        case 5: // tile overflows the innermost capacity
-            m.level(0).temporal[i % nd] *= 64;
-            m.level(nl - 1).temporal[i % nd] *= 64;
+        case 5: // the whole problem as L1's tile; it fits the fuzz
+                // machine's 1 Mbit L1, so the overflow is the fixed
+                // conventional case below
+            collapseOnto(m, wl, 0, /*spatial=*/false);
             break;
         default:
             break;
         }
-
-        std::string ref_why, got_why;
-        const bool ref_ok = m.valid(ba, &ref_why);
-        scratch.prepare(ba);
-        const bool got_ok = detail::checkValid(ba, m, scratch, &got_why);
-        EXPECT_EQ(ref_ok, got_ok) << "trial " << i;
-        EXPECT_EQ(ref_why, got_why) << "trial " << i;
+        compare(ba, m, "trial " + std::to_string(i));
     }
+
+    // Every tensor whole in the conventional machine's 512-byte L1.
+    ConvShape sh;
+    sh.k = 32;
+    sh.c = 32;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    const Workload conv = makeConv2D(sh);
+    const BoundArch conventional(makeConventional(), conv);
+    Mapping whole = naiveMapping(conventional);
+    collapseOnto(whole, conv, 0, /*spatial=*/false);
+    compare(conventional, whole, "conv tile");
+
+    // Spatial factors 8 x 1 fit a fanout of 16 but no side of its 4x4
+    // mesh (see tests/test_mesh.cc).
+    const Workload gemm = makeGemm(8, 8, 8);
+    ArchSpec meshed = makeToyArch(256, 16);
+    meshed.levels[1].meshX = 4;
+    meshed.levels[1].meshY = 4;
+    const BoundArch toy(meshed, gemm);
+    Mapping unpackable = naiveMapping(toy);
+    const DimId md = gemm.dimByName("m");
+    unpackable.level(2).temporal[md] = 1;
+    unpackable.level(1).spatial[md] = 8;
+    compare(toy, unpackable, "mesh");
+
+    for (const char *c : {"factors of dim", "order", "fanout", "mesh", "tile"})
+        EXPECT_GT(reached[c], 0) << c << " never reached";
 }
 
 /** One EvalScratch alternating between two bindings with the same

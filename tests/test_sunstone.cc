@@ -16,6 +16,7 @@
 #include "mappers/exhaustive_mapper.hh"
 #include "mapping/serialize.hh"
 #include "model/eval_engine.hh"
+#include "obs/convergence.hh"
 #include "obs/metrics.hh"
 #include "search/checkpoint.hh"
 #include "search/search_context.hh"
@@ -279,6 +280,23 @@ struct PinnedOutcome
     std::int64_t evaluations;
 };
 
+/** A 3x3 conv on the Simba machine at Table IV's word widths: a
+ *  partitioned hierarchy with vector lanes below level 0. */
+BoundArch
+simbaConv()
+{
+    ConvShape sh;
+    sh.k = 32;
+    sh.c = 32;
+    sh.p = 8;
+    sh.q = 8;
+    sh.r = 3;
+    sh.s = 3;
+    Workload wl = makeConv2D(sh);
+    applySimbaPrecisions(wl);
+    return BoundArch(makeSimbaLike(), wl);
+}
+
 /** A ResNet-style 3x3 conv on the conventional machine, whose tiling
  *  walks are large (hundreds of nodes) and often repeated across the
  *  orderings of one expansion. */
@@ -489,15 +507,6 @@ level DRAM temporal - spatial - order n,k,c,p,q,r,s
  */
 TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
 {
-    ConvShape simba_sh;
-    simba_sh.k = 32;
-    simba_sh.c = 32;
-    simba_sh.p = 8;
-    simba_sh.q = 8;
-    simba_sh.r = 3;
-    simba_sh.s = 3;
-    Workload simba_wl = makeConv2D(simba_sh);
-    applySimbaPrecisions(simba_wl);
     ConvShape eyeriss_sh;
     eyeriss_sh.k = 16;
     eyeriss_sh.c = 16;
@@ -506,7 +515,7 @@ TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
     eyeriss_sh.r = 3;
     eyeriss_sh.s = 3;
     const std::map<std::string, BoundArch> problems = {
-        {"simba", BoundArch(makeSimbaLike(), simba_wl)},
+        {"simba", simbaConv()},
         {"eyeriss", BoundArch(makeEyerissLike(), makeConv2D(eyeriss_sh))},
         {"mttkrp",
          BoundArch(makeConventional(), makeMTTKRP(64, 32, 32, 8))},
@@ -582,6 +591,113 @@ TEST(Sunstone, TilingWalkReuseCountsAreThreadInvariant)
     EXPECT_EQ(counts[0][0], counts[1][0]);
     EXPECT_EQ(counts[0][1], counts[1][1]);
     EXPECT_EQ(edp[0], edp[1]);
+}
+
+/** A max-evals cut at one thread, recorded when every scored candidate
+ *  still reported itself to the driver and the engine on its own. */
+struct MaxEvalsCut
+{
+    std::int64_t maxEvals;
+    std::int64_t examined;
+    /** The driver's evaluation count (the trajectory's last point). */
+    std::int64_t evaluated;
+    double edp;
+    const char *mapping;
+};
+
+constexpr const char *kCutEarly = R"(mapping
+level WeightReg temporal k=8 spatial q=8 order n,k,c,p,q,r,s
+level PEBuf temporal - spatial k=4,p=2 order n,k,p,q,s,c,r
+level L2 temporal - spatial - order n,k,c,p,q,r,s
+level DRAM temporal c=32,p=4,r=3,s=3 spatial - order n,k,p,q,s,c,r
+)";
+
+/** Two cuts inside step 0's single expansion, one inside step 1, whose
+ *  beam entries expand one after another at one thread. */
+const MaxEvalsCut kMaxEvalsCuts[] = {
+    {1000, 31674, 1032, 0x1.6e17899ecf9e4p-31, kCutEarly},
+    {4100, 34774, 4132, 0x1.6e17899ecf9e4p-31, kCutEarly},
+    {5200, 37198, 5229, 0x1.557b9e603f0c2p-36, R"(mapping
+level WeightReg temporal k=2,c=4 spatial q=8 order n,k,c,p,q,r,s
+level PEBuf temporal c=4,p=8,r=3 spatial c=2,s=3 order n,k,c,q,r,s,p
+level L2 temporal - spatial k=16 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+};
+
+/** Runs the default search on `ba` under a max-evals bound (0: none). */
+SunstoneResult
+runWithMaxEvals(const BoundArch &ba, unsigned threads,
+                std::int64_t max_evals, EvalEngine &engine,
+                std::int64_t &evaluated)
+{
+    SunstoneOptions opts;
+    opts.threads = threads;
+    StopPolicy pol;
+    pol.maxEvals = max_evals;
+    obs::ConvergenceRecorder rec;
+    SearchContext sc(&engine, pol, &rec);
+    SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+    evaluated = rec.trajectories().back()->points().back().evaluations;
+    return r;
+}
+
+/**
+ * An expansion reports its evaluations to the driver in batches, and the
+ * stop check counts the unreported ones: at one thread a max-evals cut
+ * still stops on the very candidate it did when each candidate reported
+ * itself.
+ */
+TEST(Sunstone, MaxEvalsCutIsExactAtOneThread)
+{
+    const BoundArch ba = simbaConv();
+    for (const MaxEvalsCut &cut : kMaxEvalsCuts) {
+        SCOPED_TRACE("max evals " + std::to_string(cut.maxEvals));
+        EvalEngine engine(EvalEngineOptions{.threads = 1});
+        std::int64_t evaluated = 0;
+        SunstoneResult r =
+            runWithMaxEvals(ba, 1, cut.maxEvals, engine, evaluated);
+        ASSERT_TRUE(r.found);
+        EXPECT_EQ(r.stopReason, "max-evals");
+        EXPECT_EQ(r.candidatesExamined, cut.examined);
+        EXPECT_EQ(evaluated, cut.evaluated);
+        EXPECT_EQ(engine.stats().evaluations, cut.evaluated);
+        EXPECT_EQ(r.cost.edp, cut.edp);
+        EXPECT_EQ(mappingToText(r.mapping, ba), cut.mapping);
+    }
+}
+
+/** Every count an expansion batches up reaches the engine and the
+ *  driver, whichever thread expanded the entry: the counts agree at 1
+ *  and 4 threads and equal those recorded when each scored candidate
+ *  reported itself. */
+TEST(Sunstone, ExpansionCountsAreThreadInvariant)
+{
+    const BoundArch ba = simbaConv();
+    SearchStats stats[2];
+    std::int64_t examined[2];
+    std::int64_t evaluated[2];
+    for (int i = 0; i < 2; ++i) {
+        const unsigned threads = i == 0 ? 1u : 4u;
+        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        SunstoneResult r = runWithMaxEvals(ba, threads, 0, engine,
+                                           evaluated[i]);
+        ASSERT_TRUE(r.found);
+        EXPECT_EQ(r.stopReason, "exhausted");
+        stats[i] = engine.stats();
+        examined[i] = r.candidatesExamined;
+    }
+    for (int i = 0; i < 2; ++i) {
+        SCOPED_TRACE(i == 0 ? "1 thread" : "4 threads");
+        EXPECT_EQ(examined[i], 37449);
+        EXPECT_EQ(evaluated[i], 5487);
+        EXPECT_EQ(stats[i].evaluations, 5487);
+        EXPECT_EQ(stats[i].invalidMappings, 53);
+        EXPECT_EQ(stats[i].prunes, 4782);
+        // Cache hits of the ranking and the polish are not timed.
+        EXPECT_EQ(stats[i].evalLatencyUs.count, 5373);
+        EXPECT_GT(stats[i].evalLatencyUs.sum, 0.0);
+    }
 }
 
 TEST(Sunstone, UtilizationThresholdRaisesParallelism)
