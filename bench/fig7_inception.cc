@@ -65,41 +65,35 @@ main(int argc, char **argv)
     // across all layers.
     EvalEngine sunEngine;
     EvalEngine baselineEngine;
+    // Each search gets a fresh context (its own seed and RNG streams) on
+    // the family's engine and the shared convergence recorder.
+    const auto baseline = [&](Mapper &&mapper, const BoundArch &ba) {
+        SearchContext sc(&baselineEngine, {}, oargs.convergence());
+        return mapper.optimize(sc, ba);
+    };
 
     for (const auto &layer : inceptionV3WeightUpdateLayers(16)) {
         BoundArch ba(arch, layer.workload);
         SunstoneOptions so;
-        so.engine = &sunEngine;
-        so.convergence = oargs.convergence();
         so.searchLabel = "sunstone:" + layer.workload.name();
-        SunstoneResult sun = sunstoneOptimize(ba, so);
+        SearchContext sunCtx(&sunEngine, {}, oargs.convergence());
+        SunstoneResult sun = sunstoneOptimize(sunCtx, ba, so);
 
         TimeloopOptions tf = TimeloopOptions::fast();
         tf.maxSeconds = budget;
-        tf.engine = &baselineEngine;
-        tf.convergence = oargs.convergence();
-        auto tlf = TimeloopMapper(tf, "TL-fast").optimize(ba);
+        auto tlf = baseline(TimeloopMapper(tf, "TL-fast"), ba);
         TimeloopOptions ts = TimeloopOptions::slow();
         ts.maxSeconds = budget;
-        ts.engine = &baselineEngine;
-        ts.convergence = oargs.convergence();
-        auto tls = TimeloopMapper(ts, "TL-slow").optimize(ba);
+        auto tls = baseline(TimeloopMapper(ts, "TL-slow"), ba);
 
         DMazeOptions df = DMazeOptions::fast();
         df.maxEvaluations = 60000;
-        df.engine = &baselineEngine;
-        df.convergence = oargs.convergence();
-        auto dmf = DMazeMapper(df, "dMaze-fast").optimize(ba);
+        auto dmf = baseline(DMazeMapper(df, "dMaze-fast"), ba);
         DMazeOptions ds = DMazeOptions::slow();
         ds.maxEvaluations = 60000;
-        ds.engine = &baselineEngine;
-        ds.convergence = oargs.convergence();
-        auto dms = DMazeMapper(ds, "dMaze-slow").optimize(ba);
+        auto dms = baseline(DMazeMapper(ds, "dMaze-slow"), ba);
 
-        InterstellarOptions io;
-        io.engine = &baselineEngine;
-        io.convergence = oargs.convergence();
-        auto inter = InterstellarMapper(io).optimize(ba);
+        auto inter = baseline(InterstellarMapper(), ba);
 
         std::printf(
             "%-14s | %9.3g | %9s %9s | %9s %9s | %9s || %7.2f %7.2f "

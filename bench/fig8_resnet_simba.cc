@@ -54,14 +54,17 @@ main(int argc, char **argv)
         applySimbaPrecisions(layer.workload);
 
     EvalEngine sunEngine;
-    NetSchedulerOptions nopts;
-    nopts.engine = &sunEngine;
-    nopts.sunstone.convergence = oargs.convergence();
-    SearchContext sc;
+    SearchContext sc(&sunEngine, {}, oargs.convergence());
     NetScheduleResult net =
-        scheduleNet(sc, arch, NetGraph::fromLayers(layers), nopts);
+        scheduleNet(sc, arch, NetGraph::fromLayers(layers));
 
     EvalEngine baselineEngine;
+    // Each baseline search gets a fresh context (its own seed and RNG
+    // streams) on the baseline engine and the shared recorder.
+    const auto baseline = [&](Mapper &&mapper, const BoundArch &ba) {
+        SearchContext bsc(&baselineEngine, {}, oargs.convergence());
+        return mapper.optimize(bsc, ba);
+    };
     for (std::size_t li = 0; li < layers.size(); ++li) {
         const Workload &wl = layers[li].workload;
         BoundArch ba(arch, wl);
@@ -75,14 +78,8 @@ main(int argc, char **argv)
 
         TimeloopOptions to = TimeloopOptions::slow();
         to.maxSeconds = budget;
-        to.engine = &baselineEngine;
-        to.convergence = oargs.convergence();
-        auto tl = TimeloopMapper(to, "TL").optimize(ba);
-
-        CosaOptions co;
-        co.engine = &baselineEngine;
-        co.convergence = oargs.convergence();
-        auto cosa = CosaMapper(co).optimize(ba);
+        auto tl = baseline(TimeloopMapper(to, "TL"), ba);
+        auto cosa = baseline(CosaMapper(), ba);
         ++cosa_total;
         if (!cosa.found)
             ++cosa_invalid;

@@ -255,11 +255,7 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     if (greedy)
         result.fusionMode = "greedy";
 
-    EvalEngine &eng =
-        sc.engine() ? *sc.engine()
-                    : (opts.engine
-                           ? *opts.engine
-                           : sc.engineOrPrivate(opts.sunstone.threads));
+    EvalEngine &eng = sc.engine();
 
     // The whole-network wall-clock budget becomes one absolute deadline
     // shared by every search: searches launched late inherit whatever is
@@ -602,12 +598,9 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     const auto runSearch = [&](const BoundArch &ba,
                                const std::string &label) {
         SunstoneOptions so = opts.sunstone;
-        so.engine = &eng;
-        obs::ConvergenceRecorder *conv =
-            sc.convergence() ? sc.convergence() : so.convergence;
-        if (conv)
+        if (sc.convergence())
             so.searchLabel = label;
-        SearchContext child(&eng, netPolicy, conv);
+        SearchContext child(&eng, netPolicy, sc.convergence());
         child.policy().deadlineSeconds = 0; // network-wide, see above
         if (sc.hardDeadline())
             child.setHardDeadline(*sc.hardDeadline());
@@ -631,9 +624,7 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             return;
         const std::string &name = uq.ba->workload().name();
         SUNSTONE_TRACE_SPAN("net.search:" + name);
-        Timer t;
         uq.search = runSearch(*uq.ba, "sunstone:" + name);
-        eng.addPhaseSeconds("layer:" + name, t.seconds());
         if (!cancelled(uq.search))
             recordDone(uq.done);
         board.noteUnitDone();
@@ -652,7 +643,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             return;
         SUNSTONE_TRACE_SPAN("net.search.fused:" +
                             fu.members.front().ba->workload().name());
-        Timer t;
         bool complete = true;
         for (FusedMember &fm : fu.members) {
             fm.search = runSearch(
@@ -673,9 +663,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                 }
             }
         }
-        eng.addPhaseSeconds(
-            "fused:" + fu.members.front().ba->workload().name(),
-            t.seconds());
         if (complete)
             recordDone(fu.done);
         board.noteUnitDone();
@@ -861,7 +848,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     result.layersUnique = static_cast<int>(uniques.size());
     result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
     result.seconds = baseSeconds + timer.seconds();
-    eng.addPhaseSeconds("net.schedule", timer.seconds());
     result.stats = eng.stats();
     return result;
 }

@@ -61,14 +61,6 @@ struct NetSchedulerOptions
     /** Per-layer search configuration. */
     SunstoneOptions sunstone;
 
-    /**
-     * Shared evaluation engine, used when the context carries none;
-     * when both are null the context creates a private one with
-     * sunstone.threads workers. The engine's pool carries both the
-     * layer-level and the search-level parallelism.
-     */
-    EvalEngine *engine = nullptr;
-
     /** How producer→consumer edges are treated. */
     FusionMode fusion = FusionMode::Off;
 
@@ -200,7 +192,9 @@ struct NetScheduleResult
  * counters. A layer list schedules as NetGraph::fromLayers(layers). The
  * graph must validate(); fatal() otherwise.
  *
- * @param sc search context (policy, checkpoint/resume, engine)
+ * @param sc search context (policy, checkpoint/resume, engine,
+ *        convergence recorder); its engine's pool carries both the
+ *        layer-level and the search-level parallelism
  * @param arch the architecture (bound per node internally)
  * @param graph the network (see workload/net_graph.hh)
  * @param opts scheduler configuration

@@ -115,13 +115,11 @@ neighbours(const BoundArch &ba, const Mapping &m)
 } // anonymous namespace
 
 Mapping
-polishMapping(const BoundArch &ba, const Mapping &m, bool optimize_edp,
-              int max_rounds, RefineStats *stats, EvalEngine *engine,
+polishMapping(EvalEngine &eng, const BoundArch &ba, const Mapping &m,
+              bool optimize_edp, int max_rounds, RefineStats *stats,
               SearchDriver *driver)
 {
     SUNSTONE_TRACE_SPAN("refine.hillclimb");
-    EvalEngine localEngine;
-    EvalEngine &eng = engine ? *engine : localEngine;
     const EvalEngine::Context ctx = eng.context(ba);
     Mapping best = m;
     double best_obj = objective(eng, ctx, EvalEngine::PrefixHandle{}, best,

@@ -29,22 +29,21 @@ struct RefineStats
 /**
  * Hill climbs from `m` and returns the improved mapping.
  *
+ * @param engine evaluation engine. The hill climb revisits neighbours
+ *        across rounds, so a shared memoized engine saves real
+ *        evaluations.
  * @param ba bound architecture/workload
  * @param m valid starting mapping
  * @param optimize_edp objective (EDP or energy)
  * @param max_rounds cap on accepted-improvement rounds
  * @param stats optional counters
- * @param engine optional shared evaluation engine; a private one is
- *        created when null. The hill climb revisits neighbours across
- *        rounds, so a shared memoized engine saves real evaluations.
  * @param driver optional search driver: evaluations are accounted with
  *        noteEvaluated() and the climb stops early once the driver's
  *        StopPolicy fires (deadline, eval budget, cancellation).
  */
-Mapping polishMapping(const BoundArch &ba, const Mapping &m,
-                      bool optimize_edp, int max_rounds = 64,
-                      RefineStats *stats = nullptr,
-                      EvalEngine *engine = nullptr,
+Mapping polishMapping(EvalEngine &engine, const BoundArch &ba,
+                      const Mapping &m, bool optimize_edp,
+                      int max_rounds = 64, RefineStats *stats = nullptr,
                       SearchDriver *driver = nullptr);
 
 } // namespace sunstone

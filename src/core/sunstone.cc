@@ -11,13 +11,11 @@
 #include "common/logging.hh"
 #include "common/math_utils.hh"
 #include "common/thread_pool.hh"
-#include "common/timer.hh"
 #include "core/ordering_trie.hh"
 #include "core/refine.hh"
 #include "core/tiling_tree.hh"
 #include "core/unrolling.hh"
 #include "model/eval_engine.hh"
-#include "obs/convergence.hh"
 #include "obs/metrics.hh"
 #include "obs/trace.hh"
 #include "search/checkpoint.hh"
@@ -294,10 +292,7 @@ class Driver
            const SunstoneOptions &opts)
         : sc(sc), ba(ba), opts(opts), wl(ba.workload()),
           nLevels(ba.numLevels()), nDims(wl.numDims()),
-          engine(sc.engine()
-                     ? *sc.engine()
-                     : (opts.engine ? *opts.engine
-                                    : sc.engineOrPrivate(opts.threads))),
+          engine(sc.engine()),
           ctx(engine.context(ba))
     {
     }
@@ -306,14 +301,11 @@ class Driver
     run()
     {
         SUNSTONE_TRACE_SPAN("sunstone.search");
-        Timer timer;
         SunstoneResult result;
 
         // The driver owns timing, eval accounting, the incumbent, the
         // convergence trajectory, StopPolicy enforcement, and the
         // checkpoint/resume cycle. The beam logic below only feeds it.
-        if (!sc.convergence() && opts.convergence)
-            sc.setConvergence(opts.convergence);
         SearchDriver drv(sc, engine, ba, opts.searchLabel,
                          opts.optimizeEdp);
         drv_ = &drv;
@@ -414,8 +406,8 @@ class Driver
             if (opts.polish) {
                 SUNSTONE_TRACE_SPAN("sunstone.refine");
                 RefineStats rs;
-                m = polishMapping(ba, m, opts.optimizeEdp, 64, &rs,
-                                  &engine, &drv);
+                m = polishMapping(engine, ba, m, opts.optimizeEdp, 64, &rs,
+                                  &drv);
                 examined.fetch_add(rs.evaluated);
             }
             CostResult cr = engine.evaluate(ctx, m);
@@ -435,7 +427,6 @@ class Driver
         result.candidatesExamined = examined.load();
         result.seconds = o.seconds;
         result.stopReason = stopReasonName(o.reason);
-        engine.addPhaseSeconds("sunstone.search", timer.seconds());
         return result;
     }
 

@@ -28,12 +28,6 @@
 
 namespace sunstone {
 
-class EvalEngine;
-
-namespace obs {
-class ConvergenceRecorder;
-} // namespace obs
-
 /** Search configuration. */
 struct SunstoneOptions
 {
@@ -69,9 +63,6 @@ struct SunstoneOptions
     /** Prune partials whose estimate exceeds incumbent * slack. */
     double alphaSlack = 2.0;
 
-    /** Worker threads (the paper evaluates all tools with 8). */
-    unsigned threads = 1;
-
     /** Rank final candidates by EDP (default) or energy alone. */
     bool optimizeEdp = true;
 
@@ -85,21 +76,10 @@ struct SunstoneOptions
     bool generalistOrdering = true;
 
     /**
-     * Shared evaluation engine (memoization cache, telemetry, worker
-     * pool). When null the driver creates a private engine sized by
-     * `threads`; inject one to share the cache and pool across searches
-     * (the network scheduler does).
+     * Name of the convergence trajectory the search opens when its
+     * context carries a recorder: one point per incumbent improvement
+     * plus one final point equal to the returned result.
      */
-    EvalEngine *engine = nullptr;
-
-    /**
-     * Optional convergence telemetry: when set, the search opens one
-     * trajectory named `searchLabel` and records a point per incumbent
-     * improvement plus one final point equal to the returned result.
-     */
-    obs::ConvergenceRecorder *convergence = nullptr;
-
-    /** Trajectory name used with `convergence`. */
     std::string searchLabel = "sunstone";
 };
 

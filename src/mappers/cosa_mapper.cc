@@ -191,9 +191,7 @@ CosaMapper::optimize(SearchContext &sc, const BoundArch &ba)
     for (DimId d = 0; d < nd; ++d)
         m.level(nl - 1).temporal[d] = rem[d];
 
-    if (!sc.convergence() && opts.convergence)
-        sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engine();
 
     // One-shot construction: the driver evaluates the single candidate,
     // so the convergence trajectory is the one point the solver commits

@@ -22,12 +22,6 @@ struct CosaOptions
 {
     /** Target buffer fill fraction for the relaxed allocation. */
     double targetUtilization = 0.85;
-
-    /** Shared evaluation engine; a private one is created when null. */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
 };
 
 /** The mapper. */

@@ -28,16 +28,6 @@ struct DMazeOptions
     std::int64_t maxEvaluations = 300000;
     bool optimizeEdp = true;
 
-    /**
-     * Shared evaluation engine; a private one is created when null.
-     * Many enumerated order rotations canonicalize to the same cost-model
-     * key, so memoization saves real evaluations here.
-     */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
-
     /** Table V fast/aggressive configuration (repository default). */
     static DMazeOptions
     fast()

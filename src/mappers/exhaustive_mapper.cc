@@ -135,9 +135,7 @@ ExhaustiveMapper::optimize(SearchContext &sc, const BoundArch &ba)
         SUNSTONE_FATAL("exhaustive search space too large (", est,
                        " mappings, cap ", opts.maxSpace, ")");
 
-    if (!sc.convergence() && opts.convergence)
-        sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engine();
 
     SearchDriver drv(sc, eng, ba, "exhaustive", opts.optimizeEdp);
     ExhaustiveProducer producer(ba);

@@ -20,16 +20,6 @@ struct ExhaustiveOptions
     /** Refuse to run when the estimated space exceeds this. */
     double maxSpace = 5e6;
     bool optimizeEdp = true;
-
-    /**
-     * Shared evaluation engine; a private one is created when null.
-     * Enumerated permutations that differ only in inactive loop dims
-     * canonicalize to the same key, so memoization collapses them.
-     */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
 };
 
 /** The mapper. */

@@ -250,9 +250,7 @@ GammaMapper::optimize(SearchContext &sc, const BoundArch &ba)
 {
     SUNSTONE_TRACE_SPAN("mapper." + displayName);
 
-    if (!sc.convergence() && opts.convergence)
-        sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engine();
     sc.ensureSeed(opts.seed);
 
     StopPolicy defaults;

@@ -27,16 +27,6 @@ struct GammaOptions
     std::uint64_t seed = 0xabcd;
     double maxSeconds = 60.0;
     bool optimizeEdp = true;
-
-    /**
-     * Shared evaluation engine; a private one is created when null.
-     * GA populations converge, so later generations re-evaluate many
-     * repeated individuals — memoization absorbs those.
-     */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
 };
 
 /** The mapper. */

@@ -110,9 +110,7 @@ InterstellarMapper::optimize(SearchContext &sc, const BoundArch &ba)
     const ArchSpec &arch = ba.arch();
     const int nd = wl.numDims();
 
-    if (!sc.convergence() && opts.convergence)
-        sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, 1);
+    EvalEngine &eng = sc.engine();
 
     StopPolicy defaults;
     defaults.maxEvals = opts.maxEvaluations;

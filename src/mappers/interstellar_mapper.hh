@@ -22,12 +22,6 @@ struct InterstellarOptions
     double ckFallbackBelow = 0.5;
     std::int64_t maxEvaluations = 200000;
     bool optimizeEdp = true;
-
-    /** Shared evaluation engine; a private one is created when null. */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
 };
 
 /** The mapper. */

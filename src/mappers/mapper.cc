@@ -33,14 +33,4 @@ Mapper::toMapperResult(const DriverOutcome &o,
     return r;
 }
 
-EvalEngine &
-Mapper::resolveEngine(SearchContext &sc, EvalEngine *legacy, unsigned threads)
-{
-    if (sc.engine())
-        return *sc.engine();
-    if (legacy)
-        return *legacy;
-    return sc.engineOrPrivate(threads);
-}
-
 } // namespace sunstone

@@ -21,12 +21,6 @@
 
 namespace sunstone {
 
-class EvalEngine;
-
-namespace obs {
-class ConvergenceRecorder;
-} // namespace obs
-
 /** Outcome of one mapper invocation. */
 struct MapperResult
 {
@@ -67,11 +61,16 @@ class Mapper
      * Runs the tool's search for the bound workload/architecture under
      * the caller's SearchContext: its StopPolicy (layered over the
      * mapper's legacy knobs as defaults), seed, engine, convergence
-     * recorder, and checkpoint/resume configuration.
+     * recorder, and checkpoint/resume configuration. The search runs on
+     * `sc.engine()`; the context is the only source of the engine and
+     * the recorder.
      */
     virtual MapperResult optimize(SearchContext &sc, const BoundArch &ba) = 0;
 
-    /** Convenience overload running under a fresh default context. */
+    /**
+     * Convenience overload running under a fresh default context, and so
+     * on a private one-worker engine.
+     */
     MapperResult optimize(const BoundArch &ba);
 
     /** @return the tool's display name ("TL-fast", "dMaze-slow", ...). */
@@ -98,14 +97,6 @@ class Mapper
      */
     static MapperResult toMapperResult(const DriverOutcome &o,
                                        const std::string &not_found_reason);
-
-    /**
-     * Resolves the engine the search runs on: the context's borrowed
-     * engine wins, then the legacy option-struct engine, then a private
-     * engine created inside the context with `threads` workers.
-     */
-    static EvalEngine &resolveEngine(SearchContext &sc, EvalEngine *legacy,
-                                     unsigned threads);
 };
 
 } // namespace sunstone

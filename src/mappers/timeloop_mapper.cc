@@ -86,9 +86,7 @@ TimeloopMapper::optimize(SearchContext &sc, const BoundArch &ba)
 {
     SUNSTONE_TRACE_SPAN("mapper." + displayName);
 
-    if (!sc.convergence() && opts.convergence)
-        sc.setConvergence(opts.convergence);
-    EvalEngine &eng = resolveEngine(sc, opts.engine, opts.threads);
+    EvalEngine &eng = sc.engine();
     sc.ensureSeed(opts.seed);
 
     StopPolicy defaults;

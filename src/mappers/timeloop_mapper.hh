@@ -32,20 +32,9 @@ struct TimeloopOptions
     std::int64_t victoryCondition = 25;
     /** Hard wall-clock cap in seconds (paper: 1 h per layer). */
     double maxSeconds = 60.0;
-    unsigned threads = 1;
     std::uint64_t seed = 0x5075; // fixed default for determinism
     /** Rank mappings by EDP (default) or energy. */
     bool optimizeEdp = true;
-
-    /**
-     * Shared evaluation engine; a private one sized by `threads` is
-     * created when null (the network benches inject one to share its
-     * telemetry and worker pool across tools).
-     */
-    EvalEngine *engine = nullptr;
-
-    /** Optional convergence telemetry (see obs/convergence.hh). */
-    obs::ConvergenceRecorder *convergence = nullptr;
 
     /** Table V fast configuration. */
     static TimeloopOptions

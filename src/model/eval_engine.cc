@@ -2,12 +2,9 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cmath>
-#include <cstdio>
 #include <cstring>
 #include <limits>
 
-#include "common/json.hh"
 #include "obs/flight_recorder.hh"
 
 namespace sunstone {
@@ -53,18 +50,6 @@ roundUpPow2(unsigned v)
     while (p < v)
         p <<= 1;
     return p;
-}
-
-void
-appendJsonDouble(std::string &out, double v)
-{
-    if (!std::isfinite(v)) {
-        out += "null"; // "%g" would emit inf/nan, which is not valid JSON
-        return;
-    }
-    char buf[64];
-    std::snprintf(buf, sizeof(buf), "%.17g", v);
-    out += buf;
 }
 
 } // anonymous namespace
@@ -132,26 +117,14 @@ SearchStats::toJson() const
     out += evalLatencyUs.toJson();
     out += ", \"batch_size\": ";
     out += batchSize.toJson();
-    out += ", \"phase_seconds\": {";
-    for (std::size_t i = 0; i < phaseSeconds.size(); ++i) {
-        if (i)
-            out += ", ";
-        out += "\"";
-        out += jsonEscape(phaseSeconds[i].first);
-        out += "\": ";
-        appendJsonDouble(out, phaseSeconds[i].second);
-    }
-    out += "}}";
+    out += "}";
     return out;
 }
 
-EvalEngine::EvalEngine(EvalEngineOptions opts) : opts_(opts)
+EvalEngine::EvalEngine(EvalEngineOptions opts)
+    : opts_(opts), shards_(roundUpPow2(std::max(1u, opts.shards)))
 {
-    const unsigned n = roundUpPow2(std::max(1u, opts_.shards));
-    opts_.shards = n;
-    shards_.reserve(n);
-    for (unsigned i = 0; i < n; ++i)
-        shards_.push_back(std::make_unique<Shard>());
+    opts_.shards = static_cast<unsigned>(shards_.size());
 }
 
 EvalEngine::~EvalEngine() = default;
@@ -311,7 +284,7 @@ EvalEngine::evaluateImpl(const Context &ctx, const Mapping &m,
     thread_local std::vector<std::int64_t> key;
     canonicalKey(m, opts, key);
     const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-    Shard &shard = *shards_[h & (shards_.size() - 1)];
+    Shard &shard = shards_[h & (shards_.size() - 1)];
 
     {
         std::lock_guard<std::mutex> lk(shard.mtx);
@@ -511,7 +484,7 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
         for (std::size_t i = lo; i < hi; ++i) {
             canonicalKey(ms[i], opts, key);
             const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-            Shard &shard = *shards_[h & (shards_.size() - 1)];
+            Shard &shard = shards_[h & (shards_.size() - 1)];
             bool hit = false;
             {
                 std::lock_guard<std::mutex> lk(shard.mtx);
@@ -562,7 +535,7 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
         return;
     for (std::size_t j = 0; j < miss.size(); ++j) {
         const CostResult &res = out[miss[j]];
-        Shard &shard = *shards_[missHash[j] & (shards_.size() - 1)];
+        Shard &shard = shards_[missHash[j] & (shards_.size() - 1)];
         std::lock_guard<std::mutex> lk(shard.mtx);
         if (shard.map.size() >= opts_.maxEntriesPerShard) {
             evictions_.add(static_cast<std::int64_t>(shard.map.size()));
@@ -596,13 +569,6 @@ EvalEngine::pool()
     return *pool_;
 }
 
-void
-EvalEngine::addPhaseSeconds(const std::string &phase, double seconds)
-{
-    std::lock_guard<std::mutex> lk(phaseMtx_);
-    phases_[phase] += seconds;
-}
-
 SearchStats
 EvalEngine::stats() const
 {
@@ -619,10 +585,6 @@ EvalEngine::stats() const
     s.batches = batches_.value();
     s.evalLatencyUs = evalLatencyUs_.snapshot();
     s.batchSize = batchSize_.snapshot();
-    {
-        std::lock_guard<std::mutex> lk(phaseMtx_);
-        s.phaseSeconds.assign(phases_.begin(), phases_.end());
-    }
     return s;
 }
 
@@ -630,9 +592,9 @@ std::size_t
 EvalEngine::cacheSize() const
 {
     std::size_t n = 0;
-    for (const auto &s : shards_) {
-        std::lock_guard<std::mutex> lk(s->mtx);
-        n += s->map.size();
+    for (const Shard &s : shards_) {
+        std::lock_guard<std::mutex> lk(s.mtx);
+        n += s.map.size();
     }
     return n;
 }

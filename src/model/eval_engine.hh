@@ -11,8 +11,9 @@
  *    ranking, hill-climb revisits, repeated layers of a network — hit
  *    the cache instead of the analytical model;
  *  - atomic telemetry counters (evaluations, cache hits/misses, invalid
- *    mappings, alpha-beta prunes, evictions) plus per-phase wall-clock,
- *    exported as a SearchStats snapshot with JSON rendering;
+ *    mappings, alpha-beta prunes, evictions), exported as a SearchStats
+ *    snapshot with JSON rendering (wall-clock attribution is left to
+ *    the trace spans);
  *  - a lazily created shared ThreadPool, so nested searches (network
  *    scheduler over per-layer searches) stop oversubscribing threads.
  *
@@ -36,7 +37,6 @@
 
 #include <atomic>
 #include <cstdint>
-#include <map>
 #include <memory>
 #include <mutex>
 #include <span>
@@ -57,8 +57,18 @@ struct SearchStats
     /** Evaluation requests routed through the engine (hits included). */
     std::int64_t evaluations = 0;
     std::int64_t cacheHits = 0;
+    /**
+     * Memo lookups that found no entry. Two lookups that miss the same
+     * key before either inserts it (two threads, or two chunks of one
+     * batch) both evaluate it and both count a miss, so with more than
+     * one worker the count can vary between runs.
+     */
     std::int64_t cacheMisses = 0;
-    /** Evaluations whose mapping failed the validity check. */
+    /**
+     * Analytical-model invocations (cache misses, bypassed lookups and
+     * scoreEnergy() calls) whose mapping failed the validity check. A
+     * memo hit on an invalid mapping is not counted again.
+     */
     std::int64_t invalidMappings = 0;
     /** Alpha-beta prunes recorded by searches via notePrune(). */
     std::int64_t prunes = 0;
@@ -71,8 +81,6 @@ struct SearchStats
     std::int64_t scratchReuses = 0;
     /** evaluateBatch() calls routed through the engine. */
     std::int64_t batches = 0;
-    /** Wall-clock per phase, accumulated via addPhaseSeconds(). */
-    std::vector<std::pair<std::string, double>> phaseSeconds;
     /** Latency of analytical-model invocations (cache hits excluded). */
     obs::HistogramSnapshot evalLatencyUs;
     /** Distribution of evaluateBatch() sizes. */
@@ -85,8 +93,7 @@ struct SearchStats
      * Counter-wise difference of two snapshots of one engine
      * (this - earlier): what a bounded span of work — e.g. one service
      * request on a long-lived session engine — contributed. Histograms
-     * and phase wall-clock are not differenced; the delta keeps this
-     * snapshot's copies.
+     * are not differenced; the delta keeps this snapshot's copies.
      */
     SearchStats deltaSince(const SearchStats &earlier) const;
 
@@ -283,9 +290,6 @@ class EvalEngine
     /** Records alpha-beta (or equivalent) prunes for telemetry. */
     void notePrune(std::int64_t n) { prunes_.add(n); }
 
-    /** Accumulates wall-clock into a named phase. */
-    void addPhaseSeconds(const std::string &phase, double seconds);
-
     /** @return a consistent snapshot of the counters. */
     SearchStats stats() const;
 
@@ -298,9 +302,15 @@ class EvalEngine
         std::vector<std::int64_t> key;
         CostResult result;
     };
-    struct Shard
+    /**
+     * Worker threads lock shards once per mapping. The shards sit in one
+     * array, each starting on a cache line of its own, so which of their
+     * fields share a line does not depend on where an allocator puts
+     * them.
+     */
+    struct alignas(64) Shard
     {
-        std::mutex mtx;
+        mutable std::mutex mtx;
         std::unordered_map<std::uint64_t, Entry> map;
     };
     struct PrefixEntry
@@ -322,7 +332,7 @@ class EvalEngine
                        std::size_t hi);
 
     EvalEngineOptions opts_;
-    std::vector<std::unique_ptr<Shard>> shards_;
+    std::vector<Shard> shards_;
 
     /** Bounded memo of prefix-term snapshots (cleared when full). */
     static constexpr std::size_t kMaxPrefixEntries = 4096;
@@ -344,9 +354,6 @@ class EvalEngine
     obs::Counter batches_;
     obs::Histogram evalLatencyUs_;
     obs::Histogram batchSize_;
-
-    mutable std::mutex phaseMtx_;
-    std::map<std::string, double> phases_;
 
     mutable std::mutex poolMtx_;
     std::unique_ptr<ThreadPool> pool_;

@@ -3,13 +3,12 @@
 namespace sunstone {
 
 EvalEngine &
-SearchContext::engineOrPrivate(unsigned threads)
+SearchContext::engine()
 {
     if (engine_)
         return *engine_;
     if (!ownedEngine_)
-        ownedEngine_ = std::make_unique<EvalEngine>(
-            EvalEngineOptions{.threads = threads});
+        ownedEngine_ = std::make_unique<EvalEngine>();
     return *ownedEngine_;
 }
 

@@ -7,10 +7,10 @@
  * searches (the net scheduler's per-layer fan-out) each get their own,
  * sharing the engine and the cancellation flag through it.
  *
- * Engine resolution: a context either borrows an engine or lazily
- * creates a private one sized by the caller's thread count — this keeps
- * the legacy `optimize(const BoundArch&)` convenience overloads and the
- * option-struct `engine` fields working unchanged.
+ * The context is the only way a search gets its engine and convergence
+ * recorder. It either borrows an engine or, when none was lent (the
+ * `optimize(const BoundArch&)` convenience overloads), creates a
+ * default one-worker engine on first use.
  */
 
 #ifndef SUNSTONE_SEARCH_SEARCH_CONTEXT_HH
@@ -36,30 +36,30 @@ class SearchContext
   public:
     SearchContext() = default;
 
+    /**
+     * @param engine engine to borrow (it must outlive the context), or
+     *        nullptr for a private default one
+     * @param convergence recorder every search under the context
+     *        records its trajectory in, or nullptr for none
+     */
     explicit SearchContext(EvalEngine *engine, StopPolicy policy = {},
                            obs::ConvergenceRecorder *convergence = nullptr)
         : engine_(engine), policy_(policy), convergence_(convergence)
     {
     }
 
-    /** The borrowed engine, or nullptr when none was attached. */
-    EvalEngine *engine() const { return engine_; }
-
-    void setEngine(EvalEngine *engine) { engine_ = engine; }
-
     /**
      * @return the borrowed engine, or (creating it on first call) a
-     * private engine with `threads` workers. The private engine lives as
-     * long as the context.
+     * private default engine with one worker. The private engine lives
+     * as long as the context.
      */
-    EvalEngine &engineOrPrivate(unsigned threads);
+    EvalEngine &engine();
 
     StopPolicy &policy() { return policy_; }
     const StopPolicy &policy() const { return policy_; }
     void setPolicy(const StopPolicy &p) { policy_ = p; }
 
     obs::ConvergenceRecorder *convergence() const { return convergence_; }
-    void setConvergence(obs::ConvergenceRecorder *c) { convergence_ = c; }
 
     /** Whether the cooperative cancellation flag is raised. */
     bool

@@ -310,7 +310,6 @@ SchedulerSession::runMap(const MappingRequest &req, ArtifactSet *artifacts,
         opts.optimizeEdp = edp;
         if (req.beamWidth > 0)
             opts.beamWidth = req.beamWidth;
-        opts.threads = threads_;
         SunstoneResult r = sunstoneOptimize(sc, ba, opts);
         mr.found = r.found;
         mr.mapping = r.mapping;
@@ -325,7 +324,6 @@ SchedulerSession::runMap(const MappingRequest &req, ArtifactSet *artifacts,
     } else if (req.mapper == "timeloop") {
         TimeloopOptions opts = TimeloopOptions::slow();
         opts.optimizeEdp = edp;
-        opts.threads = threads_;
         if (req.budgetSeconds)
             opts.maxSeconds = *req.budgetSeconds;
         mr = TimeloopMapper(opts).optimize(sc, ba);
@@ -390,8 +388,6 @@ SchedulerSession::runNet(const MappingRequest &req, ArtifactSet *artifacts,
     opts.sunstone.optimizeEdp = req.optimizeEdp;
     if (req.beamWidth > 0)
         opts.sunstone.beamWidth = req.beamWidth;
-    opts.sunstone.threads = threads_;
-    opts.engine = engine_.get();
 
     SearchContext sc =
         makeContext(req, artifacts ? artifacts->convergence() : nullptr);

@@ -14,6 +14,7 @@
 #include "arch/presets.hh"
 #include "core/net_scheduler.hh"
 #include "model/cost_model.hh"
+#include "model/eval_engine.hh"
 #include "obs/metrics.hh"
 #include "search/checkpoint.hh"
 #include "workload/net_graph.hh"
@@ -205,24 +206,28 @@ TEST(Residency, OutputEphemeralDropsDrainWhenCovered)
     EXPECT_LT(ce.totalEnergyPj, cb.totalEnergyPj);
 }
 
+/** Every scheduler run below evaluates on its own two-worker engine. */
+const EvalEngineOptions kTwoWorkers{.threads = 2};
+
 TEST(NetScheduler, FuseOffMatchesPerLayerSchedulerBitForBit)
 {
     const ArchSpec arch = makeConventional();
     const NetGraph g = attentionGraph(64, 2);
 
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     opts.fusion = FusionMode::Off;
     StopPolicy pol;
     pol.maxEvals = 300;
     pol.plateau = 1'000'000'000;
 
-    SearchContext sa;
+    EvalEngine ea(kTwoWorkers);
+    SearchContext sa(&ea);
     sa.setPolicy(pol);
     sa.setSeed(11);
     const NetScheduleResult ra = scheduleNet(sa, arch, g, opts);
 
-    SearchContext sb;
+    EvalEngine eb(kTwoWorkers);
+    SearchContext sb(&eb);
     sb.setPolicy(pol);
     sb.setSeed(11);
     const NetScheduleResult rb =
@@ -254,19 +259,20 @@ TEST(NetScheduler, GreedyFusionNeverRegressesAndFusesAttention)
     const NetGraph g = attentionGraph(64, 1);
 
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     StopPolicy pol;
     pol.maxEvals = 300;
     pol.plateau = 1'000'000'000;
 
     opts.fusion = FusionMode::Off;
-    SearchContext soff;
+    EvalEngine eoff(kTwoWorkers);
+    SearchContext soff(&eoff);
     soff.setPolicy(pol);
     soff.setSeed(11);
     const NetScheduleResult off = scheduleNet(soff, arch, g, opts);
 
     opts.fusion = FusionMode::Greedy;
-    SearchContext son;
+    EvalEngine eon(kTwoWorkers);
+    SearchContext son(&eon);
     son.setPolicy(pol);
     son.setSeed(11);
     const NetScheduleResult fused = scheduleNet(son, arch, g, opts);
@@ -321,9 +327,9 @@ TEST(NetScheduler, IdenticalFusedChainsShareOneFusedSearch)
     }
 
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     opts.fusion = FusionMode::Greedy;
-    SearchContext sc;
+    EvalEngine engine(kTwoWorkers);
+    SearchContext sc(&engine);
     sc.policy().maxEvals = 300;
     sc.policy().plateau = 1'000'000'000;
     sc.setSeed(11);
@@ -368,8 +374,8 @@ TEST(NetScheduler, DedupLayersReportDedupStopReason)
     std::vector<Layer> layers{{makeGemm(16, 16, 16), 1},
                               {makeGemm(16, 16, 16), 1}};
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
-    SearchContext sc;
+    EvalEngine engine(kTwoWorkers);
+    SearchContext sc(&engine);
     sc.policy().maxEvals = 200;
     sc.setSeed(3);
     const NetScheduleResult r =

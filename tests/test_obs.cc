@@ -318,9 +318,9 @@ TEST(Convergence, SunstoneSearchEmitsMonotoneTrajectory)
 
     obs::ConvergenceRecorder rec;
     SunstoneOptions opts;
-    opts.convergence = &rec;
     opts.searchLabel = "test-search";
-    SunstoneResult r = sunstoneOptimize(ba, opts);
+    SearchContext sc(nullptr, {}, &rec);
+    SunstoneResult r = sunstoneOptimize(sc, ba, opts);
     ASSERT_TRUE(r.found);
 
     ASSERT_EQ(rec.trajectoryCount(), 1u);

@@ -6,6 +6,7 @@
 #include "core/refine.hh"
 #include "core/sunstone.hh"
 #include "mappers/gamma_mapper.hh"
+#include "model/eval_engine.hh"
 #include "workload/zoo.hh"
 
 namespace sunstone {
@@ -18,7 +19,9 @@ TEST(Refine, NeverWorsensAValidMapping)
     Mapping m = naiveMapping(ba);
     const double before = evaluateMapping(ba, m).edp;
     RefineStats stats;
-    Mapping polished = polishMapping(ba, m, /*edp=*/true, 64, &stats);
+    EvalEngine engine;
+    Mapping polished =
+        polishMapping(engine, ba, m, /*edp=*/true, 64, &stats);
     const auto after = evaluateMapping(ba, polished);
     ASSERT_TRUE(after.valid);
     EXPECT_LE(after.edp, before);
@@ -33,7 +36,8 @@ TEST(Refine, ImprovesTheNaiveMappingSubstantially)
     BoundArch ba(makeConventional(), wl);
     Mapping m = naiveMapping(ba);
     const double before = evaluateMapping(ba, m).edp;
-    Mapping polished = polishMapping(ba, m, true);
+    EvalEngine engine;
+    Mapping polished = polishMapping(engine, ba, m, true);
     const double after = evaluateMapping(ba, polished).edp;
     EXPECT_LT(after * 5, before);
 }
@@ -42,8 +46,9 @@ TEST(Refine, FixedPointIsStable)
 {
     Workload wl = makeGemm(16, 16, 16);
     BoundArch ba(makeToyArch(64, 4), wl);
-    Mapping a = polishMapping(ba, naiveMapping(ba), true);
-    Mapping b = polishMapping(ba, a, true);
+    EvalEngine engine;
+    Mapping a = polishMapping(engine, ba, naiveMapping(ba), true);
+    Mapping b = polishMapping(engine, ba, a, true);
     EXPECT_EQ(evaluateMapping(ba, a).edp, evaluateMapping(ba, b).edp);
 }
 
@@ -51,9 +56,11 @@ TEST(Refine, RespectsObjectiveChoice)
 {
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
+    EvalEngine engine;
     Mapping by_energy =
-        polishMapping(ba, naiveMapping(ba), /*edp=*/false);
-    Mapping by_edp = polishMapping(ba, naiveMapping(ba), /*edp=*/true);
+        polishMapping(engine, ba, naiveMapping(ba), /*edp=*/false);
+    Mapping by_edp =
+        polishMapping(engine, ba, naiveMapping(ba), /*edp=*/true);
     EXPECT_LE(evaluateMapping(ba, by_energy).totalEnergyPj,
               evaluateMapping(ba, by_edp).totalEnergyPj * 1.0001);
 }

@@ -352,6 +352,9 @@ TEST(CheckpointFormat, RejectsSurrogateStateFromRemovedRanker)
     EXPECT_TRUE(SearchCheckpoint::fromJson(ck.toJson(), out, &err)) << err;
 }
 
+/** Every network-checkpoint run evaluates on its own two-worker engine. */
+const EvalEngineOptions kNetEngine{.threads = 2};
+
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 {
     // Interrupt/resume for the fusion-aware network scheduler: the
@@ -365,14 +368,14 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
     const ArchSpec arch = makeConventional();
     const NetGraph g = attentionGraph(64, 1);
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     opts.fusion = FusionMode::Greedy;
 
     StopPolicy pol;
     pol.maxEvals = 300;
     pol.plateau = 1'000'000'000;
 
-    SearchContext full;
+    EvalEngine fullEngine(kNetEngine);
+    SearchContext full(&fullEngine);
     full.setPolicy(pol);
     full.setSeed(7);
     const NetScheduleResult ra = scheduleNet(full, arch, g, opts);
@@ -382,7 +385,8 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
     const std::string path =
         ::testing::TempDir() + "/resume_net_fused.json";
     std::remove(path.c_str());
-    SearchContext writer;
+    EvalEngine writerEngine(kNetEngine);
+    SearchContext writer(&writerEngine);
     writer.setPolicy(pol);
     writer.setSeed(7);
     writer.setCheckpointPath(path);
@@ -414,7 +418,8 @@ TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 
     SearchCheckpoint truncated;
     ASSERT_TRUE(SearchCheckpoint::load(path, truncated, &err)) << err;
-    SearchContext resumed;
+    EvalEngine resumedEngine(kNetEngine);
+    SearchContext resumed(&resumedEngine);
     resumed.setPolicy(pol);
     resumed.setSeed(7);
     resumed.setCheckpointPath(path);
@@ -466,7 +471,8 @@ writeNetCheckpoint(const ArchSpec &arch, const NetGraph &g,
                    const NetSchedulerOptions &opts, const std::string &path)
 {
     std::remove(path.c_str());
-    SearchContext writer;
+    EvalEngine engine(kNetEngine);
+    SearchContext writer(&engine);
     setUpNetContext(writer);
     writer.setCheckpointPath(path);
     return scheduleNet(writer, arch, g, opts);
@@ -485,7 +491,6 @@ expectCancelledNetResumesBitIdentically(FusionMode mode)
     const ArchSpec arch = makeConventional();
     const NetGraph g = attentionGraph(64, 1);
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     opts.fusion = mode;
     const std::string path =
         ::testing::TempDir() + "/resume_net_cancelled.json";
@@ -504,7 +509,8 @@ expectCancelledNetResumesBitIdentically(FusionMode mode)
     ck.streamState = "{\"done\": [" + done->items[0].dump() + "]}";
 
     std::atomic<bool> cancel{true};
-    SearchContext interrupted;
+    EvalEngine interruptedEngine(kNetEngine);
+    SearchContext interrupted(&interruptedEngine);
     setUpNetContext(interrupted, &cancel);
     interrupted.setCheckpointPath(path);
     interrupted.setResume(std::move(ck));
@@ -514,7 +520,8 @@ expectCancelledNetResumesBitIdentically(FusionMode mode)
     SearchCheckpoint after;
     ASSERT_TRUE(SearchCheckpoint::load(path, after, &err)) << err;
     cancel = false;
-    SearchContext resumed;
+    EvalEngine resumedEngine(kNetEngine);
+    SearchContext resumed(&resumedEngine);
     setUpNetContext(resumed, &cancel);
     resumed.setCheckpointPath(path);
     resumed.setResume(std::move(after));
@@ -563,7 +570,6 @@ expectTamperedNetMappingsRejected(FusionMode mode)
     const ArchSpec arch = makeConventional();
     const NetGraph g = attentionGraph(64, 1);
     NetSchedulerOptions opts;
-    opts.sunstone.threads = 2;
     opts.fusion = mode;
     const std::string path = ::testing::TempDir() + "/hostile_net.json";
     ASSERT_TRUE(writeNetCheckpoint(arch, g, opts, path).allFound);
@@ -603,7 +609,8 @@ expectTamperedNetMappingsRejected(FusionMode mode)
         tamper(payload);
         SearchCheckpoint bad = ck;
         bad.streamState = payload.dump();
-        SearchContext sc;
+        EvalEngine engine(kNetEngine);
+        SearchContext sc(&engine);
         setUpNetContext(sc);
         sc.setResume(std::move(bad));
         ScopedFatalCapture capture;
@@ -640,10 +647,8 @@ TEST_F(ResumeFixture, SunstoneCoreIsThreadCountInvariant)
     std::string mapping;
     for (unsigned threads : {1u, 4u, 8u}) {
         EvalEngine engine(EvalEngineOptions{.threads = threads});
-        SunstoneOptions opts;
-        opts.threads = threads;
         SearchContext sc(&engine);
-        const SunstoneResult sr = sunstoneOptimize(sc, ba, opts);
+        const SunstoneResult sr = sunstoneOptimize(sc, ba);
         ASSERT_TRUE(sr.found) << threads << " threads";
         if (threads == 1) {
             edp = sr.cost.edp;
@@ -666,9 +671,9 @@ TEST_F(ResumeFixture, RefineIsThreadCountInvariant)
     for (unsigned threads : {1u, 4u, 8u}) {
         EvalEngine engine(EvalEngineOptions{.threads = threads});
         RefineStats stats;
-        const Mapping polished = polishMapping(
-            ba, start, /*optimize_edp=*/true, /*max_rounds=*/64, &stats,
-            &engine);
+        const Mapping polished =
+            polishMapping(engine, ba, start, /*optimize_edp=*/true,
+                          /*max_rounds=*/64, &stats);
         if (threads == 1) {
             mapping = mappingToJson(polished);
             evaluated = stats.evaluated;
@@ -686,12 +691,11 @@ TEST_F(ResumeFixture, TimeloopRandomIsThreadCountInvariant)
     std::string mapping;
     for (unsigned threads : {1u, 4u, 8u}) {
         EvalEngine engine(EvalEngineOptions{.threads = threads});
-        TimeloopOptions opts = TimeloopOptions::fast();
-        opts.threads = threads;
         SearchContext sc(&engine);
         sc.policy().maxEvals = 500;
         sc.policy().plateau = 1'000'000'000;
-        const MapperResult mr = TimeloopMapper(opts).optimize(sc, ba);
+        const MapperResult mr =
+            TimeloopMapper(TimeloopOptions::fast()).optimize(sc, ba);
         ASSERT_TRUE(mr.found) << threads << " threads";
         if (threads == 1) {
             edp = mr.cost.edp;
@@ -727,8 +731,7 @@ hexFloat(double v)
     return buf;
 }
 
-using EngineRunFn =
-    std::function<MapperResult(SearchContext &, unsigned threads)>;
+using EngineRunFn = std::function<MapperResult(SearchContext &)>;
 
 /**
  * Runs `run` at 1 and 4 evaluation threads, each once uninterrupted to
@@ -759,7 +762,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
             EvalEngine engine(EvalEngineOptions{.threads = threads});
             SearchContext sc(&engine);
             sc.setPolicy(base);
-            expectPinned(outcome(run(sc, threads)), at + ", uninterrupted");
+            expectPinned(outcome(run(sc)), at + ", uninterrupted");
         }
 
         const std::string path = ::testing::TempDir() + "/pinned_" + name +
@@ -772,7 +775,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
             cut.maxEvals = interrupt_at;
             sc.setPolicy(cut);
             sc.setCheckpointPath(path);
-            run(sc, threads);
+            run(sc);
         }
         SearchCheckpoint ck;
         std::string err;
@@ -783,7 +786,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
         sc.setPolicy(base);
         sc.setCheckpointPath(path);
         sc.setResume(std::move(ck));
-        expectPinned(outcome(run(sc, threads)), at + ", resumed");
+        expectPinned(outcome(run(sc)), at + ", resumed");
         std::remove(path.c_str());
     }
 }
@@ -796,10 +799,8 @@ TEST_F(ResumeFixture, TimeloopOutcomeIsPinned)
 {
     expectPinnedOutcome(
         "timeloop", ba,
-        [&](SearchContext &sc, unsigned threads) {
-            TimeloopOptions opts = TimeloopOptions::fast();
-            opts.threads = threads;
-            return TimeloopMapper(opts).optimize(sc, ba);
+        [&](SearchContext &sc) {
+            return TimeloopMapper(TimeloopOptions::fast()).optimize(sc, ba);
         },
         /*interrupt_at=*/500, /*budget=*/1000,
         {"mapping\n"
@@ -814,7 +815,7 @@ TEST_F(ResumeFixture, GammaOutcomeIsPinned)
 {
     expectPinnedOutcome(
         "gamma", ba,
-        [&](SearchContext &sc, unsigned) {
+        [&](SearchContext &sc) {
             return GammaMapper().optimize(sc, ba);
         },
         /*interrupt_at=*/450, /*budget=*/1000,

@@ -275,16 +275,18 @@ TEST(SearchContext, EnsureSeedAdoptsTheFallbackOnce)
     EXPECT_EQ(sc.ensureSeed(7), 5u); // already seeded: fallback ignored
 }
 
-TEST(SearchContext, EngineOrPrivateIsCreatedOnceAndBorrowWins)
+TEST(SearchContext, PrivateEngineIsCreatedOnceAndBorrowWins)
 {
     SearchContext sc;
-    EvalEngine &a = sc.engineOrPrivate(1);
-    EvalEngine &b = sc.engineOrPrivate(4);
+    EvalEngine &a = sc.engine();
+    EvalEngine &b = sc.engine();
     EXPECT_EQ(&a, &b);
+    EXPECT_EQ(a.pool().size(), 1u); // the default engine has one worker
 
-    EvalEngine borrowed(EvalEngineOptions{.threads = 1});
+    EvalEngine borrowed(EvalEngineOptions{.threads = 2});
     SearchContext sc2(&borrowed);
-    EXPECT_EQ(&sc2.engineOrPrivate(2), &borrowed);
+    EXPECT_EQ(&sc2.engine(), &borrowed);
+    EXPECT_EQ(&sc2.engine(), &borrowed);
 }
 
 // ---------------------------------------------------------------------

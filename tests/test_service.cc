@@ -10,7 +10,10 @@
 #include <gtest/gtest.h>
 
 #include <chrono>
+#include <string>
 #include <thread>
+#include <utility>
+#include <vector>
 
 #include "arch/arch.hh"
 #include "common/json.hh"
@@ -347,6 +350,42 @@ TEST(ServiceSession, HealthReportsSessionAndEngineState)
     JsonValue line;
     ASSERT_TRUE(parseJson(resp.toJson(), line, &err)) << err;
     EXPECT_EQ(line.find("id")->asString(), "h1");
+}
+
+TEST(ServiceSession, RequestIdIsEscapedInEveryResponse)
+{
+    // The id is copied from the client's line into the response. A quote
+    // and a newline in it must come back as JSON escapes, never raw, so
+    // the response stays one valid NDJSON line: on success and on error.
+    const std::string id = "a\"b\nc";
+    const std::vector<std::pair<std::string, bool>> lines = {
+        {R"({"id": "a\"b\nc", "kind": "health"})", true},
+        {R"({"id": "a\"b\nc", "workload": {"conv": "n=1,k=8"},)"
+         R"( "mapper": "nope"})",
+         false},
+    };
+    SessionOptions opts = quietSession(1);
+    opts.captureFatals = true; // as `serve` runs it
+    SchedulerSession session(opts);
+    for (const auto &[text, ok] : lines) {
+        SCOPED_TRACE(text);
+        JsonValue v;
+        std::string err;
+        ASSERT_TRUE(parseJson(text, v, &err)) << err;
+        MappingRequest req;
+        ASSERT_TRUE(MappingRequest::fromJson(v, req, &err)) << err;
+        ASSERT_EQ(req.id, id);
+
+        const MappingResponse resp = session.execute(req);
+        EXPECT_EQ(resp.ok, ok) << resp.error;
+        const std::string out = resp.toJson();
+        EXPECT_NE(out.find(R"("id": "a\"b\nc")"), std::string::npos)
+            << out;
+        EXPECT_EQ(out.find('\n'), std::string::npos) << out;
+        JsonValue line;
+        ASSERT_TRUE(parseJson(out, line, &err)) << err << "\n" << out;
+        EXPECT_EQ(line.find("id")->asString(), id);
+    }
 }
 
 TEST(ServiceSession, EvalRequestMatchesMapResult)

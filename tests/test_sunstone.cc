@@ -26,9 +26,12 @@ namespace sunstone {
 namespace {
 
 SunstoneResult
-runSunstone(const BoundArch &ba, SunstoneOptions opts = {})
+runSunstone(const BoundArch &ba, SunstoneOptions opts = {},
+            unsigned threads = 1)
 {
-    SunstoneResult r = sunstoneOptimize(ba, opts);
+    EvalEngine engine(EvalEngineOptions{.threads = threads});
+    SearchContext sc(&engine);
+    SunstoneResult r = sunstoneOptimize(sc, ba, opts);
     EXPECT_TRUE(r.found);
     if (r.found) {
         std::string why;
@@ -235,12 +238,8 @@ TEST(Sunstone, MultithreadedMatchesSingleThreaded)
 {
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
-    SunstoneOptions one;
-    one.threads = 1;
-    SunstoneOptions four;
-    four.threads = 4;
-    auto a = runSunstone(ba, one);
-    auto b = runSunstone(ba, four);
+    auto a = runSunstone(ba, {}, 1);
+    auto b = runSunstone(ba, {}, 4);
     // Same beam, same candidates, same result.
     EXPECT_EQ(a.cost.edp, b.cost.edp);
 }
@@ -532,7 +531,6 @@ TEST(Sunstone, InPlaceEmissionMatchesPinnedOutcomes)
             SunstoneOptions opts;
             opts.levelOrder = pin.levelOrder;
             opts.intraOrder = pin.intraOrder;
-            opts.threads = threads;
             EvalEngine engine(EvalEngineOptions{.threads = threads});
             SearchContext sc(&engine);
             const std::string path =
@@ -574,13 +572,11 @@ TEST(Sunstone, TilingWalkReuseCountsAreThreadInvariant)
     double edp[2];
     for (int i = 0; i < 2; ++i) {
         const unsigned threads = i == 0 ? 1u : 4u;
-        SunstoneOptions opts;
-        opts.threads = threads;
         EvalEngine engine(EvalEngineOptions{.threads = threads});
         SearchContext sc(&engine);
         const std::int64_t w0 = walks.value();
         const std::int64_t r0 = reused.value();
-        SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+        SunstoneResult r = sunstoneOptimize(sc, ba);
         ASSERT_TRUE(r.found);
         counts[i][0] = walks.value() - w0;
         counts[i][1] = reused.value() - r0;
@@ -627,17 +623,14 @@ level DRAM temporal - spatial - order n,k,c,p,q,r,s
 
 /** Runs the default search on `ba` under a max-evals bound (0: none). */
 SunstoneResult
-runWithMaxEvals(const BoundArch &ba, unsigned threads,
-                std::int64_t max_evals, EvalEngine &engine,
-                std::int64_t &evaluated)
+runWithMaxEvals(const BoundArch &ba, std::int64_t max_evals,
+                EvalEngine &engine, std::int64_t &evaluated)
 {
-    SunstoneOptions opts;
-    opts.threads = threads;
     StopPolicy pol;
     pol.maxEvals = max_evals;
     obs::ConvergenceRecorder rec;
     SearchContext sc(&engine, pol, &rec);
-    SunstoneResult r = sunstoneOptimize(sc, ba, opts);
+    SunstoneResult r = sunstoneOptimize(sc, ba);
     evaluated = rec.trajectories().back()->points().back().evaluations;
     return r;
 }
@@ -656,7 +649,7 @@ TEST(Sunstone, MaxEvalsCutIsExactAtOneThread)
         EvalEngine engine(EvalEngineOptions{.threads = 1});
         std::int64_t evaluated = 0;
         SunstoneResult r =
-            runWithMaxEvals(ba, 1, cut.maxEvals, engine, evaluated);
+            runWithMaxEvals(ba, cut.maxEvals, engine, evaluated);
         ASSERT_TRUE(r.found);
         EXPECT_EQ(r.stopReason, "max-evals");
         EXPECT_EQ(r.candidatesExamined, cut.examined);
@@ -680,8 +673,7 @@ TEST(Sunstone, ExpansionCountsAreThreadInvariant)
     for (int i = 0; i < 2; ++i) {
         const unsigned threads = i == 0 ? 1u : 4u;
         EvalEngine engine(EvalEngineOptions{.threads = threads});
-        SunstoneResult r = runWithMaxEvals(ba, threads, 0, engine,
-                                           evaluated[i]);
+        SunstoneResult r = runWithMaxEvals(ba, 0, engine, evaluated[i]);
         ASSERT_TRUE(r.found);
         EXPECT_EQ(r.stopReason, "exhausted");
         stats[i] = engine.stats();

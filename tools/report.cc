@@ -12,15 +12,15 @@
  *                         engine.json, events.jsonl, crash.txt, and
  *                         trace.json inside D)
  *
- * and prints, per section: the run summary, wall-clock attribution by
- * phase/mapper (engine phase_seconds, largest first), evaluation-latency
+ * and prints, per section: the run summary, evaluation-latency
  * percentiles (p50/p90/p99 interpolated from the histogram buckets),
  * the cache hit/miss breakdown, per-layer/per-chain fusion outcomes,
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
- * warm-start counters from the metrics registry, span totals, and the
- * flight-event tail. Sections whose artifact was not supplied are
+ * warm-start counters from the metrics registry, the trace spans'
+ * totals by name (the one wall-clock attribution, largest first), and
+ * the flight-event tail. Sections whose artifact was not supplied are
  * skipped, so the command composes with whatever a run actually
  * produced.
  *
@@ -100,28 +100,6 @@ histogramFromJson(const JsonValue &v, obs::HistogramSnapshot &h)
 // Sections. Each takes the parsed artifact(s) it reads and prints
 // nothing when the data is absent, so the report composes.
 // ---------------------------------------------------------------------
-
-void
-printPhaseAttribution(const JsonValue &engine)
-{
-    const JsonValue *phases = engine.find("phase_seconds");
-    if (!phases || !phases->isObject() || phases->fields.empty())
-        return;
-    section("wall-clock attribution");
-    std::vector<std::pair<std::string, double>> rows;
-    double total = 0;
-    for (const auto &[name, v] : phases->fields) {
-        rows.emplace_back(name, v.asDouble());
-        total += rows.back().second;
-    }
-    std::sort(rows.begin(), rows.end(), [](const auto &a, const auto &b) {
-        return a.second > b.second;
-    });
-    for (const auto &[name, secs] : rows)
-        std::printf("  %-32s %10.3f s  %5.1f%%\n", name.c_str(), secs,
-                    total > 0 ? 100.0 * secs / total : 0.0);
-    std::printf("  %-32s %10.3f s\n", "total attributed", total);
-}
 
 void
 printEvalLatency(const JsonValue &engine)
@@ -589,7 +567,6 @@ run(const std::map<std::string, std::string> &kv)
             printFusion(*result);
         }
     if (engine) {
-        printPhaseAttribution(*engine);
         printEvalLatency(*engine);
         printCache(*engine);
     }
