@@ -23,7 +23,8 @@ objective(EvalEngine &engine, const EvalEngine::Context &ctx,
         ++stats->evaluated;
     if (driver)
         driver->noteEvaluated(1);
-    CostResult r = engine.evaluateWithPrefix(ctx, ph, m);
+    CostResult r =
+        engine.evaluate(ctx, m, {}, EvalEngine::CachePolicy::UseCache, ph);
     if (!r.valid)
         return std::numeric_limits<double>::infinity();
     return edp ? r.edp : r.totalEnergyPj;

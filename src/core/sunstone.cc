@@ -508,20 +508,11 @@ class Driver
     }
 
     /** Whether a restored mapping has this problem's level and dim
-     *  counts, factors >= 1 and loop orders over [0, nDims). */
+     *  counts (mappingFromJson() already vetted factors and orders). */
     bool
     decidedShapeOk(const Mapping &m) const
     {
-        if (m.numLevels() != nLevels || m.numDims() != nDims)
-            return false;
-        for (int l = 0; l < nLevels; ++l) {
-            const LevelMapping &lm = m.level(l);
-            for (DimId d = 0; d < nDims; ++d)
-                if (lm.temporal[d] < 1 || lm.spatial[d] < 1 ||
-                    lm.order[d] < 0 || lm.order[d] >= nDims)
-                    return false;
-        }
-        return true;
+        return m.numLevels() == nLevels && m.numDims() == nDims;
     }
 
     std::vector<Partial>

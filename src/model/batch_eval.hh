@@ -1,8 +1,9 @@
 /**
  * @file
  * Name of the evaluation backend. Every evaluation runs the scalar cost
- * model (cost_model.hh); EvalEngine::evaluateBatch evaluates its cache
- * misses one by one through evaluateMappingInto().
+ * model (cost_model.hh): EvalEngine's one memo path, which evaluate()
+ * and every evaluateBatch() chunk share, evaluates its cache misses one
+ * by one through evaluateMappingInto().
  *
  * Nothing in the library reads this header. It stays only because
  * benchmark/driver.cc prints backendName() in its run header and JSON

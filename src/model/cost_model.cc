@@ -51,8 +51,6 @@ EvalScratch::prepare(const BoundArch &ba)
         loopFactor.assign(static_cast<std::size_t>(nl) * nd, 1);
         loopSuffix.assign(static_cast<std::size_t>(nl) * nd + 1, 1);
         firstIdx.assign(static_cast<std::size_t>(nl) * nd + 1, -1);
-        chain.clear();
-        chain.reserve(nl);
         spatialSuffix.assign(nl + 1, 1);
         tileFp.assign(static_cast<std::size_t>(nl) * nt, 0);
     }
@@ -141,7 +139,7 @@ namespace {
  * "skip the trailing run of non-indexing loops, then count everything
  * above" — become a single loopSuffix lookup.
  */
-void
+inline void
 fillFirstIdx(EvalScratch &s, DimSet idx)
 {
     const int nloops = s.loopBegin[s.nl];
@@ -166,14 +164,24 @@ spatialRange(const EvalScratch &s, int lo, int hi)
     return spatialRangeFrom(s, lo + 1, hi, 1);
 }
 
-/** True when every fanout network in (lo, hi] supports multicast. */
-bool
-multicastRange(const ArchSpec &arch, int lo, int hi)
+/**
+ * Per-dim spatial factors of the levels in (c, l], the fan-out of one
+ * consumer tile to its multicast group. An adjacent pair (the whole
+ * chain when nothing is bypassed) reads level l's own row, since a
+ * one-level satMul fold is the factor itself; a multi-hop pair folds
+ * the range into s.spatialUp.
+ */
+inline const std::int64_t *
+spatialUpRange(const Mapping &m, EvalScratch &s, int c, int l)
 {
-    for (int l = lo + 1; l <= hi; ++l)
-        if (arch.levels[l].fanout > 1 && !arch.levels[l].multicast)
-            return false;
-    return true;
+    if (l == c + 1)
+        return m.level(l).spatial.data();
+    auto &up = s.spatialUp;
+    std::fill(up.begin(), up.end(), std::int64_t{1});
+    for (int j = c + 1; j <= l; ++j)
+        for (DimId d = 0; d < s.nd; ++d)
+            up[d] = satMul(up[d], m.level(j).spatial[d]);
+    return up.data();
 }
 
 /**
@@ -315,16 +323,6 @@ multicastDistinctWords(EvalScratch &s, TensorId t,
         words = satMul(words, rank_words);
     }
     return words;
-}
-
-/** Physical fanout product of the networks in (lo, hi]. */
-std::int64_t
-physicalFanRange(const ArchSpec &arch, int lo, int hi)
-{
-    std::int64_t f = 1;
-    for (int l = lo + 1; l <= hi; ++l)
-        f = satMul(f, arch.levels[l].fanout);
-    return f;
 }
 
 /**
@@ -651,7 +649,6 @@ countAccess(const BoundArch &ba, const Mapping &m,
     const Workload &wl = ba.workload();
     const ArchSpec &arch = ba.arch();
     const int nt = s.nt;
-    const int nd = s.nd;
     double noc_energy_pj = 0;
     // Hoisted out of the per-pair loops: these are cross-TU constant
     // fetches, and the pair loops below otherwise re-call them for
@@ -724,7 +721,7 @@ countAccess(const BoundArch &ba, const Mapping &m,
                 SUNSTONE_ASSERT(pp->cached, "prefix pair not cached");
             }
 
-            std::int64_t ev, n_above, fill_unit, fan;
+            std::int64_t ev, n_above, fill_unit;
             std::int64_t spatial_all = 1;
             bool tile_cached = false;
             if (pp) {
@@ -744,7 +741,6 @@ countAccess(const BoundArch &ba, const Mapping &m,
                 n_above = satMul(pp->nAbovePrefix,
                                  s.spatialSuffix[prefix_levels]);
                 fill_unit = pp->fillUnit;
-                fan = pp->fan;
             } else {
                 const int f = s.firstIdx[s.loopBegin[c + 1]];
                 ev = f < 0 ? 1 : s.loopSuffix[f];
@@ -760,10 +756,10 @@ countAccess(const BoundArch &ba, const Mapping &m,
                         ? s.tileFp[static_cast<std::size_t>(c) * nt + t]
                         : scratchFootprint(s, t, s.shapes[c].data());
                 fill_unit = satMul(spatial_all, tile_c);
-                fan = opts.modelNoc
-                          ? s.chainFan[s.chainBegin[t] + static_cast<int>(i)]
-                          : 1;
             }
+            // The pair's NoC terms are binding invariants (prepare()).
+            const int pair = s.chainBegin[t] + static_cast<int>(i);
+            const bool noc = opts.modelNoc && s.chainFan[pair] > 1;
 
             auto &at_l = s.access[static_cast<std::size_t>(l) * nt + t];
             auto &at_c = s.access[static_cast<std::size_t>(c) * nt + t];
@@ -786,27 +782,9 @@ countAccess(const BoundArch &ba, const Mapping &m,
                     // spatial instances in the range — halo overlap is
                     // shared, and strided gaps are not charged (Eq. 5,
                     // exact).
-                    // Adjacent pairs (the whole chain when nothing is
-                    // bypassed) read the level's own spatial factors
-                    // directly; only multi-hop pairs fold the range
-                    // product (satMul over a one-element range is the
-                    // factor itself, so this is bit-preserving).
-                    const std::int64_t *sup;
-                    if (l == c + 1) {
-                        sup = m.level(l).spatial.data();
-                    } else {
-                        auto &spatial_up = s.spatialUp;
-                        std::fill(spatial_up.begin(), spatial_up.end(),
-                                  std::int64_t{1});
-                        for (int j = c + 1; j <= l; ++j)
-                            for (DimId d = 0; d < nd; ++d)
-                                spatial_up[d] = satMul(
-                                    spatial_up[d], m.level(j).spatial[d]);
-                        sup = spatial_up.data();
-                    }
                     distinct = multicastDistinctWords(
-                        s, t, s.shapes[c].data(), sup,
-                        tile_cached ? c : -1);
+                        s, t, s.shapes[c].data(),
+                        spatialUpRange(m, s, c, l), tile_cached ? c : -1);
                 } else {
                     distinct = fill_unit;
                 }
@@ -817,16 +795,12 @@ countAccess(const BoundArch &ba, const Mapping &m,
                 at_l.reads += reads_l;
                 at_c.fills += fills_c;
 
-                if (opts.modelNoc && fan > 1) {
+                if (noc) {
                     // chainHops caches sqrt((double)fan) — sqrt is
                     // correctly rounded, so the cached value is the one
                     // the historical inline computation produced.
-                    const double hops =
-                        pp ? std::sqrt((double)fan)
-                           : s.chainHops[s.chainBegin[t] +
-                                         static_cast<int>(i)];
                     noc_energy_pj += (double)reads_l * ts.wordBits *
-                                     noc_hop_pj_per_bit * hops;
+                                     noc_hop_pj_per_bit * s.chainHops[pair];
                     noc_energy_pj +=
                         (double)fills_c * tag_check_pj_per_word;
                 }
@@ -839,13 +813,9 @@ countAccess(const BoundArch &ba, const Mapping &m,
                 at_c.drains += upd_l;
                 at_l.accumReads += accumReadsFor(upd_l, problem_fp);
 
-                if (opts.modelNoc && fan > 1) {
-                    const double hops =
-                        pp ? std::sqrt((double)fan)
-                           : s.chainHops[s.chainBegin[t] +
-                                         static_cast<int>(i)];
+                if (noc) {
                     noc_energy_pj += (double)upd_l * ts.wordBits *
-                                     noc_hop_pj_per_bit * hops;
+                                     noc_hop_pj_per_bit * s.chainHops[pair];
                 }
             }
         }
@@ -931,15 +901,26 @@ finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
     res.edp = res.totalEnergyPj * 1e-12 * res.delaySeconds;
 }
 
+} // anonymous namespace
+
+CostResult
+evaluateMapping(const BoundArch &ba, const Mapping &m,
+                const CostModelOptions &opts)
+{
+    CostResult res;
+    evaluateMappingInto(ba, m, opts, threadEvalScratch(), res);
+    return res;
+}
+
 /**
  * The one true evaluation, staged: prepare and reset, validity (through
  * the scratch's allocation-free buffers), integer access counting, then
  * floating-point finalization.
  */
 void
-evaluateCore(const BoundArch &ba, const Mapping &m,
-             const CostModelOptions &opts, const PrefixTerms *prefix,
-             EvalScratch &s, CostResult &res)
+evaluateMappingInto(const BoundArch &ba, const Mapping &m,
+                    const CostModelOptions &opts, EvalScratch &s,
+                    CostResult &res, const PrefixTerms *prefix)
 {
     s.prepare(ba);
     resetCostResult(res, s.nl, s.nt);
@@ -960,67 +941,30 @@ evaluateCore(const BoundArch &ba, const Mapping &m,
     finalizeResult(ba, opts, s, noc, res);
 }
 
-} // anonymous namespace
-
-CostResult
-evaluateMapping(const BoundArch &ba, const Mapping &m,
-                const CostModelOptions &opts)
-{
-    CostResult res;
-    evaluateCore(ba, m, opts, nullptr, threadEvalScratch(), res);
-    return res;
-}
-
-void
-evaluateMappingInto(const BoundArch &ba, const Mapping &m,
-                    const CostModelOptions &opts, EvalScratch &scratch,
-                    CostResult &res)
-{
-    evaluateCore(ba, m, opts, nullptr, scratch, res);
-}
-
-void
-evaluateMappingWithPrefixInto(const BoundArch &ba, const PrefixTerms &prefix,
-                              const Mapping &m,
-                              const CostModelOptions &opts,
-                              EvalScratch &scratch, CostResult &res)
-{
-    evaluateCore(ba, m, opts, &prefix, scratch, res);
-}
-
 void
 buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
-                 EvalScratch &scratch, PrefixTerms &out)
+                 EvalScratch &s, PrefixTerms &out)
 {
     const Workload &wl = ba.workload();
-    const ArchSpec &arch = ba.arch();
-    EvalScratch &s = scratch;
     s.prepare(ba);
     fillTables(base, s);
 
-    const int nl = s.nl;
     const int nt = s.nt;
-    const int nd = s.nd;
-    SUNSTONE_ASSERT(prefix_levels >= 0 && prefix_levels <= nl,
+    SUNSTONE_ASSERT(prefix_levels >= 0 && prefix_levels <= s.nl,
                     "prefix_levels out of range");
     out.prefixLevels = prefix_levels;
     out.tensors.resize(nt);
 
     for (TensorId t = 0; t < nt; ++t) {
-        const TensorSpec &ts = wl.tensor(t);
-        const DimSet idx = wl.reuse(t).indexing;
-
-        auto &chain = s.chain;
-        chain.clear();
-        for (int l = 0; l < nl; ++l)
-            if (ba.stores(l, t))
-                chain.push_back(l);
-        SUNSTONE_ASSERT(!chain.empty(), "tensor stored nowhere");
+        const DimSet idx = s.idxDims[t];
+        // Storage chain, innermost first (cached per binding).
+        const int *chain = s.chainFlat.data() + s.chainBegin[t];
+        const int chain_len = s.chainBegin[t + 1] - s.chainBegin[t];
+        SUNSTONE_ASSERT(chain_len > 0, "tensor stored nowhere");
 
         auto &pairs = out.tensors[t].pairs;
-        pairs.assign(chain.size() > 1 ? chain.size() - 1 : 0,
-                     PrefixTerms::Pair{});
-        for (std::size_t i = 1; i < chain.size(); ++i) {
+        pairs.assign(chain_len - 1, PrefixTerms::Pair{});
+        for (int i = 1; i < chain_len; ++i) {
             const int c = chain[i - 1];
             const int l = chain[i];
             auto &p = pairs[i - 1];
@@ -1047,30 +991,20 @@ buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
             p.nAbovePrefix = spatialRangeFrom(s, l + 1, prefix_levels - 1, 1);
 
             const std::int64_t spatial_all = spatialRange(s, c, l);
-            const std::int64_t tile_c = ts.footprint(s.shapes[c]);
+            const std::int64_t tile_c =
+                scratchFootprint(s, t, s.shapes[c].data());
             p.fillUnit = satMul(spatial_all, tile_c);
-            p.fan = physicalFanRange(arch, c, l);
 
-            if (!ts.isOutput) {
-                if (multicastRange(arch, c, l)) {
-                    auto &spatial_up = s.spatialUp;
-                    std::fill(spatial_up.begin(), spatial_up.end(),
-                              std::int64_t{1});
-                    for (int j = c + 1; j <= l; ++j)
-                        for (DimId d = 0; d < nd; ++d)
-                            spatial_up[d] =
-                                satMul(spatial_up[d],
-                                       base.level(j).spatial[d]);
-                    // Once-per-prefix construction: no cached extent row
-                    // is guaranteed to match here, so recompute.
-                    p.distinct = multicastDistinctWords(
-                        s, t, s.shapes[c].data(), spatial_up.data(), -1);
-                } else {
-                    p.distinct = p.fillUnit;
-                }
-            } else {
+            if (wl.tensor(t).isOutput)
                 p.distinct = 0;
-            }
+            else if (s.nonMcPrefix[l + 1] == s.nonMcPrefix[c + 1])
+                // Once-per-prefix construction: no cached extent row is
+                // guaranteed to match here, so recompute.
+                p.distinct = multicastDistinctWords(
+                    s, t, s.shapes[c].data(), spatialUpRange(base, s, c, l),
+                    -1);
+            else
+                p.distinct = p.fillUnit;
         }
     }
 }

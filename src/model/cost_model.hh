@@ -31,6 +31,13 @@
  *    event (spatial reduction sends every partial), and each arriving
  *    partial beyond the first visit of a distinct word performs a
  *    read-modify-write at the provider.
+ *
+ * One evaluation path: evaluateMapping() is evaluateMappingInto() on
+ * this thread's scratch, and evaluateMappingInto() takes optional
+ * PrefixTerms for the incremental case. Everything that depends only on
+ * the binding (storage chains, chain fan and hop factors, the multicast
+ * test) is built once per binding by EvalScratch::prepare(), and both
+ * the full walk and buildPrefixTerms() read it from there.
  */
 
 #ifndef SUNSTONE_MODEL_COST_MODEL_HH
@@ -157,8 +164,6 @@ struct EvalScratch
     std::vector<int> loopBegin;
     /** Per-dim spatial product of a (c, l] range (multicast helper). */
     std::vector<std::int64_t> spatialUp;
-    /** Storage-chain scratch for the tensor being processed. */
-    std::vector<int> chain;
     /** Multicast interval-merge buffers. */
     std::vector<std::pair<std::int64_t, std::int64_t>> split;
     std::vector<std::int64_t> starts;
@@ -199,8 +204,8 @@ struct EvalScratch
      * sqrt-hop factor for every storage-chain pair, aligned with
      * chainFlat: pair (chain[i-1], chain[i]) of tensor t lives at index
      * chainBegin[t] + i (index chainBegin[t] itself is unused). Pure
-     * binding invariants — the NoC model reads them instead of walking
-     * the level range per evaluation.
+     * binding invariants — the NoC model reads them, with or without
+     * prefix terms, instead of walking the level range per evaluation.
      */
     std::vector<std::int64_t> chainFan;
     std::vector<double> chainHops;
@@ -284,8 +289,6 @@ struct PrefixTerms
         std::int64_t fillUnit = 1;
         /** Distinct words delivered per event (inputs; 0 for outputs). */
         std::int64_t distinct = 0;
-        /** Physical fanout product of the networks in (c, l]. */
-        std::int64_t fan = 1;
     };
 
     struct TensorTerms
@@ -307,10 +310,15 @@ CostResult evaluateMapping(const BoundArch &ba, const Mapping &m,
  * Allocation-free variant of evaluateMapping(): writes the result into
  * `res` (reusing its buffers) using the caller-provided scratch arena.
  * Bit-identical to evaluateMapping() — same arithmetic in the same order.
+ * With `prefix` (built by buildPrefixTerms() from a mapping with the same
+ * canonical prefix as m), chain pairs below prefix->prefixLevels take
+ * their cached terms and only the undecided levels are walked; the
+ * result is still bit-identical.
  */
 void evaluateMappingInto(const BoundArch &ba, const Mapping &m,
                          const CostModelOptions &opts, EvalScratch &scratch,
-                         CostResult &res);
+                         CostResult &res,
+                         const PrefixTerms *prefix = nullptr);
 
 /**
  * Precomputes the contribution terms of levels [0, prefix_levels) of
@@ -320,17 +328,6 @@ void evaluateMappingInto(const BoundArch &ba, const Mapping &m,
 void buildPrefixTerms(const BoundArch &ba, const Mapping &base,
                       int prefix_levels, EvalScratch &scratch,
                       PrefixTerms &out);
-
-/**
- * Like evaluateMappingInto() but combines the cached prefix terms with
- * freshly computed terms for the undecided levels. Bit-identical to the
- * full evaluation for any mapping sharing the prefix's canonical form.
- */
-void evaluateMappingWithPrefixInto(const BoundArch &ba,
-                                   const PrefixTerms &prefix,
-                                   const Mapping &m,
-                                   const CostModelOptions &opts,
-                                   EvalScratch &scratch, CostResult &res);
 
 namespace detail {
 

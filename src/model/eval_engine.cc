@@ -43,15 +43,6 @@ fnvString(std::uint64_t h, const std::string &s)
     return fnvStep(h, s.size());
 }
 
-unsigned
-roundUpPow2(unsigned v)
-{
-    unsigned p = 1;
-    while (p < v)
-        p <<= 1;
-    return p;
-}
-
 } // anonymous namespace
 
 std::uint64_t
@@ -121,10 +112,9 @@ SearchStats::toJson() const
     return out;
 }
 
-EvalEngine::EvalEngine(EvalEngineOptions opts)
-    : opts_(opts), shards_(roundUpPow2(std::max(1u, opts.shards)))
+EvalEngine::EvalEngine(unsigned threads)
+    : threads_(threads), shards_(kShards)
 {
-    opts_.shards = static_cast<unsigned>(shards_.size());
 }
 
 EvalEngine::~EvalEngine() = default;
@@ -248,87 +238,14 @@ EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
 }
 
 CostResult
-EvalEngine::evaluateImpl(const Context &ctx, const Mapping &m,
-                         const CostModelOptions &opts, CachePolicy policy,
-                         const PrefixTerms *prefix)
-{
-    // Time only analytical-model invocations (cache hits return in
-    // nanoseconds and would swamp the histogram's low buckets).
-    auto timedEval = [&](CostResult &out) {
-        const auto t0 = std::chrono::steady_clock::now();
-        EvalScratch &scratch = threadEvalScratch();
-        const std::int64_t reuse0 = scratch.reuseCount();
-        if (prefix)
-            evaluateMappingWithPrefixInto(ctx.boundArch(), *prefix, m,
-                                          opts, scratch, out);
-        else
-            evaluateMappingInto(ctx.boundArch(), m, opts, scratch, out);
-        scratchReuses_.add(scratch.reuseCount() - reuse0);
-        evalLatencyUs_.record(
-            std::chrono::duration<double, std::micro>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-    };
-
-    evaluations_.add(1);
-    if (!opts_.enableCache || policy == CachePolicy::Bypass) {
-        CostResult r;
-        timedEval(r);
-        if (!r.valid)
-            invalid_.add(1);
-        return r;
-    }
-
-    // The lookup key lives in a per-thread buffer so cache hits (the
-    // common case in ranking and hill-climb revisits) allocate nothing.
-    thread_local std::vector<std::int64_t> key;
-    canonicalKey(m, opts, key);
-    const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-    Shard &shard = shards_[h & (shards_.size() - 1)];
-
-    {
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        auto it = shard.map.find(h);
-        if (it != shard.map.end() && it->second.key == key) {
-            hits_.add(1);
-            return it->second.result;
-        }
-    }
-
-    misses_.add(1);
-    CostResult r;
-    timedEval(r);
-    if (!r.valid)
-        invalid_.add(1);
-
-    {
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        if (shard.map.size() >= opts_.maxEntriesPerShard) {
-            evictions_.add(static_cast<std::int64_t>(shard.map.size()));
-            obs::flightRecorder().record(
-                "cache.epoch_reset",
-                "entries=" + std::to_string(shard.map.size()));
-            shard.map.clear();
-        }
-        Entry &e = shard.map[h];
-        e.key = key; // copy: the thread-local buffer is reused next call
-        e.result = r;
-    }
-    return r;
-}
-
-CostResult
 EvalEngine::evaluate(const Context &ctx, const Mapping &m,
-                     const CostModelOptions &opts, CachePolicy policy)
+                     const CostModelOptions &opts, CachePolicy policy,
+                     const PrefixHandle &ph)
 {
-    return evaluateImpl(ctx, m, opts, policy, nullptr);
-}
-
-CostResult
-EvalEngine::evaluate(const BoundArch &ba, const Mapping &m,
-                     const CostModelOptions &opts, CachePolicy policy)
-{
-    return evaluate(context(ba), m, opts, policy);
+    CostResult r;
+    evaluateChunk(ctx, std::span<const Mapping>(&m, 1), opts, policy,
+                  ph.terms_.get(), std::span<CostResult>(&r, 1));
+    return r;
 }
 
 EvalEngine::PrefixHandle
@@ -343,40 +260,39 @@ EvalEngine::prefix(const Context &ctx, const Mapping &base,
     canonicalPrefixKey(base, prefix_levels, key);
     const std::uint64_t h = hashFactors(key, ctx.fingerprint());
 
+    // Call with prefixMtx_ held: serves a stored snapshot as a hit.
+    auto serveStored = [&] {
+        auto it = prefixCache_.find(h);
+        if (it == prefixCache_.end() || it->second.key != key)
+            return false;
+        prefixHits_.add(1);
+        handle.terms_ = it->second.terms;
+        return true;
+    };
     {
         std::lock_guard<std::mutex> lk(prefixMtx_);
-        auto it = prefixCache_.find(h);
-        if (it != prefixCache_.end() && it->second.key == key) {
-            prefixHits_.add(1);
-            handle.terms_ = it->second.terms;
+        if (serveStored())
             return handle;
-        }
     }
 
-    prefixMisses_.add(1);
     auto terms = std::make_shared<PrefixTerms>();
     buildPrefixTerms(ctx.boundArch(), base, prefix_levels,
                      threadEvalScratch(), *terms);
-    handle.terms_ = terms;
 
-    {
-        std::lock_guard<std::mutex> lk(prefixMtx_);
-        if (prefixCache_.size() >= kMaxPrefixEntries)
-            prefixCache_.clear();
-        PrefixEntry &e = prefixCache_[h];
-        e.key = key;
-        e.terms = std::move(terms);
-    }
+    // A concurrent build of the same prefix may have inserted first; its
+    // snapshot is returned and this call counts a hit, so the counts do
+    // not depend on thread timing.
+    std::lock_guard<std::mutex> lk(prefixMtx_);
+    if (serveStored())
+        return handle;
+    prefixMisses_.add(1);
+    if (prefixCache_.size() >= kMaxPrefixEntries)
+        prefixCache_.clear();
+    PrefixEntry &e = prefixCache_[h];
+    e.key = key;
+    e.terms = terms;
+    handle.terms_ = std::move(terms);
     return handle;
-}
-
-CostResult
-EvalEngine::evaluateWithPrefix(const Context &ctx, const PrefixHandle &ph,
-                               const Mapping &m,
-                               const CostModelOptions &opts,
-                               CachePolicy policy)
-{
-    return evaluateImpl(ctx, m, opts, policy, ph.terms_.get());
 }
 
 double
@@ -391,11 +307,8 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
     EvalScratch &scratch = threadEvalScratch();
     const std::int64_t reuse0 = scratch.reuseCount();
     thread_local CostResult res;
-    if (ph.terms_)
-        evaluateMappingWithPrefixInto(ctx.boundArch(), *ph.terms_, m, opts,
-                                      scratch, res);
-    else
-        evaluateMappingInto(ctx.boundArch(), m, opts, scratch, res);
+    evaluateMappingInto(ctx.boundArch(), m, opts, scratch, res,
+                        ph.terms_.get());
     tally.scratchReuses += scratch.reuseCount() - reuse0;
     if (timed) {
         ++tally.timedCalls;
@@ -445,10 +358,11 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
     const std::size_t nChunks = (ms.size() + kChunk - 1) / kChunk;
     auto runChunk = [&](std::size_t c) {
         const std::size_t lo = c * kChunk;
-        const std::size_t hi = std::min(ms.size(), lo + kChunk);
-        evaluateChunk(ctx, ms, opts, policy, out, lo, hi);
+        const std::size_t n = std::min(ms.size() - lo, kChunk);
+        evaluateChunk(ctx, ms.subspan(lo, n), opts, policy, nullptr,
+                      std::span<CostResult>(out).subspan(lo, n));
     };
-    if (nChunks == 1 || opts_.threads == 1) {
+    if (nChunks == 1 || threads_ == 1) {
         for (std::size_t c = 0; c < nChunks; ++c)
             runChunk(c);
         return;
@@ -459,11 +373,12 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
 void
 EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
                           const CostModelOptions &opts, CachePolicy policy,
-                          std::vector<CostResult> &out, std::size_t lo,
-                          std::size_t hi)
+                          const PrefixTerms *prefix,
+                          std::span<CostResult> out)
 {
-    evaluations_.add(static_cast<std::int64_t>(hi - lo));
-    const bool useCache = opts_.enableCache && policy != CachePolicy::Bypass;
+    const auto n = static_cast<std::int64_t>(ms.size());
+    evaluations_.add(n);
+    const bool useCache = policy == CachePolicy::UseCache;
 
     // Gather the evaluations the cache cannot serve. Per-thread buffers:
     // steady-state batches allocate nothing beyond string churn.
@@ -477,14 +392,14 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
     keysFlat.clear();
 
     if (!useCache) {
-        for (std::size_t i = lo; i < hi; ++i)
+        for (std::size_t i = 0; i < ms.size(); ++i)
             miss.push_back(i);
     } else {
         thread_local std::vector<std::int64_t> key;
-        for (std::size_t i = lo; i < hi; ++i) {
+        for (std::size_t i = 0; i < ms.size(); ++i) {
             canonicalKey(ms[i], opts, key);
             const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-            Shard &shard = shards_[h & (shards_.size() - 1)];
+            Shard &shard = shards_[h % kShards];
             bool hit = false;
             {
                 std::lock_guard<std::mutex> lk(shard.mtx);
@@ -502,42 +417,47 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
             keysFlat.insert(keysFlat.end(), key.begin(), key.end());
         }
         missKeyOff.push_back(keysFlat.size()); // end sentinel
-        // Each counter once per chunk, not once per mapping.
-        const auto misses = static_cast<std::int64_t>(miss.size());
-        hits_.add(static_cast<std::int64_t>(hi - lo) - misses);
-        misses_.add(misses);
     }
 
-    if (miss.empty())
-        return;
-
-    const auto t0 = std::chrono::steady_clock::now();
-    EvalScratch &scratch = threadEvalScratch();
-    const std::int64_t reuse0 = scratch.reuseCount();
-    for (std::size_t i : miss)
-        evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch, out[i]);
-    scratchReuses_.add(scratch.reuseCount() - reuse0);
-    // The chunk's per-eval mean, weighted by the evaluations it timed:
-    // count and sum then match the per-call path (one observation per
-    // model invocation, cache hits excluded) without a clock read per
-    // mapping.
-    const double us = std::chrono::duration<double, std::micro>(
-                          std::chrono::steady_clock::now() - t0)
-                          .count();
-    const auto timed = static_cast<std::int64_t>(miss.size());
-    evalLatencyUs_.record(us / static_cast<double>(timed), timed);
+    if (!miss.empty()) {
+        const auto t0 = std::chrono::steady_clock::now();
+        EvalScratch &scratch = threadEvalScratch();
+        const std::int64_t reuse0 = scratch.reuseCount();
+        for (std::size_t i : miss)
+            evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch,
+                                out[i], prefix);
+        scratchReuses_.add(scratch.reuseCount() - reuse0);
+        // The chunk's per-eval mean, weighted by the evaluations it
+        // timed: one observation per model invocation (cache hits
+        // excluded) without a clock read per mapping.
+        const double us = std::chrono::duration<double, std::micro>(
+                              std::chrono::steady_clock::now() - t0)
+                              .count();
+        const auto timed = static_cast<std::int64_t>(miss.size());
+        evalLatencyUs_.record(us / static_cast<double>(timed), timed);
+    }
 
     std::int64_t invalid = 0;
-    for (std::size_t i : miss)
-        invalid += out[i].valid ? 0 : 1;
+    for (const CostResult &r : out)
+        invalid += r.valid ? 0 : 1;
     invalid_.add(invalid);
     if (!useCache)
         return;
+
+    // A miss counts only when its insert creates the entry. One whose
+    // key another thread (or an earlier mapping of this chunk) stored
+    // meanwhile counts a hit, so the counts do not depend on timing.
+    std::int64_t created = 0;
     for (std::size_t j = 0; j < miss.size(); ++j) {
-        const CostResult &res = out[miss[j]];
-        Shard &shard = shards_[missHash[j] & (shards_.size() - 1)];
+        const auto kb = keysFlat.begin() + missKeyOff[j];
+        const auto ke = keysFlat.begin() + missKeyOff[j + 1];
+        Shard &shard = shards_[missHash[j] % kShards];
         std::lock_guard<std::mutex> lk(shard.mtx);
-        if (shard.map.size() >= opts_.maxEntriesPerShard) {
+        auto it = shard.map.find(missHash[j]);
+        if (it != shard.map.end() &&
+            std::equal(kb, ke, it->second.key.begin(), it->second.key.end()))
+            continue;
+        if (shard.map.size() >= kMaxEntriesPerShard) {
             evictions_.add(static_cast<std::int64_t>(shard.map.size()));
             obs::flightRecorder().record(
                 "cache.epoch_reset",
@@ -545,19 +465,13 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
             shard.map.clear();
         }
         Entry &e = shard.map[missHash[j]];
-        e.key.assign(keysFlat.begin() + missKeyOff[j],
-                     keysFlat.begin() + missKeyOff[j + 1]);
-        e.result = res;
+        e.key.assign(kb, ke);
+        e.result = out[miss[j]];
+        ++created;
     }
-}
-
-std::vector<CostResult>
-EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts, CachePolicy policy)
-{
-    std::vector<CostResult> out;
-    evaluateBatch(ctx, ms, opts, policy, out);
-    return out;
+    // Each counter once per chunk, not once per mapping.
+    hits_.add(n - created);
+    misses_.add(created);
 }
 
 ThreadPool &
@@ -565,7 +479,7 @@ EvalEngine::pool()
 {
     std::lock_guard<std::mutex> lk(poolMtx_);
     if (!pool_)
-        pool_ = std::make_unique<ThreadPool>(opts_.threads);
+        pool_ = std::make_unique<ThreadPool>(threads_);
     return *pool_;
 }
 

@@ -27,6 +27,13 @@
  * alongside each entry and compared on lookup, so a 64-bit hash collision
  * degrades to a miss, never to a wrong result.
  *
+ * One memo path: evaluate() is a batch of one, so evaluate() and
+ * evaluateBatch() share the lookup, the insert, the epoch reset and
+ * every counter. A miss counts only when its insert creates the entry,
+ * so the counts do not depend on which thread evaluated a key first.
+ * The shard count and per-shard cap are constants; the pool size is
+ * the one construction argument.
+ *
  * The free function evaluateMapping() in cost_model.hh remains the raw
  * analytical model (and the engine's backend); search code must evaluate
  * through an EvalEngine.
@@ -56,25 +63,30 @@ struct SearchStats
 {
     /** Evaluation requests routed through the engine (hits included). */
     std::int64_t evaluations = 0;
+    /**
+     * Memo lookups served by a stored entry, plus misses whose insert
+     * found the key already stored (another thread or an earlier mapping
+     * of the same chunk evaluated it first).
+     */
     std::int64_t cacheHits = 0;
     /**
-     * Memo lookups that found no entry. Two lookups that miss the same
-     * key before either inserts it (two threads, or two chunks of one
-     * batch) both evaluate it and both count a miss, so with more than
-     * one worker the count can vary between runs.
+     * Memo misses whose insert created the entry: one per distinct key,
+     * so hits and misses do not depend on thread timing as long as no
+     * shard is reset.
      */
     std::int64_t cacheMisses = 0;
     /**
-     * Analytical-model invocations (cache misses, bypassed lookups and
-     * scoreEnergy() calls) whose mapping failed the validity check. A
-     * memo hit on an invalid mapping is not counted again.
+     * Returned results whose mapping failed the validity check: one per
+     * invalid evaluation request (memo hits included) and per invalid
+     * scoreEnergy() call.
      */
     std::int64_t invalidMappings = 0;
     /** Alpha-beta prunes recorded by searches via notePrune(). */
     std::int64_t prunes = 0;
     /** Entries dropped when a full shard was reset. */
     std::int64_t evictions = 0;
-    /** Prefix-term cache hits/misses (see EvalEngine::prefix()). */
+    /** Prefix-term cache hits/misses (see EvalEngine::prefix()),
+     *  counted by the same rule as cacheHits/cacheMisses. */
     std::int64_t prefixHits = 0;
     std::int64_t prefixMisses = 0;
     /** Model invocations that reused the per-thread scratch arena. */
@@ -108,18 +120,6 @@ struct SearchStats
  */
 std::uint64_t hashFactors(const std::vector<std::int64_t> &v,
                           std::uint64_t seed = 0xcbf29ce484222325ULL);
-
-/** Engine construction knobs. */
-struct EvalEngineOptions
-{
-    /** Shared pool size; 0 means hardware_concurrency(). */
-    unsigned threads = 1;
-    /** Cache stripe count (rounded up to a power of two). */
-    unsigned shards = 16;
-    /** Per-shard entry cap; a full shard is reset (epoch eviction). */
-    std::size_t maxEntriesPerShard = 16384;
-    bool enableCache = true;
-};
 
 /** The unified evaluation engine. Thread-safe. */
 class EvalEngine
@@ -176,7 +176,8 @@ class EvalEngine
         std::shared_ptr<const PrefixTerms> terms_;
     };
 
-    explicit EvalEngine(EvalEngineOptions opts = {});
+    /** `threads` sizes the shared pool; 0 means hardware_concurrency(). */
+    explicit EvalEngine(unsigned threads = 1);
     ~EvalEngine();
 
     EvalEngine(const EvalEngine &) = delete;
@@ -185,15 +186,18 @@ class EvalEngine
     /** Fingerprints the pair; do once per search, not per evaluation. */
     Context context(const BoundArch &ba) const;
 
-    /** Evaluates through the memoization cache. */
+    /**
+     * Evaluates one mapping: a batch of one (see evaluateBatch()), so it
+     * counts, caches and times exactly as a one-mapping batch chunk.
+     * With a non-empty `ph` the model reuses the handle's decided-prefix
+     * terms and only recomputes the undecided levels; the result is
+     * bit-identical to the plain evaluation for any mapping whose
+     * canonical prefix matches the handle's, and shares its memo entry.
+     */
     CostResult evaluate(const Context &ctx, const Mapping &m,
                         const CostModelOptions &opts = {},
-                        CachePolicy policy = CachePolicy::UseCache);
-
-    /** Convenience overload fingerprinting on every call. */
-    CostResult evaluate(const BoundArch &ba, const Mapping &m,
-                        const CostModelOptions &opts = {},
-                        CachePolicy policy = CachePolicy::UseCache);
+                        CachePolicy policy = CachePolicy::UseCache,
+                        const PrefixHandle &ph = {});
 
     /**
      * Returns (building on demand) the contribution terms of levels
@@ -201,22 +205,11 @@ class EvalEngine
      * cache keyed by the context fingerprint plus the canonical prefix
      * (factors + reduced orders — the same rules the memo cache uses),
      * so repeated requests for equivalent prefixes share one snapshot.
-     * prefix_levels <= 0 returns an empty handle.
+     * prefix_levels <= 0 returns an empty handle. Counted like the memo:
+     * a miss only when this call's insert creates the entry.
      */
     PrefixHandle prefix(const Context &ctx, const Mapping &base,
                         int prefix_levels);
-
-    /**
-     * Like evaluate(), but mappings sharing the handle's decided prefix
-     * reuse its cached terms and only recompute the undecided levels.
-     * Bit-identical to evaluate() for any mapping whose canonical prefix
-     * matches the handle's; results share the same memo-cache entries.
-     */
-    CostResult evaluateWithPrefix(const Context &ctx,
-                                  const PrefixHandle &ph, const Mapping &m,
-                                  const CostModelOptions &opts = {},
-                                  CachePolicy policy =
-                                      CachePolicy::UseCache);
 
     /**
      * Caller-owned counts of scoreEnergy() calls, added to the engine's
@@ -264,22 +257,16 @@ class EvalEngine
      * chunks (independent of the pool size, so results and cache
      * contents are deterministic for any thread count) and the chunks
      * are spread over the pool. out[i] corresponds to ms[i] and is
-     * bit-identical to evaluate() of ms[i], invalidReason included.
-     * Under CachePolicy::UseCache, hits are served per mapping and the
-     * misses are evaluated with evaluateMappingInto() on the thread's
-     * scratch (and are then inserted). The per-eval latency histogram
-     * records one sample per chunk (the chunk mean) rather than one per
-     * evaluation.
+     * bit-identical to evaluateMapping() of ms[i], invalidReason
+     * included. Under CachePolicy::UseCache a chunk first looks every
+     * mapping up, then evaluates its misses with evaluateMappingInto()
+     * on the thread's scratch, then inserts them. The per-eval latency
+     * histogram gets one sample per chunk, the chunk's mean weighted by
+     * the evaluations it timed.
      */
     void evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
                        const CostModelOptions &opts, CachePolicy policy,
                        std::vector<CostResult> &out);
-
-    /** Convenience overload returning the results by value. */
-    std::vector<CostResult>
-    evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                  const CostModelOptions &opts = {},
-                  CachePolicy policy = CachePolicy::UseCache);
 
     /**
      * The shared worker pool, created on first use with the configured
@@ -323,15 +310,17 @@ class EvalEngine
                       std::vector<std::int64_t> &out) const;
     void canonicalPrefixKey(const Mapping &m, int prefix_levels,
                             std::vector<std::int64_t> &out) const;
-    CostResult evaluateImpl(const Context &ctx, const Mapping &m,
-                            const CostModelOptions &opts, CachePolicy policy,
-                            const PrefixTerms *prefix);
+    /** The one memo path: evaluate() and every evaluateBatch() chunk. */
     void evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
                        const CostModelOptions &opts, CachePolicy policy,
-                       std::vector<CostResult> &out, std::size_t lo,
-                       std::size_t hi);
+                       const PrefixTerms *prefix,
+                       std::span<CostResult> out);
 
-    EvalEngineOptions opts_;
+    unsigned threads_;
+    /** Memo stripes, each its own lock and map. */
+    static constexpr std::size_t kShards = 16;
+    /** Per-shard entry cap; a full shard is reset (epoch eviction). */
+    static constexpr std::size_t kMaxEntriesPerShard = 16384;
     std::vector<Shard> shards_;
 
     /** Bounded memo of prefix-term snapshots (cleared when full). */

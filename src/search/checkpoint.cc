@@ -83,6 +83,12 @@ mappingFromJson(const JsonValue &v, Mapping &out)
             static_cast<int>(out.level(l).spatial.size()) != nd ||
             static_cast<int>(order.size()) != nd)
             return false;
+        // Factors below 1 and out-of-range dims would reach the cost
+        // model's checked arithmetic and the order-indexed tables.
+        for (int d = 0; d < nd; ++d)
+            if (out.level(l).temporal[d] < 1 || out.level(l).spatial[d] < 1 ||
+                order[d] < 0 || order[d] >= nd)
+                return false;
         out.level(l).order.assign(order.begin(), order.end());
     }
     return true;

@@ -97,7 +97,10 @@ struct SearchCheckpoint
 /** Renders a mapping as {"levels": [{"t": [...], "s": [...], "o": [...]}]}. */
 std::string mappingToJson(const Mapping &m);
 
-/** Inverse of mappingToJson. @return false on malformed input. */
+/**
+ * Inverse of mappingToJson. @return false on malformed input: ragged
+ * levels, a factor below 1, or an order entry outside [0, numDims).
+ */
 bool mappingFromJson(const JsonValue &v, Mapping &out);
 
 } // namespace sunstone

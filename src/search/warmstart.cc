@@ -214,7 +214,11 @@ WarmStartStore::fromJson(const std::string &text, std::string *err)
         if ((f = je.find("metric")))
             e.metric = f->asDouble();
         f = je.find("mapping");
-        if (!f || !mappingFromJson(*f, e.mapping)) {
+        // adaptMapping() indexes the mapping by the query's dims, which
+        // match the entry's extents: a mapping over other dims is bad.
+        if (!f || !mappingFromJson(*f, e.mapping) ||
+            static_cast<std::size_t>(e.mapping.numDims()) !=
+                e.extents.size()) {
             if (err)
                 *err = "warmstart store: bad mapping in entry";
             return false;
@@ -257,7 +261,8 @@ WarmStartStore::query(const BoundArch &ba, std::size_t k) const
     std::vector<std::pair<double, std::size_t>> cands;
     for (std::size_t i = 0; i < entries_.size(); ++i) {
         const Entry &e = entries_[i];
-        if (e.shapeClass != cls || e.extents.size() != extents.size())
+        if (e.shapeClass != cls || e.extents.size() != extents.size() ||
+            e.mapping.numLevels() != ba.numLevels())
             continue;
         cands.emplace_back(logDistance(e.extents, extents), i);
     }

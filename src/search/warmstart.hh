@@ -59,7 +59,11 @@ class WarmStartStore
      */
     static std::uint64_t shapeClassKey(const BoundArch &ba);
 
-    /** Loads path; @return false (store untouched) if unreadable. */
+    /**
+     * Loads path; @return false (store untouched) if unreadable, or if
+     * an entry's mapping is malformed (see mappingFromJson()) or spans
+     * another number of dims than its extents.
+     */
     bool load(const std::string &path, std::string *err = nullptr);
 
     /** Saves atomically (temp + rename). @return false on IO error. */
@@ -79,7 +83,8 @@ class WarmStartStore
     /**
      * @return up to k seed mappings for ba, adapted to its extents,
      * nearest stored shape first (exact-extent matches sort first at
-     * distance zero; ties keep insertion order).
+     * distance zero; ties keep insertion order). Entries whose mapping
+     * has another level count than ba are skipped.
      */
     std::vector<Mapping> query(const BoundArch &ba,
                                std::size_t k = 2) const;

@@ -46,8 +46,7 @@ SchedulerSession::SchedulerSession(SessionOptions opts)
                    // hardware_concurrency() reports 1 (CI containers).
                    : std::clamp(std::thread::hardware_concurrency(), 2u,
                                 8u);
-    engine_ = std::make_unique<EvalEngine>(
-        EvalEngineOptions{.threads = threads_});
+    engine_ = std::make_unique<EvalEngine>(threads_);
     if (!opts_.warmStartPath.empty()) {
         std::string err;
         std::ifstream probe(opts_.warmStartPath);
@@ -416,7 +415,7 @@ SchedulerSession::runEval(const MappingRequest &req, MappingResponse &resp)
     if (req.mappingFile.empty())
         SUNSTONE_FATAL("eval needs --mapping <file>");
     Mapping m = loadMappingFile(req.mappingFile, ba);
-    const CostResult cost = engine_->evaluate(ba, m);
+    const CostResult cost = engine_->evaluate(engine_->context(ba), m);
 
     resp.ok = true;
     resp.mapper = "eval";
@@ -524,7 +523,7 @@ SchedulerSession::revalidate(const MappingRequest &req,
         ArchSpec arch = materializeArch(req);
         applyArchPrecisions(req, wl);
         BoundArch ba(arch, wl);
-        engine_->evaluate(ba, resp.result.mapping);
+        engine_->evaluate(engine_->context(ba), resp.result.mapping);
         return;
     }
     if (!resp.net)
@@ -545,7 +544,7 @@ SchedulerSession::revalidate(const MappingRequest &req,
         if (!l.found || l.fused)
             continue;
         BoundArch ba(arch, graph.node(i).workload);
-        engine_->evaluate(ba, l.mapping);
+        engine_->evaluate(engine_->context(ba), l.mapping);
     }
 }
 

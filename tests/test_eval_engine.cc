@@ -113,6 +113,166 @@ TEST(EvalEngine, BypassPolicySkipsTheCache)
     EXPECT_EQ(engine.cacheSize(), 0u);
 }
 
+/** The counters a one-mapping evaluation moves, as deltas of one engine. */
+struct CounterDelta
+{
+    std::int64_t evaluations, hits, misses, invalid, timed, reuses;
+
+    CounterDelta(const SearchStats &after, const SearchStats &before)
+        : evaluations(after.evaluations - before.evaluations),
+          hits(after.cacheHits - before.cacheHits),
+          misses(after.cacheMisses - before.cacheMisses),
+          invalid(after.invalidMappings - before.invalidMappings),
+          timed(after.evalLatencyUs.count - before.evalLatencyUs.count),
+          reuses(after.scratchReuses - before.scratchReuses)
+    {
+    }
+};
+
+TEST(EvalEngine, EvaluateIsABatchOfOne)
+{
+    // evaluate() and a one-mapping evaluateBatch() on twin engines must
+    // return the same bits and move the same counters: a valid mapping,
+    // an invalid one and a mapping evaluated through prefix terms, each
+    // twice (a miss, then a memo hit) and once more bypassing the memo.
+    Workload wl = makeConv1D(16, 16, 28, 3);
+    BoundArch ba(makeConventional(), wl);
+    Mapping valid = naiveMapping(ba);
+    const int top = valid.numLevels() - 1;
+    valid.level(top).temporal[0] /= 4;
+    valid.level(0).temporal[0] *= 4;
+    Mapping invalid = valid;
+    invalid.level(0).temporal[1] *= 2; // factor product no longer the dim
+    Mapping above = valid; // same level-0 prefix, changed above it
+    above.level(top).temporal[1] /= 2;
+    above.level(1).temporal[1] *= 2;
+    ASSERT_TRUE(evaluateMapping(ba, valid).valid);
+    ASSERT_TRUE(evaluateMapping(ba, above).valid);
+
+    EvalEngine single;
+    EvalEngine batch;
+    const EvalEngine::Context cs = single.context(ba);
+    const EvalEngine::Context cb = batch.context(ba);
+    const EvalEngine::PrefixHandle ph = single.prefix(cs, valid, 1);
+    ASSERT_TRUE(ph.valid());
+
+    struct Case
+    {
+        const char *what;
+        const Mapping &m;
+        const EvalEngine::PrefixHandle &ph;
+    };
+    const EvalEngine::PrefixHandle none;
+    const Case cases[] = {{"valid", valid, none},
+                          {"invalid", invalid, none},
+                          {"prefixed", above, ph}};
+    using Policy = EvalEngine::CachePolicy;
+    for (const Case &c : cases)
+        for (Policy policy : {Policy::UseCache, Policy::UseCache,
+                              Policy::Bypass}) {
+            SCOPED_TRACE(std::string(c.what) +
+                         (policy == Policy::Bypass ? " bypass" : " cached"));
+            const SearchStats s0 = single.stats();
+            const SearchStats b0 = batch.stats();
+            const CostResult r = single.evaluate(cs, c.m, {}, policy, c.ph);
+            std::vector<CostResult> out;
+            batch.evaluateBatch(cb, std::span<const Mapping>(&c.m, 1), {},
+                                policy, out);
+            ASSERT_EQ(out.size(), 1u);
+            expectBitIdentical(r, out[0]);
+            expectBitIdentical(r, evaluateMapping(ba, c.m));
+
+            const CounterDelta ds(single.stats(), s0);
+            const CounterDelta db(batch.stats(), b0);
+            EXPECT_EQ(ds.evaluations, 1);
+            EXPECT_EQ(ds.evaluations, db.evaluations);
+            EXPECT_EQ(ds.hits, db.hits);
+            EXPECT_EQ(ds.misses, db.misses);
+            EXPECT_EQ(ds.invalid, r.valid ? 0 : 1);
+            EXPECT_EQ(ds.invalid, db.invalid);
+            EXPECT_EQ(ds.timed, db.timed);
+            EXPECT_EQ(ds.reuses, db.reuses);
+        }
+    const SearchStats s = single.stats();
+    EXPECT_EQ(s.cacheMisses, 3);
+    EXPECT_EQ(s.cacheHits, 3);
+    EXPECT_EQ(s.evalLatencyUs.count, 6); // 3 misses + 3 bypasses
+    EXPECT_EQ(batch.stats().batches, 9);
+}
+
+TEST(EvalEngine, CountsAreThreadInvariant)
+{
+    // 21 distinct mappings, some of them invalid, repeat inside each of
+    // four 64-mapping chunks, so at four threads the chunks race to
+    // insert the same keys. A miss counts only when its insert creates
+    // the entry, so every count is the same at 1 and 4 threads.
+    Workload wl = makeGemm(16, 16, 16);
+    BoundArch ba(makeToyArch(64, 4), wl);
+    const Mapping naive = naiveMapping(ba);
+    const int top = naive.numLevels() - 1;
+    std::vector<Mapping> distinct;
+    for (std::int64_t a : {1, 2, 4, 8, 16})
+        for (std::int64_t b : {1, 2, 4}) {
+            Mapping m = naive;
+            m.level(0).temporal[0] = a;
+            m.level(top).temporal[0] = 16 / a;
+            m.level(0).temporal[1] = b;
+            m.level(top).temporal[1] = 16 / b;
+            distinct.push_back(std::move(m));
+        }
+    for (std::size_t i = 0; i < 6; ++i) {
+        Mapping m = distinct[i];
+        m.level(0).temporal[2] = 2; // dim 2 now multiplies to 32
+        distinct.push_back(std::move(m));
+    }
+    const auto nDistinct = static_cast<std::int64_t>(distinct.size());
+    std::vector<Mapping> ms;
+    std::int64_t invalid = 0;
+    for (std::size_t i = 0; i < 256; ++i) {
+        ms.push_back(distinct[(i * 5) % distinct.size()]);
+        invalid += evaluateMapping(ba, ms.back()).valid ? 0 : 1;
+    }
+    ASSERT_GT(invalid, 0);
+    ASSERT_LT(invalid, 256);
+
+    for (unsigned threads : {1u, 4u})
+        for (int round = 0; round < 10; ++round) {
+            SCOPED_TRACE(std::to_string(threads) + " threads, round " +
+                         std::to_string(round));
+            EvalEngine engine(threads);
+            const EvalEngine::Context ctx = engine.context(ba);
+            std::vector<CostResult> out;
+            engine.evaluateBatch(ctx, ms, {},
+                                 EvalEngine::CachePolicy::UseCache, out);
+            // One prefix snapshot per distinct level 0 and prefix length
+            // (level 1 is all ones), each requested four times.
+            std::vector<std::pair<const Mapping *, int>> prefixes;
+            for (int rep = 0; rep < 4; ++rep)
+                for (const Mapping &m : distinct)
+                    for (int p : {1, 2})
+                        prefixes.emplace_back(&m, p);
+            auto buildPrefix = [&](std::size_t i) {
+                engine.prefix(ctx, *prefixes[i].first, prefixes[i].second);
+            };
+            if (threads == 1)
+                for (std::size_t i = 0; i < prefixes.size(); ++i)
+                    buildPrefix(i);
+            else
+                parallelFor(engine.pool(), prefixes.size(), buildPrefix);
+
+            const SearchStats s = engine.stats();
+            EXPECT_EQ(s.evaluations, 256);
+            EXPECT_EQ(s.cacheMisses, nDistinct);
+            EXPECT_EQ(s.cacheHits, 256 - nDistinct);
+            EXPECT_EQ(s.invalidMappings, invalid);
+            EXPECT_EQ(engine.cacheSize(), distinct.size());
+            EXPECT_EQ(s.prefixMisses, 2 * nDistinct);
+            EXPECT_EQ(s.prefixHits,
+                      static_cast<std::int64_t>(prefixes.size()) -
+                          2 * nDistinct);
+        }
+}
+
 TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
 {
     // A batch chunk is timed as one interval, but it records one
@@ -122,7 +282,7 @@ TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
     BoundArch ba(makeToyArch(64, 4), wl);
     const std::vector<Mapping> batch(200, naiveMapping(ba)); // 3 chunks + 8
     for (unsigned threads : {1u, 4u}) {
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         const EvalEngine::Context ctx = engine.context(ba);
         const std::int64_t before = engine.stats().evalLatencyUs.count;
         std::vector<CostResult> out;
@@ -195,8 +355,10 @@ TEST(EvalEngine, DistinctContextsDoNotShareEntries)
     BoundArch baB(makeToyArch(64, 4), wb);
 
     EvalEngine engine;
-    const CostResult ra = engine.evaluate(baA, naiveMapping(baA));
-    const CostResult rb = engine.evaluate(baB, naiveMapping(baB));
+    const CostResult ra =
+        engine.evaluate(engine.context(baA), naiveMapping(baA));
+    const CostResult rb =
+        engine.evaluate(engine.context(baB), naiveMapping(baB));
     ASSERT_TRUE(ra.valid);
     ASSERT_TRUE(rb.valid);
     EXPECT_NE(ra.totalEnergyPj, rb.totalEnergyPj);
@@ -207,7 +369,7 @@ TEST(EvalEngine, CountersAreExactUnderConcurrentAccess)
 {
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
-    EvalEngine engine(EvalEngineOptions{.threads = 4});
+    EvalEngine engine(4);
     const EvalEngine::Context ctx = engine.context(ba);
 
     // A batch of distinct mappings: naive plus single-factor variants.

@@ -1,9 +1,10 @@
 /** @file
  * Equivalence suite for the allocation-free fast paths added around the
- * cost model: the batched entry point and the prefix-incremental
- * evaluation must produce results bit-identical to the plain
- * evaluateMapping() — every per-(level, tensor) access counter and every
- * floating-point output (energies, cycles, latency, EDP, utilization).
+ * cost model: the engine's batched entry point and evaluateMappingInto()
+ * with and without prefix terms must produce results bit-identical to
+ * the plain evaluateMapping() — every per-(level, tensor) access counter
+ * and every floating-point output (energies, cycles, latency, EDP,
+ * utilization).
  *
  * Trials draw from the diffcheck generators, so the population includes
  * strided convolutions, multicast on/off, partitioned buffers, and
@@ -91,7 +92,7 @@ checkAllPaths(const BoundArch &ba, const Mapping &m, std::uint64_t tag)
         PrefixTerms terms;
         buildPrefixTerms(ba, m, p, scratch, terms);
         CostResult out;
-        evaluateMappingWithPrefixInto(ba, terms, m, {}, scratch, out);
+        evaluateMappingInto(ba, m, {}, scratch, out, &terms);
         expectIdentical(ref, out,
                         what + " [prefix P=" + std::to_string(p) + "]");
     }
@@ -184,7 +185,7 @@ TEST(EvalEquivalence, BatchMatchesSerial)
 
     for (unsigned threads : {1u, 4u}) {
         const std::string tag = std::to_string(threads) + " threads";
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         const EvalEngine::Context ctx = engine.context(ba);
         std::vector<CostResult> batch;
         engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::Bypass,
@@ -214,7 +215,7 @@ TEST(EvalEquivalence, BatchMatchesSerial)
 TEST(EvalEquivalence, EnginePrefixHandleMatchesPlain)
 {
     constexpr int kTrials = 60;
-    EvalEngine engine(EvalEngineOptions{.threads = 2});
+    EvalEngine engine(2);
     for (int i = 0; i < kTrials; ++i) {
         std::mt19937_64 rng = diffcheckTrialRng(99000 + i);
         const Workload wl = randomDiffcheckWorkload(rng);
@@ -240,8 +241,8 @@ TEST(EvalEquivalence, EnginePrefixHandleMatchesPlain)
                 }
             const EvalEngine::PrefixHandle ph = engine.prefix(ctx, base, p);
             ASSERT_TRUE(ph.valid());
-            const CostResult got = engine.evaluateWithPrefix(
-                ctx, ph, m, {}, EvalEngine::CachePolicy::Bypass);
+            const CostResult got = engine.evaluate(
+                ctx, m, {}, EvalEngine::CachePolicy::Bypass, ph);
             expectIdentical(evaluateMapping(ba, m), got,
                             "engine prefix trial " + std::to_string(i) +
                                 " P=" + std::to_string(p));
@@ -410,18 +411,25 @@ TEST(EvalEquivalence, ScratchRekeysAcrossSameShapeArchVariants)
         const Mapping m_a = randomDiffcheckMapping(ba_a, rng);
         const Mapping m_b = randomDiffcheckMapping(ba_b, rng);
 
-        // Interleave the two bindings through the one shared scratch;
-        // every result must match a fresh-state reference bitwise.
-        for (int round = 0; round < 2; ++round) {
+        // Interleave the two bindings through the one shared scratch,
+        // plainly and with prefix terms (which read the same per-binding
+        // chains, built on the same scratch); every result must match a
+        // fresh-state reference bitwise.
+        const CostResult ref_a = evaluateMapping(ba_a, m_a);
+        const CostResult ref_b = evaluateMapping(ba_b, m_b);
+        for (int p = 0; p < m_a.numLevels(); ++p) {
+            PrefixTerms terms_a, terms_b;
+            buildPrefixTerms(ba_a, m_a, p, shared, terms_a);
+            buildPrefixTerms(ba_b, m_b, p, shared, terms_b);
+            const std::string what =
+                "trial " + std::to_string(i) + " P=" + std::to_string(p);
             CostResult out_a, out_b;
-            evaluateMappingInto(ba_a, m_a, {}, shared, out_a);
-            evaluateMappingInto(ba_b, m_b, {}, shared, out_b);
-            expectIdentical(evaluateMapping(ba_a, m_a), out_a,
-                            "trial " + std::to_string(i) + " arch A round " +
-                                std::to_string(round));
-            expectIdentical(evaluateMapping(ba_b, m_b), out_b,
-                            "trial " + std::to_string(i) + " arch B round " +
-                                std::to_string(round));
+            evaluateMappingInto(ba_a, m_a, {}, shared, out_a,
+                                p ? &terms_a : nullptr);
+            evaluateMappingInto(ba_b, m_b, {}, shared, out_b,
+                                p ? &terms_b : nullptr);
+            expectIdentical(ref_a, out_a, what + " arch A");
+            expectIdentical(ref_b, out_b, what + " arch B");
         }
         if (::testing::Test::HasFatalFailure())
             return;

@@ -207,7 +207,7 @@ TEST(Residency, OutputEphemeralDropsDrainWhenCovered)
 }
 
 /** Every scheduler run below evaluates on its own two-worker engine. */
-const EvalEngineOptions kTwoWorkers{.threads = 2};
+constexpr unsigned kTwoWorkers = 2;
 
 TEST(NetScheduler, FuseOffMatchesPerLayerSchedulerBitForBit)
 {

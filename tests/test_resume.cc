@@ -8,6 +8,9 @@
  *    to the same search run uninterrupted — per mapper.
  *  - Hostile beam checkpoints: a tampered Sunstone beam payload is a
  *    clean fatal, never an out-of-bounds access.
+ *  - Hostile mappings: a best mapping or GA population mapping with a
+ *    factor below 1 or an order entry out of range fails the checkpoint
+ *    load or the resume cleanly, never the cost model's assertions.
  *  - Retired state: a checkpoint carrying surrogate-ranker state is a
  *    load error naming the removal, not a silently different resume.
  *  - Network checkpoints: a cancelled network schedule resumes to the
@@ -22,6 +25,7 @@
 
 #include <atomic>
 #include <cstdio>
+#include <fstream>
 #include <functional>
 #include <stdexcept>
 
@@ -227,6 +231,17 @@ jsonInt(std::int64_t v)
 
 using Tamper = std::function<void(JsonValue &payload)>;
 
+/** Negates dim 0's temporal factors at levels 0 and 1: the dim's factor
+ *  product keeps its sign, so only a per-factor check can catch it. */
+void
+negateTwoTemporalFactors(std::vector<JsonValue> &levels)
+{
+    for (int l = 0; l < 2; ++l) {
+        JsonValue &t = fieldOf(levels[l], "t").items[0];
+        t = jsonInt(-t.asInt());
+    }
+}
+
 /**
  * Takes the last beam checkpoint of a finished search, applies each
  * tampering to a copy of its payload, and expects every resume from the
@@ -316,6 +331,11 @@ TEST_F(ResumeFixture, SunstoneRejectsTamperedBeamCheckpoints)
              [&](JsonValue &p) {
                  fieldOf(fieldOf(entry(p), "m"), "levels").items.pop_back();
              }},
+            {"mapping with two negated temporal factors",
+             [&](JsonValue &p) {
+                 negateTwoTemporalFactors(
+                     fieldOf(fieldOf(entry(p), "m"), "levels").items);
+             }},
         });
 
     SunstoneOptions top_down;
@@ -326,6 +346,99 @@ TEST_F(ResumeFixture, SunstoneRejectsTamperedBeamCheckpoints)
                                      setStep(n_levels)},
                                     {"top-down negative step", setStep(-1)},
                                 });
+}
+
+/** Mapping tamperings mappingFromJson() must refuse, whatever file
+ *  carries the mapping. */
+const std::vector<std::pair<std::string,
+                            std::function<void(std::vector<JsonValue> &)>>>
+    kHostileMappings{
+        {"two negated temporal factors", negateTwoTemporalFactors},
+        {"a zero spatial factor",
+         [](std::vector<JsonValue> &levels) {
+             fieldOf(levels[0], "s").items[0] = jsonInt(0);
+         }},
+        {"order entry 99",
+         [](std::vector<JsonValue> &levels) {
+             fieldOf(levels[1], "o").items[0] = jsonInt(99);
+         }},
+        {"negative order entry",
+         [](std::vector<JsonValue> &levels) {
+             fieldOf(levels[1], "o").items[0] = jsonInt(-1);
+         }},
+    };
+
+TEST_F(ResumeFixture, HostileBestMappingFailsTheCheckpointLoad)
+{
+    // A Timeloop run's checkpoint whose best mapping was tampered with
+    // used to resume into the cost model's satMul() assertion.
+    const std::string path = ::testing::TempDir() + "/hostile_best.json";
+    std::remove(path.c_str());
+    {
+        StopPolicy policy;
+        policy.maxEvals = 250;
+        policy.plateau = 1'000'000'000;
+        SearchContext sc;
+        sc.setPolicy(policy);
+        sc.setCheckpointPath(path);
+        ASSERT_TRUE(TimeloopMapper().optimize(sc, ba).found);
+    }
+    SearchCheckpoint written;
+    std::string err;
+    ASSERT_TRUE(SearchCheckpoint::load(path, written, &err)) << err;
+    ASSERT_TRUE(written.found);
+    for (const auto &[what, tamper] : kHostileMappings) {
+        JsonValue doc;
+        ASSERT_TRUE(parseJson(written.toJson(), doc)) << what;
+        tamper(fieldOf(fieldOf(doc, "best_mapping"), "levels").items);
+        {
+            std::ofstream os(path, std::ios::trunc);
+            os << doc.dump() << "\n";
+        }
+        SearchCheckpoint ck;
+        EXPECT_FALSE(SearchCheckpoint::load(path, ck, &err)) << what;
+        EXPECT_EQ(err, "malformed best_mapping") << what;
+    }
+    std::remove(path.c_str());
+}
+
+TEST_F(ResumeFixture, GammaRejectsHostilePopulationMappings)
+{
+    const std::string path = ::testing::TempDir() + "/hostile_ga.json";
+    std::remove(path.c_str());
+    {
+        StopPolicy policy;
+        policy.maxEvals = 320;
+        policy.plateau = 1'000'000'000;
+        SearchContext sc;
+        sc.setPolicy(policy);
+        sc.setCheckpointPath(path);
+        ASSERT_TRUE(GammaMapper().optimize(sc, ba).found);
+    }
+    SearchCheckpoint ck;
+    std::string err;
+    ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err)) << err;
+    std::remove(path.c_str());
+    for (const auto &[what, tamper] : kHostileMappings) {
+        JsonValue payload;
+        ASSERT_TRUE(parseJson(ck.streamState, payload)) << what;
+        std::vector<JsonValue> &pop = fieldOf(payload, "prev").items;
+        ASSERT_FALSE(pop.empty()) << what;
+        tamper(fieldOf(fieldOf(pop.front(), "m"), "levels").items);
+        SearchCheckpoint bad = ck;
+        bad.streamState = payload.dump();
+        SearchContext sc;
+        sc.setResume(std::move(bad));
+        ScopedFatalCapture capture;
+        try {
+            GammaMapper().optimize(sc, ba);
+            ADD_FAILURE() << what << ": the tampered population was resumed";
+        } catch (const FatalError &e) {
+            EXPECT_NE(std::string(e.what()).find("stream payload"),
+                      std::string::npos)
+                << what << ": " << e.what();
+        }
+    }
 }
 
 TEST(CheckpointFormat, RejectsSurrogateStateFromRemovedRanker)
@@ -353,7 +466,7 @@ TEST(CheckpointFormat, RejectsSurrogateStateFromRemovedRanker)
 }
 
 /** Every network-checkpoint run evaluates on its own two-worker engine. */
-const EvalEngineOptions kNetEngine{.threads = 2};
+constexpr unsigned kNetEngine = 2;
 
 TEST(NetResume, FusedNetResumesBitIdenticallyAcrossSubgraphBoundary)
 {
@@ -602,6 +715,8 @@ expectTamperedNetMappingsRejected(FusionMode mode)
          [&](JsonValue &p) {
              fieldOf(levels(p).front(), "o").items.front() = jsonInt(99);
          }},
+        {"two negated temporal factors",
+         [&](JsonValue &p) { negateTwoTemporalFactors(levels(p)); }},
     };
     for (const auto &[what, tamper] : cases) {
         JsonValue payload;
@@ -646,7 +761,7 @@ TEST_F(ResumeFixture, SunstoneCoreIsThreadCountInvariant)
     std::int64_t examined = 0;
     std::string mapping;
     for (unsigned threads : {1u, 4u, 8u}) {
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         SearchContext sc(&engine);
         const SunstoneResult sr = sunstoneOptimize(sc, ba);
         ASSERT_TRUE(sr.found) << threads << " threads";
@@ -669,7 +784,7 @@ TEST_F(ResumeFixture, RefineIsThreadCountInvariant)
     std::string mapping;
     std::int64_t evaluated = 0;
     for (unsigned threads : {1u, 4u, 8u}) {
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         RefineStats stats;
         const Mapping polished =
             polishMapping(engine, ba, start, /*optimize_edp=*/true,
@@ -690,7 +805,7 @@ TEST_F(ResumeFixture, TimeloopRandomIsThreadCountInvariant)
     std::int64_t evals = 0;
     std::string mapping;
     for (unsigned threads : {1u, 4u, 8u}) {
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         SearchContext sc(&engine);
         sc.policy().maxEvals = 500;
         sc.policy().plateau = 1'000'000'000;
@@ -759,7 +874,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
         base.maxEvals = budget;
         base.plateau = 1'000'000'000;
         {
-            EvalEngine engine(EvalEngineOptions{.threads = threads});
+            EvalEngine engine(threads);
             SearchContext sc(&engine);
             sc.setPolicy(base);
             expectPinned(outcome(run(sc)), at + ", uninterrupted");
@@ -769,7 +884,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
                                  "_" + std::to_string(threads) + ".json";
         std::remove(path.c_str());
         {
-            EvalEngine engine(EvalEngineOptions{.threads = threads});
+            EvalEngine engine(threads);
             SearchContext sc(&engine);
             StopPolicy cut = base;
             cut.maxEvals = interrupt_at;
@@ -781,7 +896,7 @@ expectPinnedOutcome(const std::string &name, const BoundArch &ba,
         std::string err;
         ASSERT_TRUE(SearchCheckpoint::load(path, ck, &err))
             << name << ": " << err;
-        EvalEngine engine(EvalEngineOptions{.threads = threads});
+        EvalEngine engine(threads);
         SearchContext sc(&engine);
         sc.setPolicy(base);
         sc.setCheckpointPath(path);

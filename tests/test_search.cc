@@ -97,7 +97,7 @@ class ScriptedStream : public CandidateStream
 struct DriverFixture
 {
     BoundArch ba{makeConventional(), smallConv()};
-    EvalEngine engine{EvalEngineOptions{.threads = 2}};
+    EvalEngine engine{2};
 };
 
 // ---------------------------------------------------------------------
@@ -283,7 +283,7 @@ TEST(SearchContext, PrivateEngineIsCreatedOnceAndBorrowWins)
     EXPECT_EQ(&a, &b);
     EXPECT_EQ(a.pool().size(), 1u); // the default engine has one worker
 
-    EvalEngine borrowed(EvalEngineOptions{.threads = 2});
+    EvalEngine borrowed(2);
     SearchContext sc2(&borrowed);
     EXPECT_EQ(&sc2.engine(), &borrowed);
     EXPECT_EQ(&sc2.engine(), &borrowed);

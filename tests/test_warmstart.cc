@@ -4,7 +4,8 @@
  *
  *  - WarmStartStore JSON is byte-stable across load/save round trips;
  *    query() prefers the exact shape and adaptMapping() is always
- *    divisor-exact on the target extents.
+ *    divisor-exact on the target extents. A hostile stored entry fails
+ *    the load or is skipped by the query; it never crashes either.
  *  - A warm repeat of a seeded random search, seeded from the cold
  *    run's recorded best, enters the cold best's 1% band in at most
  *    half the evaluations the cold run spent reaching it.
@@ -14,8 +15,12 @@
 #include <gtest/gtest.h>
 
 #include <cstdio>
+#include <fstream>
+#include <functional>
+#include <stdexcept>
 
 #include "arch/presets.hh"
+#include "common/json.hh"
 #include "mappers/timeloop_mapper.hh"
 #include "model/cost_model.hh"
 #include "model/eval_engine.hh"
@@ -130,6 +135,92 @@ TEST(WarmStartStore, QueryPrefersExactShapeAndAdaptsDivisorExactly)
         }
 }
 
+/** @return the named field of a parsed JSON object, for tampering. */
+JsonValue &
+fieldOf(JsonValue &obj, const std::string &name)
+{
+    for (auto &[key, value] : obj.fields)
+        if (key == name)
+            return value;
+    throw std::runtime_error("no field '" + name + "'");
+}
+
+/**
+ * A stored entry must never crash a load or a query: a mapping over
+ * other dims than its extents, or one with a factor below 1 or an order
+ * entry out of range, fails the load; a mapping with another level
+ * count than the querying binding is skipped.
+ */
+TEST(WarmStartStore, HostileEntriesFailTheLoadOrAreSkipped)
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 16;
+    sh.c = 16;
+    sh.p = 8;
+    sh.q = 8;
+    sh.r = 3;
+    sh.s = 3;
+    const BoundArch ba(makeSimbaLike(), makeConv2D(sh));
+    ASSERT_EQ(ba.numLevels(), 4);
+    WarmStartStore store;
+    ASSERT_TRUE(store.record(ba, "conv", 1.0, naiveMapping(ba)));
+    ASSERT_EQ(store.query(ba).size(), 1u);
+
+    using Tamper = std::function<void(std::vector<JsonValue> &levels)>;
+    auto tampered = [&](const Tamper &tamper) {
+        JsonValue doc;
+        EXPECT_TRUE(parseJson(store.toJson(), doc));
+        JsonValue &entry = fieldOf(doc, "entries").items.front();
+        tamper(fieldOf(fieldOf(entry, "mapping"), "levels").items);
+        return doc.dump();
+    };
+    auto setFirst = [](const char *key, std::int64_t v) {
+        return [key, v](std::vector<JsonValue> &levels) {
+            JsonValue &x = fieldOf(levels.front(), key).items.front();
+            x.number = static_cast<double>(v);
+            x.raw = std::to_string(v);
+        };
+    };
+
+    const std::vector<std::pair<std::string, Tamper>> rejected{
+        {"3 of 7 dims",
+         [](std::vector<JsonValue> &levels) {
+             for (JsonValue &l : levels)
+                 for (const char *k : {"t", "s", "o"})
+                     fieldOf(l, k).items.resize(3);
+         }},
+        {"negative temporal factor", setFirst("t", -2)},
+        {"zero spatial factor", setFirst("s", 0)},
+        {"order entry 7", setFirst("o", 7)},
+    };
+    const std::string path = ::testing::TempDir() + "/hostile_ws.json";
+    for (const auto &[what, tamper] : rejected) {
+        {
+            std::ofstream os(path, std::ios::trunc);
+            os << tampered(tamper) << "\n";
+        }
+        WarmStartStore loaded;
+        std::string err;
+        EXPECT_FALSE(loaded.load(path, &err)) << what;
+        EXPECT_NE(err.find("bad mapping"), std::string::npos)
+            << what << ": " << err;
+        EXPECT_EQ(loaded.size(), 0u) << what;
+    }
+    std::remove(path.c_str());
+
+    // 2 of simba's 4 levels: well-formed on its own, so it loads, but a
+    // simba query never adapts it.
+    WarmStartStore short_levels;
+    std::string err;
+    ASSERT_TRUE(short_levels.fromJson(
+        tampered([](std::vector<JsonValue> &levels) { levels.resize(2); }),
+        &err))
+        << err;
+    ASSERT_EQ(short_levels.size(), 1u);
+    EXPECT_TRUE(short_levels.query(ba).empty());
+}
+
 // ---------------------------------------------------------------------
 // Warm-start win on a repeated shape
 // ---------------------------------------------------------------------
@@ -139,7 +230,7 @@ std::vector<obs::ConvergencePoint>
 timeloopTrajectory(const BoundArch &ba, const std::vector<Mapping> &seeds,
                    MapperResult &mr)
 {
-    EvalEngine engine(EvalEngineOptions{.threads = 4});
+    EvalEngine engine(4);
     obs::ConvergenceRecorder rec;
     StopPolicy policy;
     policy.maxEvals = 8000;
