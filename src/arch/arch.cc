@@ -199,6 +199,27 @@ BoundArch::computeStores()
     for (TensorId t = 0; t < nt; ++t)
         SUNSTONE_ASSERT(stores_[nl - 1][t],
                         "DRAM cannot bypass tensor ", wl_.tensor(t).name);
+
+    // Capacity groups: one per partition (or one for a unified buffer)
+    // of every non-DRAM level. setResidency() changes no storage fact,
+    // so these hold for the binding's lifetime.
+    groups_.assign(nl, {});
+    for (int l = 0; l < nl; ++l) {
+        const auto &lv = arch_.levels[l];
+        if (lv.isDram)
+            continue;
+        const bool unified = lv.partitions.empty();
+        std::vector<PartitionSpec> parts = lv.partitions;
+        if (unified)
+            parts.push_back({"", lv.capacityBits});
+        for (const auto &p : parts) {
+            CapacityGroup &g = groups_[l].emplace_back();
+            g.limitBits = p.capacityBits / (lv.doubleBuffered ? 2 : 1);
+            for (TensorId t = 0; t < nt; ++t)
+                if (stores_[l][t] && (unified || tensorPartition[t] == p.name))
+                    g.members.push_back({t, wl_.tensor(t).wordBits});
+        }
+    }
 }
 
 void
@@ -253,15 +274,12 @@ BoundArch::nextLevelAbove(int level, TensorId t) const
 std::int64_t
 BoundArch::capacityBitsFor(int level, TensorId t) const
 {
-    const auto &lv = arch_.levels[level];
-    if (lv.isDram)
+    if (arch_.levels[level].isDram)
         return std::numeric_limits<std::int64_t>::max() / 4;
-    const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
-    if (lv.partitions.empty())
-        return lv.capacityBits / shrink;
-    for (const auto &p : lv.partitions)
-        if (p.name == tensorPartition[t])
-            return p.capacityBits / shrink;
+    for (const CapacityGroup &g : groups_[level])
+        for (const CapacityGroup::Member &mb : g.members)
+            if (mb.tensor == t)
+                return g.limitBits;
     return 0;
 }
 

@@ -183,6 +183,26 @@ class BoundArch
     double macEnergyPj() const { return macPj_; }
 
     /**
+     * One capacity budget of a non-DRAM level, compiled at binding time:
+     * the unified buffer or one partition, with the tensors it stores in
+     * ascending id order. limitBits is the usable capacity, halved on a
+     * double-buffered level.
+     */
+    struct CapacityGroup
+    {
+        struct Member { TensorId tensor; std::int64_t wordBits; };
+        std::int64_t limitBits = 0;
+        std::vector<Member> members;
+    };
+
+    /** @return level l's capacity groups, in partition declaration
+     *  order; empty for DRAM, which is unbounded. */
+    const std::vector<CapacityGroup> &capacityGroups(int l) const
+    {
+        return groups_[l];
+    }
+
+    /**
      * Checks that per-tensor footprints (words) fit level l, respecting
      * partitions. DRAM always fits. Inline: the validity check calls
      * this for every non-DRAM level of every evaluation.
@@ -213,8 +233,9 @@ class BoundArch
 
     /**
      * @return the capacity budget (bits) available to tensor t at level l
-     *         assuming it had the whole partition (for tile-growth
-     *         heuristics); unbounded levels return a large sentinel.
+     *         assuming it had its whole group (for tile-growth
+     *         heuristics); 0 when l does not store t; unbounded levels
+     *         return a large sentinel.
      */
     std::int64_t capacityBitsFor(int level, TensorId t) const;
 
@@ -247,28 +268,18 @@ class BoundArch
     int residencyLevel(TensorId t) const;
 
   private:
-    /** fits() over footprint(t), queried once per stored tensor. */
+    /** fits() over footprint(t), queried once per group member. The
+     *  sum runs in ascending tensor id within a group, in int64, and
+     *  returns at the first overflowing group. */
     template <class Footprint>
     bool
     fitsBy(int level, Footprint &&footprint) const
     {
-        const auto &lv = arch_.levels[level];
-        if (lv.isDram)
-            return true;
-        const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
-        if (lv.partitions.empty()) {
+        for (const CapacityGroup &g : groups_[level]) {
             std::int64_t bits = 0;
-            for (TensorId t = 0; t < numTensors(); ++t)
-                if (stores_[level][t])
-                    bits += footprint(t) * wl_.tensor(t).wordBits;
-            return bits <= lv.capacityBits / shrink;
-        }
-        for (const auto &p : lv.partitions) {
-            std::int64_t bits = 0;
-            for (TensorId t = 0; t < numTensors(); ++t)
-                if (stores_[level][t] && tensorPartition[t] == p.name)
-                    bits += footprint(t) * wl_.tensor(t).wordBits;
-            if (bits > p.capacityBits / shrink)
+            for (const CapacityGroup::Member &mb : g.members)
+                bits += footprint(mb.tensor) * mb.wordBits;
+            if (bits > g.limitBits)
                 return false;
         }
         return true;
@@ -286,6 +297,7 @@ class BoundArch
     bool anyEphemeral_ = false;
     std::vector<std::string> tensorPartition;
     std::vector<std::vector<bool>> stores_;      // [level][tensor]
+    std::vector<std::vector<CapacityGroup>> groups_; // [level]
     std::vector<std::vector<double>> readPj;     // [level][tensor]
     std::vector<std::vector<double>> writePj;    // [level][tensor]
     double macPj_ = 0;

@@ -28,31 +28,20 @@ realFootprint(const TensorSpec &ts, const std::vector<double> &shape)
 
 /**
  * Fill fraction of one level for a fractional shape: the maximum over
- * partitions of used/capacity (unified levels have one "partition").
+ * its capacity groups of used/usable bits.
  */
 double
 fillFraction(const BoundArch &ba, int level,
              const std::vector<double> &shape)
 {
     const Workload &wl = ba.workload();
-    const auto &lv = ba.arch().levels[level];
-    if (lv.partitions.empty()) {
-        double bits = 0;
-        for (TensorId t = 0; t < wl.numTensors(); ++t)
-            if (ba.stores(level, t))
-                bits += realFootprint(wl.tensor(t), shape) *
-                        wl.tensor(t).wordBits;
-        return bits / static_cast<double>(lv.capacityBits);
-    }
     double worst = 0;
-    for (const auto &p : lv.partitions) {
+    for (const auto &g : ba.capacityGroups(level)) {
         double bits = 0;
-        for (TensorId t = 0; t < wl.numTensors(); ++t)
-            if (ba.stores(level, t) && ba.partitionOf(t) == p.name)
-                bits += realFootprint(wl.tensor(t), shape) *
-                        wl.tensor(t).wordBits;
-        worst = std::max(worst,
-                         bits / static_cast<double>(p.capacityBits));
+        for (const auto &mb : g.members)
+            bits += realFootprint(wl.tensor(mb.tensor), shape) *
+                    static_cast<double>(mb.wordBits);
+        worst = std::max(worst, bits / static_cast<double>(g.limitBits));
     }
     return worst;
 }

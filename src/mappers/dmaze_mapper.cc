@@ -12,21 +12,18 @@ namespace sunstone {
 
 namespace {
 
-/** Utilization of a unified or partitioned level by a tile shape. */
+/** Utilization of a level's usable capacity by a tile shape. */
 double
 levelUtilization(const BoundArch &ba, int level,
                  const std::vector<std::int64_t> &shape)
 {
     const Workload &wl = ba.workload();
-    const auto &lv = ba.arch().levels[level];
-    std::int64_t cap_bits = lv.partitions.empty() ? lv.capacityBits : 0;
-    for (const auto &p : lv.partitions)
-        cap_bits += p.capacityBits;
-    std::int64_t used_bits = 0;
-    for (TensorId t = 0; t < wl.numTensors(); ++t)
-        if (ba.stores(level, t))
-            used_bits +=
-                wl.tensor(t).footprint(shape) * wl.tensor(t).wordBits;
+    std::int64_t cap_bits = 0, used_bits = 0;
+    for (const auto &g : ba.capacityGroups(level)) {
+        cap_bits += g.limitBits;
+        for (const auto &mb : g.members)
+            used_bits += wl.tensor(mb.tensor).footprint(shape) * mb.wordBits;
+    }
     if (cap_bits <= 0)
         return 0;
     return static_cast<double>(used_bits) / static_cast<double>(cap_bits);

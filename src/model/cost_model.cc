@@ -5,6 +5,7 @@
 #include <charconv>
 #include <cmath>
 #include <limits>
+#include <optional>
 #include <string_view>
 
 #include "arch/energy_model.hh"
@@ -824,40 +825,58 @@ countAccess(const BoundArch &ba, const Mapping &m,
 }
 
 /**
- * The floating-point half: energy, latency, utilization, and EDP from
- * the scratch counters. Accumulation order (levels outer, tensors inner,
- * then MAC, then NoC) is the historical one, so results stay bitwise
- * stable across the refactor.
+ * Total energy from the scratch counters, the one energy sum of the
+ * model. Accumulation order is the historical one: levels outer, each
+ * level's tensors into a per-level sum from 0.0 that is then added to
+ * the total, then MAC, then NoC. `res`, when given, receives the
+ * per-level and MAC terms.
+ */
+double
+sumEnergy(const BoundArch &ba, const CostModelOptions &opts,
+          const EvalScratch &s, double noc_energy_pj,
+          CostResult *res = nullptr)
+{
+    const int nt = s.nt;
+    double total = 0;
+    for (int l = 0; l < s.nl; ++l) {
+        double level = 0;
+        for (TensorId t = 0; t < nt; ++t) {
+            const auto &a = s.access[static_cast<std::size_t>(l) * nt + t];
+            level += (double)a.totalReads() * ba.readEnergyPj(l, t) +
+                     (double)a.totalWrites() * ba.writeEnergyPj(l, t);
+        }
+        if (res)
+            res->levelEnergyPj[l] = level;
+        total += level;
+    }
+    const double mac = (double)s.totalOps * ba.macEnergyPj() *
+                       ba.workload().multipliesPerOp();
+    if (res)
+        res->macEnergyPj = mac;
+    total += mac;
+    if (opts.modelNoc)
+        total += noc_energy_pj;
+    return total;
+}
+
+/**
+ * The floating-point half: the public access counts, energy, latency,
+ * utilization, and EDP from the scratch counters.
  */
 void
 finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
                const EvalScratch &s, double noc_energy_pj, CostResult &res)
 {
-    const Workload &wl = ba.workload();
     const ArchSpec &arch = ba.arch();
     const int nl = s.nl;
     const int nt = s.nt;
     const std::int64_t ops = s.totalOps;
-    res.nocEnergyPj = noc_energy_pj;
 
-    // Energy (copying the flat counters into the public nested layout in
-    // the same (level, tensor) order the accumulation has always used).
-    for (int l = 0; l < nl; ++l) {
-        auto &row = res.access[l];
-        for (TensorId t = 0; t < nt; ++t) {
-            const auto &a = s.access[static_cast<std::size_t>(l) * nt + t];
-            row[t] = a;
-            res.levelEnergyPj[l] +=
-                (double)a.totalReads() * ba.readEnergyPj(l, t) +
-                (double)a.totalWrites() * ba.writeEnergyPj(l, t);
-        }
-        res.totalEnergyPj += res.levelEnergyPj[l];
-    }
-    res.macEnergyPj =
-        (double)ops * ba.macEnergyPj() * wl.multipliesPerOp();
-    res.totalEnergyPj += res.macEnergyPj;
-    if (opts.modelNoc)
-        res.totalEnergyPj += res.nocEnergyPj;
+    for (int l = 0; l < nl; ++l)
+        std::copy_n(s.access.begin() + static_cast<std::ptrdiff_t>(l) * nt,
+                    nt, res.access[l].begin());
+    res.nocEnergyPj = noc_energy_pj;
+    res.totalEnergyPj = sumEnergy(ba, opts, s, noc_energy_pj, &res);
 
     // Latency: double buffering overlaps compute with every level's
     // transfers, so delay is the max of all of them.
@@ -901,6 +920,26 @@ finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
     res.edp = res.totalEnergyPj * 1e-12 * res.delaySeconds;
 }
 
+/**
+ * The stages both entry points share, on a prepared scratch: validity
+ * (or only the tables under assumeValid), then the integer access
+ * count. @return the NoC energy, or nullopt when the mapping is invalid
+ * (with the reason in *why when asked).
+ */
+std::optional<double>
+validateAndCount(const BoundArch &ba, const Mapping &m,
+                 const CostModelOptions &opts, EvalScratch &s,
+                 const PrefixTerms *prefix, std::string *why)
+{
+    if (!opts.assumeValid) {
+        if (!detail::checkValid(ba, m, s, why))
+            return std::nullopt;
+    } else {
+        fillTables(m, s); // checkValid would have built them
+    }
+    return countAccess(ba, m, opts, prefix, s);
+}
+
 } // anonymous namespace
 
 CostResult
@@ -924,21 +963,28 @@ evaluateMappingInto(const BoundArch &ba, const Mapping &m,
 {
     s.prepare(ba);
     resetCostResult(res, s.nl, s.nt);
-
-    if (!opts.assumeValid) {
-        if (!detail::checkValid(ba, m, s, &res.invalidReason)) {
-            res.valid = false;
-            res.edp = std::numeric_limits<double>::infinity();
-            res.totalEnergyPj = std::numeric_limits<double>::infinity();
-            return;
-        }
-    } else {
-        fillTables(m, s); // checkValid would have built them
+    const auto noc =
+        validateAndCount(ba, m, opts, s, prefix, &res.invalidReason);
+    if (!noc) {
+        res.valid = false;
+        res.edp = std::numeric_limits<double>::infinity();
+        res.totalEnergyPj = std::numeric_limits<double>::infinity();
+        return;
     }
     res.valid = true;
+    finalizeResult(ba, opts, s, *noc, res);
+}
 
-    const double noc = countAccess(ba, m, opts, prefix, s);
-    finalizeResult(ba, opts, s, noc, res);
+std::optional<double>
+scoreEnergyInto(const BoundArch &ba, const Mapping &m,
+                const CostModelOptions &opts, EvalScratch &s,
+                const PrefixTerms *prefix)
+{
+    s.prepare(ba);
+    const auto noc = validateAndCount(ba, m, opts, s, prefix, nullptr);
+    if (!noc)
+        return std::nullopt;
+    return sumEnergy(ba, opts, s, *noc);
 }
 
 void

@@ -34,7 +34,8 @@
  *
  * One evaluation path: evaluateMapping() is evaluateMappingInto() on
  * this thread's scratch, and evaluateMappingInto() takes optional
- * PrefixTerms for the incremental case. Everything that depends only on
+ * PrefixTerms for the incremental case. scoreEnergyInto() runs the same
+ * stages up to the one energy sum and builds no CostResult. Everything that depends only on
  * the binding (storage chains, chain fan and hop factors, the multicast
  * test) is built once per binding by EvalScratch::prepare(), and both
  * the full walk and buildPrefixTerms() read it from there.
@@ -44,6 +45,7 @@
 #define SUNSTONE_MODEL_COST_MODEL_HH
 
 #include <cstdint>
+#include <optional>
 #include <string>
 #include <vector>
 
@@ -319,6 +321,18 @@ void evaluateMappingInto(const BoundArch &ba, const Mapping &m,
                          const CostModelOptions &opts, EvalScratch &scratch,
                          CostResult &res,
                          const PrefixTerms *prefix = nullptr);
+
+/**
+ * Energy-only evaluation for search scoring: the stages of
+ * evaluateMappingInto() up to the energy sum, with no CostResult and no
+ * failure reason. @return the total energy (pJ), bitwise
+ * evaluateMappingInto(...).totalEnergyPj, or nullopt when the mapping
+ * is invalid.
+ */
+std::optional<double> scoreEnergyInto(const BoundArch &ba, const Mapping &m,
+                                      const CostModelOptions &opts,
+                                      EvalScratch &scratch,
+                                      const PrefixTerms *prefix = nullptr);
 
 /**
  * Precomputes the contribution terms of levels [0, prefix_levels) of

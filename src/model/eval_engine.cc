@@ -306,9 +306,8 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
         t0 = std::chrono::steady_clock::now();
     EvalScratch &scratch = threadEvalScratch();
     const std::int64_t reuse0 = scratch.reuseCount();
-    thread_local CostResult res;
-    evaluateMappingInto(ctx.boundArch(), m, opts, scratch, res,
-                        ph.terms_.get());
+    const std::optional<double> energy = scoreEnergyInto(
+        ctx.boundArch(), m, opts, scratch, ph.terms_.get());
     tally.scratchReuses += scratch.reuseCount() - reuse0;
     if (timed) {
         ++tally.timedCalls;
@@ -316,11 +315,11 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
                              std::chrono::steady_clock::now() - t0)
                              .count();
     }
-    if (!res.valid) {
+    if (!energy) {
         ++tally.invalid;
         return std::numeric_limits<double>::infinity();
     }
-    return res.totalEnergyPj;
+    return *energy;
 }
 
 void

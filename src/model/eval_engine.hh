@@ -231,11 +231,11 @@ class EvalEngine
     static constexpr std::int64_t kScoreSampleEvery = 64;
 
     /**
-     * Allocation-free scoring fast path: evaluates into per-thread
-     * buffers and returns only the total energy (pJ); infinity for
-     * invalid mappings. Never cached. This is what high-volume
-     * completion scoring calls — identical numbers to
-     * evaluate(...).totalEnergyPj without materializing a CostResult.
+     * Allocation-free scoring fast path: runs scoreEnergyInto() on
+     * per-thread buffers and returns only the total energy (pJ);
+     * infinity for invalid mappings. Never cached. This is what
+     * high-volume completion scoring calls — identical numbers to
+     * evaluate(...).totalEnergyPj, and no CostResult is built.
      * The call is counted in `tally`, not in the engine: it makes no
      * atomic write, and reads the clock only for one call in
      * kScoreSampleEvery.

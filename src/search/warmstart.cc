@@ -240,7 +240,9 @@ WarmStartStore::record(const BoundArch &ba, const std::string &name,
     for (Entry &e : entries_) {
         if (e.shapeClass != cls || e.extents != extents)
             continue;
-        if (metric < e.metric) {
+        // An entry query() would skip seeds nothing: replace it
+        // whatever its metric.
+        if (metric < e.metric || e.mapping.numLevels() != ba.numLevels()) {
             e.name = name;
             e.metric = metric;
             e.mapping = mapping;

@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <random>
+
 #include "arch/energy_model.hh"
 #include "arch/presets.hh"
 #include "workload/zoo.hh"
@@ -146,6 +149,209 @@ TEST(Binding, DoubleBufferingHalvesUsableCapacity)
     EXPECT_FALSE(dbuf.fits(0, fp));
     EXPECT_EQ(dbuf.capacityBitsFor(0, 0),
               plain.capacityBitsFor(0, 0) / 2);
+}
+
+/**
+ * Reference capacity rule, written out from the spec rather than from
+ * BoundArch's compiled groups: a non-DRAM level stores a tensor unless
+ * its partition is bypassed there or the level is partitioned and has no
+ * partition of that name; each partition (or the unified buffer) holds
+ * the sum of its stored tensors' footprint bits, within its capacity,
+ * halved when the level is double-buffered.
+ */
+struct RefGroup
+{
+    std::int64_t limitBits;
+    std::vector<TensorId> members;
+};
+
+std::vector<RefGroup>
+refGroups(const BoundArch &ba, int level)
+{
+    const LevelSpec &lv = ba.arch().levels[level];
+    const Workload &wl = ba.workload();
+    std::vector<RefGroup> out;
+    if (lv.isDram)
+        return out;
+    const std::int64_t shrink = lv.doubleBuffered ? 2 : 1;
+    auto bypassed = [&](TensorId t) {
+        return std::count(lv.bypass.begin(), lv.bypass.end(),
+                          ba.partitionOf(t)) > 0;
+    };
+    if (lv.partitions.empty()) {
+        RefGroup g{lv.capacityBits / shrink, {}};
+        for (TensorId t = 0; t < wl.numTensors(); ++t)
+            if (!bypassed(t))
+                g.members.push_back(t);
+        out.push_back(g);
+        return out;
+    }
+    for (const PartitionSpec &p : lv.partitions) {
+        RefGroup g{p.capacityBits / shrink, {}};
+        for (TensorId t = 0; t < wl.numTensors(); ++t)
+            if (!bypassed(t) && ba.partitionOf(t) == p.name)
+                g.members.push_back(t);
+        out.push_back(g);
+    }
+    return out;
+}
+
+bool
+refFits(const BoundArch &ba, int level,
+        const std::vector<std::int64_t> &fp)
+{
+    for (const RefGroup &g : refGroups(ba, level)) {
+        std::int64_t bits = 0;
+        for (TensorId t : g.members)
+            bits += fp[t] * ba.workload().tensor(t).wordBits;
+        if (bits > g.limitBits)
+            return false;
+    }
+    return true;
+}
+
+std::int64_t
+refCapacityBits(const BoundArch &ba, int level, TensorId t)
+{
+    for (const RefGroup &g : refGroups(ba, level))
+        if (std::count(g.members.begin(), g.members.end(), t))
+            return g.limitBits;
+    return 0;
+}
+
+/**
+ * Compares fits(), fitsShape() and capacityBitsFor() with the reference
+ * on random footprints within +-2 words of every group limit, and on
+ * tile shapes grown dim by dim until they stop fitting.
+ */
+void
+expectProbeMatchesReference(const BoundArch &ba, std::uint32_t seed)
+{
+    const Workload &wl = ba.workload();
+    const int nt = wl.numTensors();
+    std::mt19937 rng(seed);
+    auto uniform = [&](std::int64_t lo, std::int64_t hi) {
+        return std::uniform_int_distribution<std::int64_t>(lo, hi)(rng);
+    };
+    for (int l = 0; l < ba.numLevels(); ++l) {
+        SCOPED_TRACE(ba.arch().name + " level " + std::to_string(l));
+        const std::vector<RefGroup> groups = refGroups(ba, l);
+        for (TensorId t = 0; t < nt; ++t) {
+            if (ba.arch().levels[l].isDram)
+                EXPECT_GT(ba.capacityBitsFor(l, t), std::int64_t(1) << 40);
+            else
+                EXPECT_EQ(ba.capacityBitsFor(l, t),
+                          refCapacityBits(ba, l, t));
+        }
+
+        // Split each group's limit at random among its members; the
+        // last member lands within +-2 words of the limit.
+        constexpr int kTrials = 200;
+        int disagreements = 0, fits = 0;
+        for (int trial = 0; trial < kTrials; ++trial) {
+            std::vector<std::int64_t> fp(nt);
+            for (TensorId t = 0; t < nt; ++t)
+                fp[t] = uniform(0, 4);
+            for (const RefGroup &g : groups) {
+                std::int64_t left = g.limitBits;
+                for (std::size_t i = 0; i < g.members.size(); ++i) {
+                    const TensorId t = g.members[i];
+                    const int wb = wl.tensor(t).wordBits;
+                    if (i + 1 < g.members.size()) {
+                        fp[t] = uniform(0, std::max<std::int64_t>(
+                                               0, left / wb));
+                        left -= fp[t] * wb;
+                    } else {
+                        fp[t] = std::max<std::int64_t>(
+                            0, left / wb + uniform(-2, 2));
+                    }
+                }
+            }
+            const bool want = refFits(ba, l, fp);
+            disagreements += ba.fits(l, fp) != want;
+            fits += want;
+        }
+        EXPECT_EQ(disagreements, 0);
+        if (!groups.empty()) {
+            EXPECT_GT(fits, 0);
+            EXPECT_LT(fits, kTrials);
+        }
+
+        // Tile shapes: grow random dims one step at a time until the
+        // reference says the tile no longer fits.
+        for (int walk = 0; walk < 20; ++walk) {
+            std::vector<std::int64_t> shape(wl.numDims(), 1);
+            for (int step = 0; step < 64; ++step) {
+                std::vector<std::int64_t> fp(nt);
+                for (TensorId t = 0; t < nt; ++t)
+                    fp[t] = wl.tensor(t).footprint(shape);
+                const bool want = refFits(ba, l, fp);
+                EXPECT_EQ(ba.fitsShape(l, shape), want);
+                EXPECT_EQ(ba.fits(l, fp), want);
+                if (!want)
+                    break;
+                const DimId d = static_cast<DimId>(
+                    uniform(0, wl.numDims() - 1));
+                shape[d] = std::min(wl.dimSize(d), shape[d] * 2 + 1);
+            }
+        }
+    }
+}
+
+std::vector<Workload>
+probeWorkloads()
+{
+    ConvShape sh;
+    sh.k = 64;
+    sh.c = 32;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    return {makeConv2D(sh), makeDepthwiseConv(sh), makeGemm(256, 128, 64)};
+}
+
+TEST(CapacityProbe, MatchesReferenceOnBuiltInArchs)
+{
+    const std::vector<ArchSpec> archs = {makeConventional(),
+                                         makeSimbaLike(), makeDianNaoLike(),
+                                         makeEyerissLike(), makeToyArch()};
+    std::uint32_t seed = 1;
+    for (const ArchSpec &a : archs)
+        for (Workload wl : probeWorkloads()) {
+            if (a.name == makeSimbaLike().name)
+                applySimbaPrecisions(wl);
+            expectProbeMatchesReference(BoundArch(a, wl), seed++);
+        }
+}
+
+TEST(CapacityProbe, MatchesReferenceWithExplicitPartitionMap)
+{
+    Workload wl = probeWorkloads()[0];
+    BoundArch ba(makeDianNaoLike(), wl,
+                 {{"ifmap", "sb"}, {"weight", "nbin"}});
+    ASSERT_EQ(ba.partitionOf(wl.tensorByName("weight")), "nbin");
+    expectProbeMatchesReference(ba, 7);
+}
+
+TEST(CapacityProbe, MatchesReferenceWhenDoubleBuffered)
+{
+    std::uint32_t seed = 100;
+    for (ArchSpec a : {makeConventional(), makeSimbaLike()}) {
+        for (LevelSpec &lv : a.levels) {
+            lv.doubleBuffered = !lv.isDram;
+            // Odd capacities check that halving rounds down.
+            if (lv.capacityBits > 0)
+                lv.capacityBits += 1;
+            for (PartitionSpec &p : lv.partitions)
+                p.capacityBits += 1;
+        }
+        for (Workload wl : probeWorkloads()) {
+            if (a.name == makeSimbaLike().name)
+                applySimbaPrecisions(wl);
+            expectProbeMatchesReference(BoundArch(a, wl), seed++);
+        }
+    }
 }
 
 TEST(EnergyModel, MonotoneInCapacity)

@@ -10,6 +10,9 @@
  * strided convolutions, multicast on/off, partitioned buffers, and
  * mid-level bypass architectures.
  *
+ * The engine's energy-only score must equal the full evaluation's
+ * totalEnergyPj bit for bit, and count the same mappings invalid.
+ *
  * Also pinned here: detail::checkValid() returns the same verdict and
  * the same failure string as Mapping::valid(), and an EvalScratch
  * re-derives its cached invariants when the bound architecture changes
@@ -19,6 +22,7 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
 #include <map>
 #include <random>
 #include <string>
@@ -388,6 +392,95 @@ TEST(EvalEquivalence, CheckValidMatchesMappingValid)
 
     for (const char *c : {"factors of dim", "order", "fanout", "mesh", "tile"})
         EXPECT_GT(reached[c], 0) << c << " never reached";
+}
+
+/** EvalEngine::scoreEnergy() builds no CostResult, yet returns exactly
+ *  evaluateMapping(...).totalEnergyPj: on valid and invalid mappings,
+ *  boundary and Ephemeral residency, every prefix length, and each
+ *  combination of modelNoc and assumeValid. Invalid mappings are
+ *  counted in the tally once per score. */
+TEST(EvalEquivalence, ScoreEnergyMatchesEvaluate)
+{
+    EvalEngine engine(1);
+    std::int64_t want_invalid = 0, scores = 0;
+    EvalEngine::ScoreTally tally;
+    auto compare = [&](const BoundArch &ba, const Mapping &m,
+                       const std::string &label) {
+        const EvalEngine::Context ctx = engine.context(ba);
+        for (const bool noc : {true, false})
+            for (const bool assume : {false, true}) {
+                CostModelOptions opts;
+                opts.modelNoc = noc;
+                opts.assumeValid = assume;
+                const CostResult ref = evaluateMapping(ba, m, opts);
+                for (int p = 0; p < m.numLevels(); ++p) {
+                    const EvalEngine::PrefixHandle ph =
+                        engine.prefix(ctx, m, p);
+                    const double got =
+                        engine.scoreEnergy(ctx, ph, m, opts, tally);
+                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                              std::bit_cast<std::uint64_t>(ref.totalEnergyPj))
+                        << label << " noc=" << noc << " assumeValid="
+                        << assume << " P=" << p;
+                    want_invalid += !ref.valid;
+                    ++scores;
+                }
+            }
+    };
+
+    constexpr int kTrials = 120;
+    for (int i = 0; i < kTrials; ++i) {
+        std::mt19937_64 rng = diffcheckTrialRng(57000 + i);
+        const Workload wl = randomDiffcheckWorkload(rng);
+        const ArchSpec arch = randomDiffcheckArch(wl, rng);
+        BoundArch ba(arch, wl);
+        Mapping m = randomDiffcheckMapping(ba, rng);
+        switch (i % 5) {
+        case 1: // factor product too large
+            m.level(i % m.numLevels()).temporal[i % m.numDims()] *= 3;
+            break;
+        case 2: // the whole problem unrolled under the GLB's fanout of 8
+            collapseOnto(m, wl, 1, /*spatial=*/true);
+            break;
+        case 3: // an Ephemeral output over the same random mapping
+            ba.setResidency(wl.outputs()[0], Residency::Ephemeral);
+            break;
+        default:
+            break;
+        }
+        compare(ba, m, "trial " + std::to_string(i));
+    }
+
+    ConvShape sh;
+    sh.k = 32;
+    sh.c = 32;
+    sh.p = 14;
+    sh.q = 14;
+    sh.r = 3;
+    sh.s = 3;
+    const Workload conv = makeConv2D(sh);
+    const BoundArch conventional(makeConventional(), conv);
+
+    // Every tensor whole in the 512-byte L1: the tile overflows.
+    Mapping whole = naiveMapping(conventional);
+    collapseOnto(whole, conv, 0, /*spatial=*/false);
+    compare(conventional, whole, "conv tile");
+
+    // Every tensor whole in L2: an Ephemeral output is handed off on
+    // chip, so its DRAM leg is dropped.
+    BoundArch fused = conventional;
+    fused.setResidency(conv.outputs()[0], Residency::Ephemeral);
+    Mapping resident = naiveMapping(fused);
+    collapseOnto(resident, conv, 1, /*spatial=*/false);
+    ASSERT_TRUE(evaluateMapping(fused, resident).valid);
+    ASSERT_LT(evaluateMapping(fused, resident).totalEnergyPj,
+              evaluateMapping(conventional, resident).totalEnergyPj);
+    compare(fused, resident, "ephemeral resident");
+
+    EXPECT_EQ(tally.calls, scores);
+    EXPECT_EQ(tally.invalid, want_invalid);
+    EXPECT_GT(want_invalid, 0);
+    EXPECT_LT(want_invalid, scores);
 }
 
 /** One EvalScratch alternating between two bindings with the same

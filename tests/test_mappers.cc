@@ -215,6 +215,58 @@ TEST(CosaMapper, ReportsInvalidInsteadOfCrashing)
     EXPECT_TRUE(r.found || (r.invalid && !r.invalidReason.empty()));
 }
 
+/**
+ * A double-buffered L1 of twice the capacity offers the same usable
+ * bits as the plain one, so dMazeRunner and CoSA must commit to the
+ * same factors on both.
+ */
+TEST(Baselines, DoubleBufferedL1LeavesTheSameUsableCapacity)
+{
+    const ArchSpec plain = makeConventional();
+    ArchSpec dbuf = plain;
+    dbuf.levels[0].capacityBits *= 2;
+    dbuf.levels[0].doubleBuffered = true;
+
+    auto conv = [](std::int64_t kc, std::int64_t pq) {
+        ConvShape sh;
+        sh.n = 1;
+        sh.k = kc;
+        sh.c = kc;
+        sh.p = pq;
+        sh.q = pq;
+        sh.r = 3;
+        sh.s = 3;
+        return makeConv2D(sh);
+    };
+    auto sameFactors = [](const Mapping &a, const Mapping &b) {
+        for (int l = 0; l < a.numLevels(); ++l) {
+            EXPECT_EQ(a.level(l).temporal, b.level(l).temporal) << l;
+            EXPECT_EQ(a.level(l).spatial, b.level(l).spatial) << l;
+        }
+    };
+    auto expectFound = [](const BoundArch &ba, const MapperResult &r) {
+        ASSERT_TRUE(r.found) << r.invalidReason;
+        std::string why;
+        EXPECT_TRUE(r.mapping.valid(ba, &why)) << why;
+    };
+
+    const Workload dwl = conv(256, 14);
+    const BoundArch dplain(plain, dwl), ddbuf(dbuf, dwl);
+    const MapperResult d0 = DMazeMapper(DMazeOptions::slow()).optimize(dplain);
+    const MapperResult d1 = DMazeMapper(DMazeOptions::slow()).optimize(ddbuf);
+    expectFound(dplain, d0);
+    expectFound(ddbuf, d1);
+    sameFactors(d0.mapping, d1.mapping);
+
+    const Workload cwl = conv(64, 28);
+    const BoundArch cplain(plain, cwl), cdbuf(dbuf, cwl);
+    const MapperResult c0 = CosaMapper().optimize(cplain);
+    const MapperResult c1 = CosaMapper().optimize(cdbuf);
+    expectFound(cplain, c0);
+    expectFound(cdbuf, c1);
+    sameFactors(c0.mapping, c1.mapping);
+}
+
 TEST(ExhaustiveMapper, AgreesWithItselfAndBeatsNothing)
 {
     Workload wl = makeGemm(4, 4, 4);

@@ -221,6 +221,47 @@ TEST(WarmStartStore, HostileEntriesFailTheLoadOrAreSkipped)
     EXPECT_TRUE(short_levels.query(ba).empty());
 }
 
+/**
+ * An entry that query() skips must not block its shape: a stored
+ * 2-level mapping with an unbeatable metric is replaced by the next
+ * real result recorded for that shape.
+ */
+TEST(WarmStartStore, UnusableEntryIsReplacedWhateverItsMetric)
+{
+    ConvShape sh;
+    sh.n = 1;
+    sh.k = 16;
+    sh.c = 16;
+    sh.p = 8;
+    sh.q = 8;
+    sh.r = 3;
+    sh.s = 3;
+    const BoundArch ba(makeSimbaLike(), makeConv2D(sh));
+    const Mapping real = naiveMapping(ba);
+    WarmStartStore store;
+    ASSERT_TRUE(store.record(ba, "conv", 1.0, real));
+
+    JsonValue doc;
+    ASSERT_TRUE(parseJson(store.toJson(), doc));
+    JsonValue &entry = fieldOf(doc, "entries").items.front();
+    fieldOf(fieldOf(entry, "mapping"), "levels").items.resize(2);
+    JsonValue &metric = fieldOf(entry, "metric");
+    metric.number = 1e-30;
+    metric.raw = "1e-30";
+
+    WarmStartStore loaded;
+    std::string err;
+    ASSERT_TRUE(loaded.fromJson(doc.dump(), &err)) << err;
+    ASSERT_EQ(loaded.size(), 1u);
+    ASSERT_TRUE(loaded.query(ba).empty());
+
+    EXPECT_TRUE(loaded.record(ba, "conv", 1.0, real));
+    EXPECT_EQ(loaded.size(), 1u);
+    const std::vector<Mapping> seeds = loaded.query(ba);
+    ASSERT_EQ(seeds.size(), 1u);
+    EXPECT_EQ(mappingToJson(seeds[0]), mappingToJson(real));
+}
+
 // ---------------------------------------------------------------------
 // Warm-start win on a repeated shape
 // ---------------------------------------------------------------------
