@@ -61,8 +61,8 @@ main(int argc, char **argv)
     int tl_never_matches = 0;
 
     // One engine per tool family: Sunstone's telemetry stays separable
-    // from the baselines', while each family shares its cache and pool
-    // across all layers.
+    // from the baselines', while each family shares its prefix cache and
+    // pool across all layers.
     EvalEngine sunEngine;
     EvalEngine baselineEngine;
     // Each search gets a fresh context (its own seed and RNG streams) on
@@ -131,19 +131,11 @@ main(int argc, char **argv)
     const SearchStats ss = sunEngine.stats();
     const SearchStats bs = baselineEngine.stats();
     std::printf("\nengine telemetry (all layers):\n");
-    std::printf("  Sunstone : %lld evaluations, %lld cache hits "
-                "(%.1f%% of cached lookups), %lld prunes\n",
+    std::printf("  Sunstone : %lld evaluations, %lld prunes\n",
                 static_cast<long long>(ss.evaluations),
-                static_cast<long long>(ss.cacheHits),
-                ss.cacheHits + ss.cacheMisses
-                    ? 100.0 * (double)ss.cacheHits /
-                          (double)(ss.cacheHits + ss.cacheMisses)
-                    : 0.0,
                 static_cast<long long>(ss.prunes));
-    std::printf("  baselines: %lld evaluations, %lld cache hits, "
-                "%lld invalid mappings\n",
+    std::printf("  baselines: %lld evaluations, %lld invalid mappings\n",
                 static_cast<long long>(bs.evaluations),
-                static_cast<long long>(bs.cacheHits),
                 static_cast<long long>(bs.invalidMappings));
     oargs.write({{"sunstone", ss.toJson()}, {"baselines", bs.toJson()}});
     return 0;

@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
     // The whole network goes through the network scheduler on one shared
     // engine: repeated structures are searched once and every search
-    // shares the memoization cache. Baselines get their own engine so
+    // shares the prefix cache and pool. Baselines get their own engine so
     // the telemetry stays per tool family.
     std::vector<Layer> layers = resnet18Layers(16);
     for (auto &layer : layers)
@@ -125,14 +125,11 @@ main(int argc, char **argv)
     std::printf("whole-net aggregate: energy %.4g pJ, delay %.4g s, "
                 "EDP %.4g\n",
                 net.totalEnergyPj, net.totalDelaySeconds, net.totalEdp);
-    std::printf("Sunstone engine: %lld evaluations, %lld cost-model runs "
-                "avoided by the cache, %lld prunes\n",
+    std::printf("Sunstone engine: %lld evaluations, %lld prunes\n",
                 static_cast<long long>(ss.evaluations),
-                static_cast<long long>(ss.cacheHits),
                 static_cast<long long>(ss.prunes));
-    std::printf("baseline engine: %lld evaluations, %lld cache hits\n",
-                static_cast<long long>(bs.evaluations),
-                static_cast<long long>(bs.cacheHits));
+    std::printf("baseline engine: %lld evaluations\n",
+                static_cast<long long>(bs.evaluations));
     oargs.write({{"sunstone", ss.toJson()}, {"baselines", bs.toJson()}});
     return 0;
 }

@@ -180,7 +180,6 @@ NetScheduleResult::toJson() const
         }
         j += "]}";
     }
-    j += ",\"stats\":" + stats.toJson();
     j += "}";
     return j;
 }
@@ -802,10 +801,10 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
                 ls.stopReason = fm.search.stopReason;
             } else {
                 // A structurally identical chain already searched this
-                // subgraph; broadcast with a guaranteed cache hit.
+                // subgraph; broadcast its cost.
                 ls.deduplicated = true;
                 ls.stopReason = "dedup";
-                ls.cost = eng.evaluate(eng.context(*fm.ba), ls.mapping);
+                ls.cost = fm.search.cost;
                 obs::metrics().counter("net.dedup_broadcasts").add(1);
             }
         } else {
@@ -814,19 +813,13 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             ls.found = uq.search.found;
             ls.mapping = uq.search.mapping;
             if (seen[u]) {
-                // Broadcast: re-validate the chosen mapping under this
-                // node's own context. Identical structure means an
-                // identical cache key, so this is a guaranteed hit — the
-                // dedup shows up in the telemetry instead of as a
-                // repeated search.
+                // Broadcast: identical structure (equal fingerprints)
+                // means the searched cost holds for this node too.
                 ls.deduplicated = true;
                 ls.stopReason = "dedup";
                 obs::metrics().counter("net.dedup_broadcasts").add(1);
-                if (ls.found) {
-                    SUNSTONE_TRACE_SPAN("net.broadcast");
-                    ls.cost =
-                        eng.evaluate(eng.context(*uq.ba), ls.mapping);
-                }
+                if (ls.found)
+                    ls.cost = uq.search.cost;
             } else {
                 seen[u] = true;
                 ls.cost = uq.search.cost;
@@ -848,7 +841,6 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
     result.layersUnique = static_cast<int>(uniques.size());
     result.totalEdp = result.totalEnergyPj * result.totalDelaySeconds;
     result.seconds = baseSeconds + timer.seconds();
-    result.stats = eng.stats();
     return result;
 }
 

@@ -12,9 +12,8 @@
  *  - runs the Sunstone search once per unique structure, concurrently on
  *    the engine's shared worker pool (the search's own parallelism nests
  *    on the same pool via group-scoped joins), and
- *  - broadcasts each result to the duplicates, re-validating the chosen
- *    mapping through the engine — a guaranteed cache hit, which also
- *    makes the dedup observable in the telemetry.
+ *  - broadcasts each result (mapping and cost) to the duplicates; the
+ *    `net.dedup_broadcasts` counter makes the dedup observable.
  *
  * Aggregates report the network as the paper's figures do: energies and
  * delays weighted by layer multiplicity (layers execute sequentially on
@@ -158,9 +157,6 @@ struct NetScheduleResult
      */
     std::string stopReason;
 
-    /** Engine telemetry snapshot taken after the schedule. */
-    SearchStats stats;
-
     /**
      * "greedy" when fusion ran; empty otherwise. Gates all fusion
      * fields in toJson() so FusionMode::Off output is bit-identical to
@@ -174,7 +170,7 @@ struct NetScheduleResult
     int groupsFused = 0;
     int opsFused = 0;
 
-    /** Renders the result (aggregates, layers, stats) as JSON. */
+    /** Renders the result (aggregates, layers, fusion) as JSON. */
     std::string toJson() const;
 };
 

@@ -23,8 +23,7 @@ objective(EvalEngine &engine, const EvalEngine::Context &ctx,
         ++stats->evaluated;
     if (driver)
         driver->noteEvaluated(1);
-    CostResult r =
-        engine.evaluate(ctx, m, {}, EvalEngine::CachePolicy::UseCache, ph);
+    CostResult r = engine.evaluate(ctx, m, {}, ph);
     if (!r.valid)
         return std::numeric_limits<double>::infinity();
     return edp ? r.edp : r.totalEnergyPj;

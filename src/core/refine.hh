@@ -29,9 +29,8 @@ struct RefineStats
 /**
  * Hill climbs from `m` and returns the improved mapping.
  *
- * @param engine evaluation engine. The hill climb revisits neighbours
- *        across rounds, so a shared memoized engine saves real
- *        evaluations.
+ * @param engine evaluation engine; its prefix cache serves the levels a
+ *        neighbour shares with the round's base mapping.
  * @param ba bound architecture/workload
  * @param m valid starting mapping
  * @param optimize_edp objective (EDP or energy)

@@ -374,9 +374,7 @@ class Driver
             for (const auto &p : beam)
                 ms.push_back(p.m);
             std::vector<CostResult> results;
-            engine.evaluateBatch(ctx, ms, {},
-                                 EvalEngine::CachePolicy::UseCache,
-                                 results);
+            engine.evaluateBatch(ctx, ms, {}, results);
             drv.noteEvaluated(static_cast<std::int64_t>(beam.size()));
             for (std::size_t i = 0; i < beam.size(); ++i) {
                 const CostResult &cr = results[i];
@@ -630,9 +628,8 @@ class Driver
         // too noisy to rank by EDP. Parallelism diversity is preserved
         // by the stratified beam (see expandBeam), and the final pick
         // over the surviving beam uses the real objective. Completions
-        // are nearly all distinct, so scoring goes through the
-        // allocation-free fast path (never cached); the decided-level
-        // prefix terms come from the step's shared handle.
+        // are scored through the allocation-free fast path; the
+        // decided-level prefix terms come from the step's shared handle.
         const double e = engine.scoreEnergy(ctx, ph, p.m, cmo, tally);
         lm.temporal.assign(saved_temporal.begin(), saved_temporal.end());
         if (bottom_up)

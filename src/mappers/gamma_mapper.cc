@@ -158,8 +158,7 @@ class GammaStream : public CandidateStream
             return;
         }
         if (born_ == 0) {
-            // Elitism: re-submit the parent pool's best unchanged (the
-            // memoized engine makes rescoring it a cache hit).
+            // Elitism: re-submit the parent pool's best unchanged.
             child = bestOf(prev_).m;
             return;
         }

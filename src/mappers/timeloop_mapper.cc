@@ -39,14 +39,6 @@ class TimeloopStream : public CandidateStream
         return true; // never exhausts; a StopPolicy bound ends it
     }
 
-    EvalEngine::CachePolicy
-    cachePolicy() const override
-    {
-        // Uniform random samples almost never repeat, so caching them
-        // would only churn the shared cache.
-        return EvalEngine::CachePolicy::Bypass;
-    }
-
     ResumeMode resumeMode() const override { return ResumeMode::State; }
 
     std::string

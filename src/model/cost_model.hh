@@ -269,8 +269,8 @@ EvalScratch &threadEvalScratch();
  * spatial factors of levels [0, prefixLevels) plus the relative order of
  * their factor>1 temporal loops (level 0's order never matters — no
  * consumer sits below it). Two mappings that agree on those fields may
- * share one PrefixTerms; this is the same canonicalization rule the
- * EvalEngine memo cache uses.
+ * share one PrefixTerms, which is how EvalEngine::prefix() keys its
+ * cache.
  */
 struct PrefixTerms
 {

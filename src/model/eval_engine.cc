@@ -5,8 +5,6 @@
 #include <cstring>
 #include <limits>
 
-#include "obs/flight_recorder.hh"
-
 namespace sunstone {
 
 namespace {
@@ -59,25 +57,13 @@ SearchStats::deltaSince(const SearchStats &earlier) const
 {
     SearchStats d = *this;
     d.evaluations -= earlier.evaluations;
-    d.cacheHits -= earlier.cacheHits;
-    d.cacheMisses -= earlier.cacheMisses;
     d.invalidMappings -= earlier.invalidMappings;
     d.prunes -= earlier.prunes;
-    d.evictions -= earlier.evictions;
     d.prefixHits -= earlier.prefixHits;
     d.prefixMisses -= earlier.prefixMisses;
     d.scratchReuses -= earlier.scratchReuses;
     d.batches -= earlier.batches;
     return d;
-}
-
-double
-SearchStats::hitRate() const
-{
-    const std::int64_t lookups = cacheHits + cacheMisses;
-    if (lookups <= 0)
-        return 1.0;
-    return static_cast<double>(cacheHits) / static_cast<double>(lookups);
 }
 
 std::string
@@ -93,11 +79,8 @@ SearchStats::toJson() const
             out += ", ";
     };
     field("evaluations", evaluations);
-    field("cache_hits", cacheHits);
-    field("cache_misses", cacheMisses);
     field("invalid_mappings", invalidMappings);
     field("prunes", prunes);
-    field("evictions", evictions);
     field("prefix_hits", prefixHits);
     field("prefix_misses", prefixMisses);
     field("scratch_reuses", scratchReuses);
@@ -112,10 +95,7 @@ SearchStats::toJson() const
     return out;
 }
 
-EvalEngine::EvalEngine(unsigned threads)
-    : threads_(threads), shards_(kShards)
-{
-}
+EvalEngine::EvalEngine(unsigned threads) : threads_(threads) {}
 
 EvalEngine::~EvalEngine() = default;
 
@@ -172,7 +152,7 @@ EvalEngine::context(const BoundArch &ba) const
             }
         }
         // Residency classes change evaluation semantics, so a fused
-        // (ephemeral) variant of an op must never share cache entries
+        // (ephemeral) variant of an op must never share prefix entries
         // or dedup groups with its per-layer twin. Folded only when an
         // ephemeral tensor exists so every pre-fusion fingerprint (and
         // any checkpoint carrying one) is preserved verbatim.
@@ -185,39 +165,13 @@ EvalEngine::context(const BoundArch &ba) const
 }
 
 void
-EvalEngine::canonicalKey(const Mapping &m, const CostModelOptions &opts,
-                         std::vector<std::int64_t> &out) const
-{
-    const int nl = m.numLevels();
-    const int nd = m.numDims();
-    out.clear();
-    out.reserve(static_cast<std::size_t>(nl) * (3 * nd + 1) + 1);
-    out.push_back((opts.assumeValid ? 1 : 0) | (opts.modelNoc ? 2 : 0));
-    for (int l = 0; l < nl; ++l) {
-        const auto &lm = m.level(l);
-        for (DimId d = 0; d < nd; ++d)
-            out.push_back(lm.temporal[d]);
-        for (DimId d = 0; d < nd; ++d)
-            out.push_back(lm.spatial[d]);
-        // Orders: level 0's is never consumed by the cost model, and
-        // factor-1 loops are skipped wherever orders are walked, so only
-        // the relative order of active loops above level 0 is keyed.
-        if (l == 0)
-            continue;
-        out.push_back(-1); // separator keeps the key unambiguous
-        for (DimId d : lm.order)
-            if (lm.temporal[d] > 1)
-                out.push_back(d);
-    }
-}
-
-void
 EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
                                std::vector<std::int64_t> &out) const
 {
-    // Same canonicalization rules as canonicalKey(), restricted to the
-    // decided levels and without the options bit (prefix terms are a
-    // pure function of factors and reduced orders — see PrefixTerms).
+    // Prefix terms are a pure function of factors and reduced orders
+    // (see PrefixTerms). Level 0's order is never consumed by the cost
+    // model, and factor-1 loops are skipped wherever orders are walked,
+    // so only the relative order of active loops above level 0 is keyed.
     const int nd = m.numDims();
     out.clear();
     out.reserve(static_cast<std::size_t>(prefix_levels) * (3 * nd + 1) + 1);
@@ -230,7 +184,7 @@ EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
             out.push_back(lm.spatial[d]);
         if (l == 0)
             continue;
-        out.push_back(-1);
+        out.push_back(-1); // separator keeps the key unambiguous
         for (DimId d : lm.order)
             if (lm.temporal[d] > 1)
                 out.push_back(d);
@@ -239,11 +193,10 @@ EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
 
 CostResult
 EvalEngine::evaluate(const Context &ctx, const Mapping &m,
-                     const CostModelOptions &opts, CachePolicy policy,
-                     const PrefixHandle &ph)
+                     const CostModelOptions &opts, const PrefixHandle &ph)
 {
     CostResult r;
-    evaluateChunk(ctx, std::span<const Mapping>(&m, 1), opts, policy,
+    evaluateChunk(ctx, std::span<const Mapping>(&m, 1), opts,
                   ph.terms_.get(), std::span<CostResult>(&r, 1));
     return r;
 }
@@ -341,7 +294,7 @@ EvalEngine::addScores(ScoreTally &tally)
 
 void
 EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts, CachePolicy policy,
+                          const CostModelOptions &opts,
                           std::vector<CostResult> &out)
 {
     out.resize(ms.size());
@@ -351,14 +304,14 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
     batchSize_.record(static_cast<double>(ms.size()));
 
     // Fixed-size chunks independent of the pool geometry: chunk c always
-    // covers the same index range, so out[] and the cache contents are
-    // reproducible for any thread count.
+    // covers the same index range, so the latency samples are the same
+    // for any thread count.
     constexpr std::size_t kChunk = 64;
     const std::size_t nChunks = (ms.size() + kChunk - 1) / kChunk;
     auto runChunk = [&](std::size_t c) {
         const std::size_t lo = c * kChunk;
         const std::size_t n = std::min(ms.size() - lo, kChunk);
-        evaluateChunk(ctx, ms.subspan(lo, n), opts, policy, nullptr,
+        evaluateChunk(ctx, ms.subspan(lo, n), opts, nullptr,
                       std::span<CostResult>(out).subspan(lo, n));
     };
     if (nChunks == 1 || threads_ == 1) {
@@ -371,106 +324,29 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
 
 void
 EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts, CachePolicy policy,
+                          const CostModelOptions &opts,
                           const PrefixTerms *prefix,
                           std::span<CostResult> out)
 {
     const auto n = static_cast<std::int64_t>(ms.size());
     evaluations_.add(n);
-    const bool useCache = policy == CachePolicy::UseCache;
-
-    // Gather the evaluations the cache cannot serve. Per-thread buffers:
-    // steady-state batches allocate nothing beyond string churn.
-    thread_local std::vector<std::size_t> miss;
-    thread_local std::vector<std::uint64_t> missHash;
-    thread_local std::vector<std::size_t> missKeyOff;
-    thread_local std::vector<std::int64_t> keysFlat;
-    miss.clear();
-    missHash.clear();
-    missKeyOff.clear();
-    keysFlat.clear();
-
-    if (!useCache) {
-        for (std::size_t i = 0; i < ms.size(); ++i)
-            miss.push_back(i);
-    } else {
-        thread_local std::vector<std::int64_t> key;
-        for (std::size_t i = 0; i < ms.size(); ++i) {
-            canonicalKey(ms[i], opts, key);
-            const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-            Shard &shard = shards_[h % kShards];
-            bool hit = false;
-            {
-                std::lock_guard<std::mutex> lk(shard.mtx);
-                auto it = shard.map.find(h);
-                if (it != shard.map.end() && it->second.key == key) {
-                    out[i] = it->second.result;
-                    hit = true;
-                }
-            }
-            if (hit)
-                continue;
-            miss.push_back(i);
-            missHash.push_back(h);
-            missKeyOff.push_back(keysFlat.size());
-            keysFlat.insert(keysFlat.end(), key.begin(), key.end());
-        }
-        missKeyOff.push_back(keysFlat.size()); // end sentinel
-    }
-
-    if (!miss.empty()) {
-        const auto t0 = std::chrono::steady_clock::now();
-        EvalScratch &scratch = threadEvalScratch();
-        const std::int64_t reuse0 = scratch.reuseCount();
-        for (std::size_t i : miss)
-            evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch,
-                                out[i], prefix);
-        scratchReuses_.add(scratch.reuseCount() - reuse0);
-        // The chunk's per-eval mean, weighted by the evaluations it
-        // timed: one observation per model invocation (cache hits
-        // excluded) without a clock read per mapping.
-        const double us = std::chrono::duration<double, std::micro>(
-                              std::chrono::steady_clock::now() - t0)
-                              .count();
-        const auto timed = static_cast<std::int64_t>(miss.size());
-        evalLatencyUs_.record(us / static_cast<double>(timed), timed);
-    }
-
+    const auto t0 = std::chrono::steady_clock::now();
+    EvalScratch &scratch = threadEvalScratch();
+    const std::int64_t reuse0 = scratch.reuseCount();
     std::int64_t invalid = 0;
-    for (const CostResult &r : out)
-        invalid += r.valid ? 0 : 1;
-    invalid_.add(invalid);
-    if (!useCache)
-        return;
-
-    // A miss counts only when its insert creates the entry. One whose
-    // key another thread (or an earlier mapping of this chunk) stored
-    // meanwhile counts a hit, so the counts do not depend on timing.
-    std::int64_t created = 0;
-    for (std::size_t j = 0; j < miss.size(); ++j) {
-        const auto kb = keysFlat.begin() + missKeyOff[j];
-        const auto ke = keysFlat.begin() + missKeyOff[j + 1];
-        Shard &shard = shards_[missHash[j] % kShards];
-        std::lock_guard<std::mutex> lk(shard.mtx);
-        auto it = shard.map.find(missHash[j]);
-        if (it != shard.map.end() &&
-            std::equal(kb, ke, it->second.key.begin(), it->second.key.end()))
-            continue;
-        if (shard.map.size() >= kMaxEntriesPerShard) {
-            evictions_.add(static_cast<std::int64_t>(shard.map.size()));
-            obs::flightRecorder().record(
-                "cache.epoch_reset",
-                "entries=" + std::to_string(shard.map.size()));
-            shard.map.clear();
-        }
-        Entry &e = shard.map[missHash[j]];
-        e.key.assign(kb, ke);
-        e.result = out[miss[j]];
-        ++created;
+    for (std::size_t i = 0; i < ms.size(); ++i) {
+        evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch, out[i],
+                            prefix);
+        invalid += out[i].valid ? 0 : 1;
     }
-    // Each counter once per chunk, not once per mapping.
-    hits_.add(n - created);
-    misses_.add(created);
+    scratchReuses_.add(scratch.reuseCount() - reuse0);
+    // The chunk's per-eval mean, weighted by its evaluations: one
+    // observation per model invocation without a clock read per mapping.
+    const double us = std::chrono::duration<double, std::micro>(
+                          std::chrono::steady_clock::now() - t0)
+                          .count();
+    evalLatencyUs_.record(us / static_cast<double>(n), n);
+    invalid_.add(invalid);
 }
 
 ThreadPool &
@@ -487,11 +363,8 @@ EvalEngine::stats() const
 {
     SearchStats s;
     s.evaluations = evaluations_.value();
-    s.cacheHits = hits_.value();
-    s.cacheMisses = misses_.value();
     s.invalidMappings = invalid_.value();
     s.prunes = prunes_.value();
-    s.evictions = evictions_.value();
     s.prefixHits = prefixHits_.value();
     s.prefixMisses = prefixMisses_.value();
     s.scratchReuses = scratchReuses_.value();
@@ -499,17 +372,6 @@ EvalEngine::stats() const
     s.evalLatencyUs = evalLatencyUs_.snapshot();
     s.batchSize = batchSize_.snapshot();
     return s;
-}
-
-std::size_t
-EvalEngine::cacheSize() const
-{
-    std::size_t n = 0;
-    for (const Shard &s : shards_) {
-        std::lock_guard<std::mutex> lk(s.mtx);
-        n += s.map.size();
-    }
-    return n;
 }
 
 } // namespace sunstone

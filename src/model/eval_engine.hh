@@ -6,33 +6,21 @@
  *
  * The engine provides, in one place, what each search previously
  * hand-rolled or lacked entirely:
- *  - a sharded (striped-mutex) memoization cache from a canonical
- *    mapping key to the full CostResult, so re-evaluations — final
- *    ranking, hill-climb revisits, repeated layers of a network — hit
- *    the cache instead of the analytical model;
- *  - atomic telemetry counters (evaluations, cache hits/misses, invalid
- *    mappings, alpha-beta prunes, evictions), exported as a SearchStats
+ *  - atomic telemetry counters (evaluations, invalid mappings,
+ *    alpha-beta prunes, prefix lookups), exported as a SearchStats
  *    snapshot with JSON rendering (wall-clock attribution is left to
  *    the trace spans);
+ *  - a bounded cache of decided-prefix cost terms (see prefix()), keyed
+ *    by a structural fingerprint of the bound architecture/workload
+ *    pair plus the prefix's factors and cost-relevant loop orders
+ *    (DESIGN.md §8, §11);
  *  - a lazily created shared ThreadPool, so nested searches (network
  *    scheduler over per-layer searches) stop oversubscribing threads.
  *
- * Cache-key canonicalization (see DESIGN.md §8): the key folds a
- * structural fingerprint of the bound architecture/workload pair with the
- * mapping's factors and *cost-relevant* loop orders — per level the loop
- * order restricted to dims with temporal factor > 1 (the cost model skips
- * factor-1 loops), and level 0's order dropped entirely (no loop below it
- * consumes it). Two mappings differing only in the placement of trivial
- * loops therefore share one cache entry. The full canonical key is stored
- * alongside each entry and compared on lookup, so a 64-bit hash collision
- * degrades to a miss, never to a wrong result.
- *
- * One memo path: evaluate() is a batch of one, so evaluate() and
- * evaluateBatch() share the lookup, the insert, the epoch reset and
- * every counter. A miss counts only when its insert creates the entry,
- * so the counts do not depend on which thread evaluated a key first.
- * The shard count and per-shard cap are constants; the pool size is
- * the one construction argument.
+ * Every evaluation runs the analytical model: there is no result memo.
+ * evaluate() is a batch of one, so evaluate() and evaluateBatch() share
+ * one chunk loop and every counter. The pool size is the one
+ * construction argument.
  *
  * The free function evaluateMapping() in cost_model.hh remains the raw
  * analytical model (and the engine's backend); search code must evaluate
@@ -61,39 +49,34 @@ namespace sunstone {
 /** Snapshot of the engine's telemetry counters. */
 struct SearchStats
 {
-    /** Evaluation requests routed through the engine (hits included). */
+    /** Evaluation requests routed through the engine. */
     std::int64_t evaluations = 0;
     /**
-     * Memo lookups served by a stored entry, plus misses whose insert
-     * found the key already stored (another thread or an earlier mapping
-     * of the same chunk evaluated it first).
+     * Always 0: the engine keeps no result memo. Kept only because the
+     * repository benchmark's driver still reads these fields, together
+     * with `evictions` below; nothing writes them.
      */
     std::int64_t cacheHits = 0;
-    /**
-     * Memo misses whose insert created the entry: one per distinct key,
-     * so hits and misses do not depend on thread timing as long as no
-     * shard is reset.
-     */
     std::int64_t cacheMisses = 0;
     /**
      * Returned results whose mapping failed the validity check: one per
-     * invalid evaluation request (memo hits included) and per invalid
-     * scoreEnergy() call.
+     * invalid evaluation request and per invalid scoreEnergy() call.
      */
     std::int64_t invalidMappings = 0;
     /** Alpha-beta prunes recorded by searches via notePrune(). */
     std::int64_t prunes = 0;
-    /** Entries dropped when a full shard was reset. */
+    /** Always 0; see cacheHits. */
     std::int64_t evictions = 0;
-    /** Prefix-term cache hits/misses (see EvalEngine::prefix()),
-     *  counted by the same rule as cacheHits/cacheMisses. */
+    /** Prefix-term cache hits/misses (see EvalEngine::prefix()). A miss
+     *  counts only when its insert creates the entry, so the counts do
+     *  not depend on thread timing. */
     std::int64_t prefixHits = 0;
     std::int64_t prefixMisses = 0;
     /** Model invocations that reused the per-thread scratch arena. */
     std::int64_t scratchReuses = 0;
     /** evaluateBatch() calls routed through the engine. */
     std::int64_t batches = 0;
-    /** Latency of analytical-model invocations (cache hits excluded). */
+    /** Latency of analytical-model invocations. */
     obs::HistogramSnapshot evalLatencyUs;
     /** Distribution of evaluateBatch() sizes. */
     obs::HistogramSnapshot batchSize;
@@ -108,10 +91,6 @@ struct SearchStats
      * are not differenced; the delta keeps this snapshot's copies.
      */
     SearchStats deltaSince(const SearchStats &earlier) const;
-
-    /** Cache hits over cache lookups (hits + misses); 1 when no lookup
-     *  happened (an all-cached span has nothing left to miss). */
-    double hitRate() const;
 };
 
 /**
@@ -148,13 +127,6 @@ class EvalEngine
     };
 
     /**
-     * Bypass skips the cache for this call (still counted as an
-     * evaluation). Used for high-volume, low-reuse paths such as the
-     * Sunstone completion scoring, where caching would only churn.
-     */
-    enum class CachePolicy { UseCache, Bypass };
-
-    /**
      * A shared, immutable snapshot of the contribution terms of a
      * decided-level prefix (see PrefixTerms in cost_model.hh). Obtained
      * from prefix(); cheap to copy and safe to share across threads. A
@@ -188,25 +160,25 @@ class EvalEngine
 
     /**
      * Evaluates one mapping: a batch of one (see evaluateBatch()), so it
-     * counts, caches and times exactly as a one-mapping batch chunk.
-     * With a non-empty `ph` the model reuses the handle's decided-prefix
-     * terms and only recomputes the undecided levels; the result is
+     * counts and times exactly as a one-mapping batch chunk. With a
+     * non-empty `ph` the model reuses the handle's decided-prefix terms
+     * and only recomputes the undecided levels; the result is
      * bit-identical to the plain evaluation for any mapping whose
-     * canonical prefix matches the handle's, and shares its memo entry.
+     * canonical prefix matches the handle's.
      */
     CostResult evaluate(const Context &ctx, const Mapping &m,
                         const CostModelOptions &opts = {},
-                        CachePolicy policy = CachePolicy::UseCache,
                         const PrefixHandle &ph = {});
 
     /**
      * Returns (building on demand) the contribution terms of levels
      * [0, prefix_levels) of `base`. Handles are memoized in a bounded
-     * cache keyed by the context fingerprint plus the canonical prefix
-     * (factors + reduced orders — the same rules the memo cache uses),
-     * so repeated requests for equivalent prefixes share one snapshot.
-     * prefix_levels <= 0 returns an empty handle. Counted like the memo:
-     * a miss only when this call's insert creates the entry.
+     * cache keyed by the context fingerprint plus the canonical prefix:
+     * factors and the orders of loops with a temporal factor above 1,
+     * level 0's order dropped (the cost model consumes neither), so
+     * repeated requests for equivalent prefixes share one snapshot.
+     * prefix_levels <= 0 returns an empty handle. A miss counts only
+     * when this call's insert creates the entry.
      */
     PrefixHandle prefix(const Context &ctx, const Mapping &base,
                         int prefix_levels);
@@ -233,7 +205,7 @@ class EvalEngine
     /**
      * Allocation-free scoring fast path: runs scoreEnergyInto() on
      * per-thread buffers and returns only the total energy (pJ);
-     * infinity for invalid mappings. Never cached. This is what
+     * infinity for invalid mappings. This is what
      * high-volume completion scoring calls — identical numbers to
      * evaluate(...).totalEnergyPj, and no CostResult is built.
      * The call is counted in `tally`, not in the engine: it makes no
@@ -254,18 +226,17 @@ class EvalEngine
 
     /**
      * Evaluates a batch of mappings: the batch is cut into fixed-size
-     * chunks (independent of the pool size, so results and cache
-     * contents are deterministic for any thread count) and the chunks
+     * chunks (independent of the pool size, so the latency samples are
+     * the same for any thread count) and the chunks
      * are spread over the pool. out[i] corresponds to ms[i] and is
      * bit-identical to evaluateMapping() of ms[i], invalidReason
-     * included. Under CachePolicy::UseCache a chunk first looks every
-     * mapping up, then evaluates its misses with evaluateMappingInto()
-     * on the thread's scratch, then inserts them. The per-eval latency
-     * histogram gets one sample per chunk, the chunk's mean weighted by
-     * the evaluations it timed.
+     * included. A chunk runs evaluateMappingInto() on the thread's
+     * scratch for each of its mappings. The per-eval latency histogram
+     * gets one sample per chunk, the chunk's mean weighted by its
+     * evaluations.
      */
     void evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
-                       const CostModelOptions &opts, CachePolicy policy,
+                       const CostModelOptions &opts,
                        std::vector<CostResult> &out);
 
     /**
@@ -280,50 +251,25 @@ class EvalEngine
     /** @return a consistent snapshot of the counters. */
     SearchStats stats() const;
 
-    /** @return total entries currently cached (approximate under load). */
-    std::size_t cacheSize() const;
-
   private:
-    struct Entry
-    {
-        std::vector<std::int64_t> key;
-        CostResult result;
-    };
-    /**
-     * Worker threads lock shards once per mapping. The shards sit in one
-     * array, each starting on a cache line of its own, so which of their
-     * fields share a line does not depend on where an allocator puts
-     * them.
-     */
-    struct alignas(64) Shard
-    {
-        mutable std::mutex mtx;
-        std::unordered_map<std::uint64_t, Entry> map;
-    };
     struct PrefixEntry
     {
         std::vector<std::int64_t> key;
         std::shared_ptr<const PrefixTerms> terms;
     };
 
-    void canonicalKey(const Mapping &m, const CostModelOptions &opts,
-                      std::vector<std::int64_t> &out) const;
     void canonicalPrefixKey(const Mapping &m, int prefix_levels,
                             std::vector<std::int64_t> &out) const;
-    /** The one memo path: evaluate() and every evaluateBatch() chunk. */
+    /** The one evaluation loop: evaluate() and every evaluateBatch()
+     *  chunk. */
     void evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                       const CostModelOptions &opts, CachePolicy policy,
+                       const CostModelOptions &opts,
                        const PrefixTerms *prefix,
                        std::span<CostResult> out);
 
     unsigned threads_;
-    /** Memo stripes, each its own lock and map. */
-    static constexpr std::size_t kShards = 16;
-    /** Per-shard entry cap; a full shard is reset (epoch eviction). */
-    static constexpr std::size_t kMaxEntriesPerShard = 16384;
-    std::vector<Shard> shards_;
 
-    /** Bounded memo of prefix-term snapshots (cleared when full). */
+    /** Bounded cache of prefix-term snapshots (cleared when full). */
     static constexpr std::size_t kMaxPrefixEntries = 4096;
     mutable std::mutex prefixMtx_;
     std::unordered_map<std::uint64_t, PrefixEntry> prefixCache_;
@@ -332,11 +278,8 @@ class EvalEngine
     // process-wide registry) so two engines in one process — e.g. the
     // Sunstone and baseline engines in fig7 — stay separable.
     obs::Counter evaluations_;
-    obs::Counter hits_;
-    obs::Counter misses_;
     obs::Counter invalid_;
     obs::Counter prunes_;
-    obs::Counter evictions_;
     obs::Counter prefixHits_;
     obs::Counter prefixMisses_;
     obs::Counter scratchReuses_;

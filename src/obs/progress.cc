@@ -7,32 +7,52 @@
 namespace sunstone {
 namespace obs {
 
-SearchStatus &
+void
+ProgressBoard::retireFinished()
+{
+    std::size_t finished = 0;
+    for (const auto &e : entries_)
+        finished += e->done() ? 1 : 0;
+    if (finished <= kMaxFinished)
+        return;
+    // Oldest first. A search makes no evaluation after finish(), so the
+    // folded count is final.
+    std::size_t excess = finished - kMaxFinished;
+    std::erase_if(entries_, [&](const auto &e) {
+        if (excess == 0 || !e->done())
+            return false;
+        --excess;
+        retiredEvaluated_ += e->evaluated();
+        return true;
+    });
+}
+
+std::shared_ptr<SearchStatus>
 ProgressBoard::open(const std::string &label, std::int64_t max_evals,
                     double deadline_seconds, std::int64_t plateau_bound)
 {
+    auto entry = std::make_shared<SearchStatus>(label, max_evals,
+                                                deadline_seconds,
+                                                plateau_bound);
     std::lock_guard<std::mutex> lk(mtx_);
-    entries_.push_back(std::make_unique<SearchStatus>(
-        label, max_evals, deadline_seconds, plateau_bound));
-    return *entries_.back();
+    retireFinished();
+    entries_.push_back(entry);
+    return entry;
 }
 
-std::vector<const SearchStatus *>
-ProgressBoard::snapshot() const
+std::vector<std::shared_ptr<const SearchStatus>>
+ProgressBoard::snapshot()
 {
     std::lock_guard<std::mutex> lk(mtx_);
-    std::vector<const SearchStatus *> out;
-    out.reserve(entries_.size());
-    for (const auto &e : entries_)
-        out.push_back(e.get());
-    return out;
+    retireFinished();
+    return {entries_.begin(), entries_.end()};
 }
 
 std::int64_t
 ProgressBoard::totalEvaluated() const
 {
     std::lock_guard<std::mutex> lk(mtx_);
-    std::int64_t n = 0;
+    std::int64_t n = retiredEvaluated_;
     for (const auto &e : entries_)
         n += e->evaluated();
     return n;
@@ -55,6 +75,7 @@ ProgressBoard::resetForTests()
 {
     std::lock_guard<std::mutex> lk(mtx_);
     entries_.clear();
+    retiredEvaluated_ = 0;
     unitsTotal_.store(0, std::memory_order_relaxed);
     unitsDone_.store(0, std::memory_order_relaxed);
 }
@@ -202,11 +223,11 @@ ProgressReporter::renderLine()
     const SearchStatus *active = nullptr;
     for (auto it = entries.rbegin(); it != entries.rend(); ++it)
         if (!(*it)->done()) {
-            active = *it;
+            active = it->get();
             break;
         }
     if (!active && !entries.empty())
-        active = entries.back();
+        active = entries.back().get();
 
     std::string line = "[sunstone]";
     if (board.unitsTotal() > 0)

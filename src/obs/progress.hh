@@ -10,10 +10,11 @@
  *    plateau length, done + stop reason), so readers — the progress
  *    line, the snapshot writer, and eventually a scrape endpoint — can
  *    observe a running search without any coordination with it.
- *    Entries are stable for the process lifetime (like the tracer's
- *    thread buffers); the board additionally carries coarse "unit"
- *    counters the network scheduler uses to report per-layer /
- *    per-fused-chain phase progress.
+ *    Entries are shared between the board, their search and readers;
+ *    the board keeps the running entries plus the newest finished ones,
+ *    so a long-lived process holds a bounded number. It additionally
+ *    carries coarse "unit" counters the network scheduler uses to
+ *    report per-layer / per-fused-chain phase progress.
  *
  *  - computeEta(): the pure ETA math. Each StopPolicy bound (deadline,
  *    max-evals, plateau) projects its own time-to-trip from the current
@@ -33,7 +34,6 @@
 #include <atomic>
 #include <chrono>
 #include <cstdint>
-#include <deque>
 #include <limits>
 #include <memory>
 #include <mutex>
@@ -158,22 +158,28 @@ class SearchStatus
 };
 
 /**
- * The process-wide board. open() hands out stable references (entries
- * are never destroyed before process exit, so concurrent readers need
- * no lifetime protocol); snapshot() returns the current entry set in
- * open order.
+ * The process-wide board. open() hands out shared entries, so a search
+ * and any reader keep theirs alive after the board drops it; snapshot()
+ * returns the current entry set in open order. The board holds every
+ * running entry plus the newest kMaxFinished finished ones: open() and
+ * snapshot() retire the oldest finished entries beyond that, folding
+ * their evaluations into a counter so totalEvaluated() stays exact.
  */
 class ProgressBoard
 {
   public:
-    SearchStatus &open(const std::string &label,
-                       std::int64_t max_evals = 0,
-                       double deadline_seconds = 0,
-                       std::int64_t plateau_bound = 0);
+    /** Finished entries kept for readers; older ones are retired. */
+    static constexpr std::size_t kMaxFinished = 64;
 
-    std::vector<const SearchStatus *> snapshot() const;
+    std::shared_ptr<SearchStatus> open(const std::string &label,
+                                       std::int64_t max_evals = 0,
+                                       double deadline_seconds = 0,
+                                       std::int64_t plateau_bound = 0);
 
-    /** Sum of evaluated() over every entry (fast aggregate). */
+    std::vector<std::shared_ptr<const SearchStatus>> snapshot();
+
+    /** Sum of evaluated() over every entry ever opened, retired ones
+     *  included (fast aggregate). */
     std::int64_t totalEvaluated() const;
 
     // -- Coarse phase units (the net scheduler's layer/chain counts) ---
@@ -194,15 +200,18 @@ class ProgressBoard
         return unitsDone_.load(std::memory_order_relaxed);
     }
 
-    /**
-     * Drops every entry and zeroes the unit counters. Test-only: any
-     * reference previously handed out dangles afterwards.
-     */
+    /** Drops every entry and zeroes the counters. Test-only. */
     void resetForTests();
 
   private:
+    /** Drops the oldest finished entries beyond kMaxFinished; call
+     *  with mtx_ held. */
+    void retireFinished();
+
     mutable std::mutex mtx_;
-    std::deque<std::unique_ptr<SearchStatus>> entries_;
+    std::vector<std::shared_ptr<SearchStatus>> entries_;
+    /** Evaluations of the retired entries (guarded by mtx_). */
+    std::int64_t retiredEvaluated_ = 0;
     std::atomic<std::int64_t> unitsTotal_{0};
     std::atomic<std::int64_t> unitsDone_{0};
 };

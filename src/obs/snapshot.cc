@@ -80,7 +80,7 @@ SnapshotWriter::renderRecord()
          ",\"total\":" + std::to_string(board.unitsTotal()) + "}";
     j += ",\"searches\":[";
     bool first = true;
-    for (const SearchStatus *s : board.snapshot()) {
+    for (const auto &s : board.snapshot()) {
         if (!first)
             j += ",";
         first = false;

@@ -124,8 +124,8 @@ SearchDriver::SearchDriver(SearchContext &sc, EvalEngine &engine,
     if (sc_.convergence())
         traj_ = &sc_.convergence()->start(label_);
     const StopPolicy &pol = sc_.policy();
-    status_ = &obs::progressBoard().open(label_, pol.maxEvals,
-                                         pol.deadlineSeconds, pol.plateau);
+    status_ = obs::progressBoard().open(label_, pol.maxEvals,
+                                        pol.deadlineSeconds, pol.plateau);
     obs::flightRecorder().record("search.started", label_);
 }
 
@@ -331,7 +331,7 @@ SearchDriver::run(CandidateStream &stream)
         consumed_ += static_cast<std::int64_t>(batch.size());
 
         engine_.evaluateBatch(evalCtx_, batch, stream.costOptions(),
-                              stream.cachePolicy(), results);
+                              results);
         // Serial, in-order consumption: this loop is the only place
         // stream-mode incumbent/streak state advances, which is what
         // makes results independent of the evaluation thread count.

@@ -33,6 +33,7 @@
 #include <deque>
 #include <functional>
 #include <limits>
+#include <memory>
 #include <mutex>
 #include <string>
 #include <thread>
@@ -88,12 +89,6 @@ class CandidateStream
         (void)index_in_batch;
         (void)m;
         (void)cr;
-    }
-
-    virtual EvalEngine::CachePolicy
-    cachePolicy() const
-    {
-        return EvalEngine::CachePolicy::UseCache;
     }
 
     virtual CostModelOptions costOptions() const { return {}; }
@@ -312,7 +307,7 @@ class SearchDriver
     bool streamMode_ = false;
 
     obs::ConvergenceTrajectory *traj_ = nullptr;
-    obs::SearchStatus *status_ = nullptr; // board entry; never null
+    std::shared_ptr<obs::SearchStatus> status_; // board entry; never null
     double lastCheckpointSeconds_ = -1;
     bool finished_ = false;
 };

@@ -401,11 +401,7 @@ MappingResponse::toJson() const
     out += ", \"warm_seeds\": " + std::to_string(warmSeeds);
     out += ", \"seconds\": " + jsonDouble(seconds);
     out += ", \"engine_delta\": {\"evaluations\": " +
-           std::to_string(engineDelta.evaluations) +
-           ", \"cache_hits\": " + std::to_string(engineDelta.cacheHits) +
-           ", \"cache_misses\": " +
-           std::to_string(engineDelta.cacheMisses) +
-           ", \"hit_rate\": " + jsonDouble(engineDelta.hitRate()) + "}";
+           std::to_string(engineDelta.evaluations) + "}";
     switch (kind) {
     case RequestKind::Map:
     case RequestKind::Net:

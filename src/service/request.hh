@@ -17,8 +17,8 @@
  * whole-network schedule), the winning mapping, session markers
  * (`cached` for fingerprint-deduplicated repeats, `warmSeeds` for
  * warm-started searches), and the per-request delta of the session
- * engine's cache counters — which is how a client observes that its
- * repeat traffic was served warm.
+ * engine's evaluation count — zero for a repeat served from the result
+ * cache.
  *
  * Materialization (spec → Workload/ArchSpec/NetGraph) lives here too,
  * shared by every front end. Materializers fatal() on bad specs like
@@ -144,7 +144,7 @@ struct MappingResponse
     std::string error;
 
     /** Served from the session's fingerprint→result cache (the dedup
-     *  marker: the repeat cost one re-validation, not a search). */
+     *  marker: the repeat cost no search and no evaluation). */
     bool cached = false;
     /** Warm-start seed mappings injected into the search. */
     int warmSeeds = 0;

@@ -150,9 +150,8 @@ SchedulerSession::executeNow(const MappingRequest &req,
     const SearchStats before = engine_->stats();
 
     // Result-cache lookup: a bit-identical repeat of a deterministic
-    // request is served from the stored response, paying only a
-    // re-validation of its winning mapping(s) through the engine — a
-    // guaranteed memo hit, so the client's engine_delta shows the dedup.
+    // request is served from the stored response without engine work,
+    // so the client's engine_delta reads zero evaluations.
     const bool canCache = cacheable(req);
     std::string key;
     if (canCache) {
@@ -164,7 +163,6 @@ SchedulerSession::executeNow(const MappingRequest &req,
             ++counters_.deduped;
             ++counters_.executed;
             lock.unlock();
-            revalidate(req, resp);
             resp.id = req.id;
             resp.cached = true;
             resp.engineDelta = engine_->stats().deltaSince(before);
@@ -510,42 +508,6 @@ SchedulerSession::cacheKey(const MappingRequest &req)
     MappingRequest canonical = req;
     canonical.id.clear();
     return canonical.toJson();
-}
-
-void
-SchedulerSession::revalidate(const MappingRequest &req,
-                             const MappingResponse &resp)
-{
-    if (req.kind == RequestKind::Map) {
-        if (!resp.result.found)
-            return;
-        Workload wl = materializeWorkload(req);
-        ArchSpec arch = materializeArch(req);
-        applyArchPrecisions(req, wl);
-        BoundArch ba(arch, wl);
-        engine_->evaluate(engine_->context(ba), resp.result.mapping);
-        return;
-    }
-    if (!resp.net)
-        return;
-    ArchSpec arch = materializeArch(req);
-    NetGraph graph = materializeNetGraph(req);
-    if (req.archName == "simba" && req.archFile.empty() &&
-        req.bits.empty())
-        for (int i = 0; i < graph.numNodes(); ++i)
-            applySimbaPrecisions(graph.node(i).workload);
-    // result.layers is in graph-node order. Fused layers searched under
-    // a residency-modified BoundArch are skipped — their mappings were
-    // never cached under the plain binding.
-    const int n = std::min<int>(graph.numNodes(),
-                                static_cast<int>(resp.net->layers.size()));
-    for (int i = 0; i < n; ++i) {
-        const LayerSchedule &l = resp.net->layers[i];
-        if (!l.found || l.fused)
-            continue;
-        BoundArch ba(arch, graph.node(i).workload);
-        engine_->evaluate(engine_->context(ba), l.mapping);
-    }
 }
 
 } // namespace service

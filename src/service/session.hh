@@ -4,18 +4,14 @@
  * service core extracted from the CLI monolith. One SchedulerSession
  * owns everything that is worth keeping warm across requests —
  *
- *  - the shared EvalEngine (memo cache + thread pool), so a repeat of a
- *    layer structure the session has already searched is served from
- *    cache instead of the analytical model;
+ *  - the shared EvalEngine (prefix-term cache + thread pool);
  *  - the warm-start store: realized bests are recorded after every
  *    found Map search, and requests that opt in (`warm_start: true`)
  *    are seeded from the stored bests of structurally similar layers;
  *  - a result cache keyed by the canonical request (id excluded): a
  *    bit-identical repeat of a deterministic Map/Net request returns
- *    the stored response with `cached: true`, paying only a
- *    re-validation of the winning mapping(s) through the engine (a
- *    guaranteed memo hit, which is how the dedup stays observable in
- *    the per-request engine delta);
+ *    the stored response with `cached: true` and no engine work (the
+ *    per-request engine delta reads zero evaluations);
  *  - the cooperative CancellationSource every request's StopPolicy
  *    points at (the SignalBridge raises it on SIGINT/SIGTERM);
  *  - request counters for the health scrape.
@@ -30,8 +26,8 @@
  * `sunstone serve` (many requests over NDJSON), and embedders. The CLI
  * path is bit-identical to the pre-service monolith for fixed seeds:
  * the session runs the same mapper code under the same options, and
- * engine cache state cannot change search results (a collision degrades
- * to a miss, never a wrong value).
+ * the engine's prefix cache cannot change search results (a collision
+ * degrades to a miss, never a wrong value).
  */
 
 #ifndef SUNSTONE_SERVICE_SESSION_HH
@@ -106,7 +102,7 @@ class SchedulerSession
     SchedulerSession(const SchedulerSession &) = delete;
     SchedulerSession &operator=(const SchedulerSession &) = delete;
 
-    /** The session engine (shared memo cache + pool). */
+    /** The session engine (shared prefix cache + pool). */
     EvalEngine &engine() { return *engine_; }
 
     /** The cancellation flag every request's StopPolicy points at. */
@@ -174,9 +170,6 @@ class SchedulerSession
     static bool cacheable(const MappingRequest &req);
     /** The cache key: canonical request JSON with the id cleared. */
     static std::string cacheKey(const MappingRequest &req);
-    /** Replays the cached winning mapping(s) through the engine. */
-    void revalidate(const MappingRequest &req,
-                    const MappingResponse &resp);
 
     SessionOptions opts_;
     unsigned threads_ = 0;

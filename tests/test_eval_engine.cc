@@ -1,5 +1,5 @@
 /** @file
- * Tests for the unified evaluation engine (memoization cache, telemetry,
+ * Tests for the unified evaluation engine (telemetry, prefix cache,
  * shared pool) and the network-level scheduler built on it.
  */
 
@@ -20,8 +20,8 @@
 namespace sunstone {
 namespace {
 
-/** Every field of a CostResult, bit for bit (doubles compared exactly:
- *  a cached result must be the stored one, not a recomputation). */
+/** Every field of a CostResult, bit for bit (doubles compared
+ *  exactly). */
 void
 expectBitIdentical(const CostResult &a, const CostResult &b)
 {
@@ -50,78 +50,13 @@ expectBitIdentical(const CostResult &a, const CostResult &b)
     EXPECT_EQ(a.bottleneck, b.bottleneck);
 }
 
-TEST(EvalEngine, CachedResultIsBitIdenticalToFreshEvaluation)
-{
-    Workload wl = makeConv1D(16, 16, 28, 3);
-    BoundArch ba(makeConventional(), wl);
-    Mapping m = naiveMapping(ba);
-
-    EvalEngine engine;
-    const EvalEngine::Context ctx = engine.context(ba);
-    const CostResult fresh = evaluateMapping(ba, m);
-    const CostResult first = engine.evaluate(ctx, m);
-    const CostResult cached = engine.evaluate(ctx, m);
-
-    expectBitIdentical(first, fresh);
-    expectBitIdentical(cached, fresh);
-
-    const SearchStats s = engine.stats();
-    EXPECT_EQ(s.evaluations, 2);
-    EXPECT_EQ(s.cacheMisses, 1);
-    EXPECT_EQ(s.cacheHits, 1);
-}
-
-TEST(EvalEngine, TrivialLoopPlacementSharesACacheEntry)
-{
-    // The cost model ignores factor-1 loops and level 0's order, so two
-    // mappings differing only there must canonicalize to one entry.
-    Workload wl = makeGemm(16, 16, 16);
-    BoundArch ba(makeToyArch(64, 4), wl);
-    Mapping m = naiveMapping(ba);
-
-    EvalEngine engine;
-    const EvalEngine::Context ctx = engine.context(ba);
-    engine.evaluate(ctx, m);
-
-    Mapping rotated = m;
-    std::rotate(rotated.level(0).order.begin(),
-                rotated.level(0).order.begin() + 1,
-                rotated.level(0).order.end());
-    engine.evaluate(ctx, rotated);
-
-    const SearchStats s = engine.stats();
-    EXPECT_EQ(s.cacheMisses, 1);
-    EXPECT_EQ(s.cacheHits, 1);
-    EXPECT_EQ(engine.cacheSize(), 1u);
-}
-
-TEST(EvalEngine, BypassPolicySkipsTheCache)
-{
-    Workload wl = makeGemm(16, 16, 16);
-    BoundArch ba(makeToyArch(64, 4), wl);
-    Mapping m = naiveMapping(ba);
-
-    EvalEngine engine;
-    const EvalEngine::Context ctx = engine.context(ba);
-    engine.evaluate(ctx, m, {}, EvalEngine::CachePolicy::Bypass);
-    engine.evaluate(ctx, m, {}, EvalEngine::CachePolicy::Bypass);
-
-    const SearchStats s = engine.stats();
-    EXPECT_EQ(s.evaluations, 2);
-    EXPECT_EQ(s.cacheHits, 0);
-    EXPECT_EQ(s.cacheMisses, 0);
-    EXPECT_EQ(engine.cacheSize(), 0u);
-}
-
 /** The counters a one-mapping evaluation moves, as deltas of one engine. */
 struct CounterDelta
 {
-    std::int64_t evaluations, hits, misses, invalid, timed, reuses;
+    std::int64_t evaluations, invalid, timed, reuses;
 
     CounterDelta(const SearchStats &after, const SearchStats &before)
         : evaluations(after.evaluations - before.evaluations),
-          hits(after.cacheHits - before.cacheHits),
-          misses(after.cacheMisses - before.cacheMisses),
           invalid(after.invalidMappings - before.invalidMappings),
           timed(after.evalLatencyUs.count - before.evalLatencyUs.count),
           reuses(after.scratchReuses - before.scratchReuses)
@@ -134,7 +69,7 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
     // evaluate() and a one-mapping evaluateBatch() on twin engines must
     // return the same bits and move the same counters: a valid mapping,
     // an invalid one and a mapping evaluated through prefix terms, each
-    // twice (a miss, then a memo hit) and once more bypassing the memo.
+    // twice.
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
     Mapping valid = naiveMapping(ba);
@@ -166,18 +101,15 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
     const Case cases[] = {{"valid", valid, none},
                           {"invalid", invalid, none},
                           {"prefixed", above, ph}};
-    using Policy = EvalEngine::CachePolicy;
     for (const Case &c : cases)
-        for (Policy policy : {Policy::UseCache, Policy::UseCache,
-                              Policy::Bypass}) {
-            SCOPED_TRACE(std::string(c.what) +
-                         (policy == Policy::Bypass ? " bypass" : " cached"));
+        for (int rep = 0; rep < 2; ++rep) {
+            SCOPED_TRACE(std::string(c.what) + " #" + std::to_string(rep));
             const SearchStats s0 = single.stats();
             const SearchStats b0 = batch.stats();
-            const CostResult r = single.evaluate(cs, c.m, {}, policy, c.ph);
+            const CostResult r = single.evaluate(cs, c.m, {}, c.ph);
             std::vector<CostResult> out;
             batch.evaluateBatch(cb, std::span<const Mapping>(&c.m, 1), {},
-                                policy, out);
+                                out);
             ASSERT_EQ(out.size(), 1u);
             expectBitIdentical(r, out[0]);
             expectBitIdentical(r, evaluateMapping(ba, c.m));
@@ -186,26 +118,22 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
             const CounterDelta db(batch.stats(), b0);
             EXPECT_EQ(ds.evaluations, 1);
             EXPECT_EQ(ds.evaluations, db.evaluations);
-            EXPECT_EQ(ds.hits, db.hits);
-            EXPECT_EQ(ds.misses, db.misses);
             EXPECT_EQ(ds.invalid, r.valid ? 0 : 1);
             EXPECT_EQ(ds.invalid, db.invalid);
             EXPECT_EQ(ds.timed, db.timed);
             EXPECT_EQ(ds.reuses, db.reuses);
         }
-    const SearchStats s = single.stats();
-    EXPECT_EQ(s.cacheMisses, 3);
-    EXPECT_EQ(s.cacheHits, 3);
-    EXPECT_EQ(s.evalLatencyUs.count, 6); // 3 misses + 3 bypasses
-    EXPECT_EQ(batch.stats().batches, 9);
+    EXPECT_EQ(single.stats().evalLatencyUs.count, 6);
+    EXPECT_EQ(batch.stats().batches, 6);
 }
 
 TEST(EvalEngine, CountsAreThreadInvariant)
 {
-    // 21 distinct mappings, some of them invalid, repeat inside each of
-    // four 64-mapping chunks, so at four threads the chunks race to
-    // insert the same keys. A miss counts only when its insert creates
-    // the entry, so every count is the same at 1 and 4 threads.
+    // 21 distinct mappings, some of them invalid, spread over four
+    // 64-mapping chunks, and 168 prefix requests for 42 distinct
+    // prefixes, so at four threads the prefix builds race to insert the
+    // same keys. A miss counts only when its insert creates the entry,
+    // so every count is the same at 1 and 4 threads.
     Workload wl = makeGemm(16, 16, 16);
     BoundArch ba(makeToyArch(64, 4), wl);
     const Mapping naive = naiveMapping(ba);
@@ -242,8 +170,7 @@ TEST(EvalEngine, CountsAreThreadInvariant)
             EvalEngine engine(threads);
             const EvalEngine::Context ctx = engine.context(ba);
             std::vector<CostResult> out;
-            engine.evaluateBatch(ctx, ms, {},
-                                 EvalEngine::CachePolicy::UseCache, out);
+            engine.evaluateBatch(ctx, ms, {}, out);
             // One prefix snapshot per distinct level 0 and prefix length
             // (level 1 is all ones), each requested four times.
             std::vector<std::pair<const Mapping *, int>> prefixes;
@@ -262,10 +189,7 @@ TEST(EvalEngine, CountsAreThreadInvariant)
 
             const SearchStats s = engine.stats();
             EXPECT_EQ(s.evaluations, 256);
-            EXPECT_EQ(s.cacheMisses, nDistinct);
-            EXPECT_EQ(s.cacheHits, 256 - nDistinct);
             EXPECT_EQ(s.invalidMappings, invalid);
-            EXPECT_EQ(engine.cacheSize(), distinct.size());
             EXPECT_EQ(s.prefixMisses, 2 * nDistinct);
             EXPECT_EQ(s.prefixHits,
                       static_cast<std::int64_t>(prefixes.size()) -
@@ -286,8 +210,7 @@ TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
         const EvalEngine::Context ctx = engine.context(ba);
         const std::int64_t before = engine.stats().evalLatencyUs.count;
         std::vector<CostResult> out;
-        engine.evaluateBatch(ctx, batch, {}, EvalEngine::CachePolicy::Bypass,
-                             out);
+        engine.evaluateBatch(ctx, batch, {}, out);
         const SearchStats s = engine.stats();
         EXPECT_EQ(s.evalLatencyUs.count - before,
                   static_cast<std::int64_t>(batch.size()))
@@ -345,26 +268,6 @@ TEST(EvalEngine, ScoreTallyAddsExactCounts)
     EXPECT_EQ(tally.timedUs, 0.0);
 }
 
-TEST(EvalEngine, DistinctContextsDoNotShareEntries)
-{
-    // Same mapping shape, different workload sizes: the context
-    // fingerprint must keep the entries apart.
-    Workload wa = makeGemm(16, 16, 16);
-    Workload wb = makeGemm(16, 16, 32);
-    BoundArch baA(makeToyArch(64, 4), wa);
-    BoundArch baB(makeToyArch(64, 4), wb);
-
-    EvalEngine engine;
-    const CostResult ra =
-        engine.evaluate(engine.context(baA), naiveMapping(baA));
-    const CostResult rb =
-        engine.evaluate(engine.context(baB), naiveMapping(baB));
-    ASSERT_TRUE(ra.valid);
-    ASSERT_TRUE(rb.valid);
-    EXPECT_NE(ra.totalEnergyPj, rb.totalEnergyPj);
-    EXPECT_EQ(engine.stats().cacheMisses, 2);
-}
-
 TEST(EvalEngine, CountersAreExactUnderConcurrentAccess)
 {
     Workload wl = makeConv1D(16, 16, 28, 3);
@@ -389,14 +292,12 @@ TEST(EvalEngine, CountersAreExactUnderConcurrentAccess)
     }
     ASSERT_GE(batch.size(), 3u);
 
-    // Warm serially (deterministic misses), then hammer concurrently:
-    // every concurrent evaluation must be a hit, and the counters must
-    // balance exactly.
+    std::int64_t invalid = 0;
     for (const auto &m : batch)
-        engine.evaluate(ctx, m);
-    const std::int64_t n = static_cast<std::int64_t>(batch.size());
-    EXPECT_EQ(engine.stats().cacheMisses, n);
+        invalid += evaluateMapping(ba, m).valid ? 0 : 1;
 
+    // Hammer concurrently: every counter must balance exactly.
+    const std::int64_t n = static_cast<std::int64_t>(batch.size());
     constexpr int rounds = 8;
     parallelFor(engine.pool(), batch.size() * rounds,
                 [&](std::size_t i) {
@@ -404,39 +305,17 @@ TEST(EvalEngine, CountersAreExactUnderConcurrentAccess)
                 });
 
     const SearchStats s = engine.stats();
-    EXPECT_EQ(s.cacheMisses, n);
-    EXPECT_EQ(s.cacheHits, n * rounds);
-    EXPECT_EQ(s.evaluations, n * (rounds + 1));
-    EXPECT_EQ(s.cacheHits + s.cacheMisses, s.evaluations);
-}
-
-TEST(EvalEngine, SharedEngineAcceleratesRepeatedPolish)
-{
-    // The refinement pass re-walks the same neighbourhood when started
-    // from the same mapping; with a shared engine the second walk must be
-    // mostly cache hits and return the identical result.
-    Workload wl = makeConv1D(16, 16, 28, 3);
-    BoundArch ba(makeConventional(), wl);
-    Mapping m = naiveMapping(ba);
-
-    EvalEngine engine;
-    Mapping a = polishMapping(engine, ba, m, true);
-    const std::int64_t misses_after_first = engine.stats().cacheMisses;
-    Mapping b = polishMapping(engine, ba, m, true);
-
-    const SearchStats s = engine.stats();
-    EXPECT_EQ(s.cacheMisses, misses_after_first)
-        << "second polish should evaluate nothing new";
-    EXPECT_GT(s.cacheHits, 0);
-    expectBitIdentical(evaluateMapping(ba, a), evaluateMapping(ba, b));
+    EXPECT_EQ(s.evaluations, n * rounds);
+    EXPECT_EQ(s.invalidMappings, invalid * rounds);
+    EXPECT_EQ(s.evalLatencyUs.count, s.evaluations);
 }
 
 TEST(NetScheduler, DeduplicatesStructurallyIdenticalLayers)
 {
     // Two structurally identical layers under different names plus one
     // genuinely different layer: one search for the twins, multiplicity
-    // reflected in the aggregate, and the broadcast re-validation shows
-    // up as cache hits.
+    // reflected in the aggregate, and a broadcast cost that is the twin's
+    // own evaluation.
     Workload twin_a = makeGemm(16, 16, 16);
     Workload twin_b = makeGemm(16, 16, 16);
     Workload other = makeGemm(8, 8, 8);
@@ -472,14 +351,22 @@ TEST(NetScheduler, DeduplicatesStructurallyIdenticalLayers)
     EXPECT_DOUBLE_EQ(r.totalDelaySeconds, want_delay);
     EXPECT_DOUBLE_EQ(r.totalEdp, want_energy * want_delay);
 
-    EXPECT_GT(r.stats.cacheHits, 0);
-    EXPECT_GT(r.stats.evaluations, 0);
+    // A broadcast cost is what the model gives the mapping under the
+    // deduplicated node's own binding.
+    for (std::size_t i = 0; i < layers.size(); ++i) {
+        if (!r.layers[i].deduplicated)
+            continue;
+        SCOPED_TRACE(r.layers[i].name);
+        const BoundArch own(makeToyArch(64, 4), layers[i].workload);
+        expectBitIdentical(r.layers[i].cost,
+                           evaluateMapping(own, r.layers[i].mapping));
+    }
+    EXPECT_GT(engine.stats().evaluations, 0);
 
     // The JSON export carries the aggregate and the dedup markers.
     const std::string json = r.toJson();
     EXPECT_NE(json.find("\"layersUnique\":2"), std::string::npos);
     EXPECT_NE(json.find("\"deduplicated\":true"), std::string::npos);
-    EXPECT_NE(json.find("\"cache_hits\""), std::string::npos);
 }
 
 TEST(NetScheduler, SurfacesUnschedulableLayers)

@@ -192,25 +192,13 @@ TEST(EvalEquivalence, BatchMatchesSerial)
         EvalEngine engine(threads);
         const EvalEngine::Context ctx = engine.context(ba);
         std::vector<CostResult> batch;
-        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::Bypass,
-                             batch);
+        engine.evaluateBatch(ctx, ms, {}, batch);
         ASSERT_EQ(batch.size(), ms.size()) << tag;
         EXPECT_EQ(engine.stats().invalidMappings, invalid) << tag;
         for (std::size_t i = 0; i < ms.size(); ++i)
             expectIdentical(ref[i], batch[i],
                             tag + " batch index " + std::to_string(i));
 
-        // The memoizing path must agree too (second call is all cache
-        // hits).
-        std::vector<CostResult> cached;
-        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
-                             cached);
-        engine.evaluateBatch(ctx, ms, {}, EvalEngine::CachePolicy::UseCache,
-                             cached);
-        for (std::size_t i = 0; i < ms.size(); ++i)
-            expectIdentical(ref[i], cached[i],
-                            tag + " cached batch index " +
-                                std::to_string(i));
         if (::testing::Test::HasFatalFailure())
             return;
     }
@@ -245,8 +233,7 @@ TEST(EvalEquivalence, EnginePrefixHandleMatchesPlain)
                 }
             const EvalEngine::PrefixHandle ph = engine.prefix(ctx, base, p);
             ASSERT_TRUE(ph.valid());
-            const CostResult got = engine.evaluate(
-                ctx, m, {}, EvalEngine::CachePolicy::Bypass, ph);
+            const CostResult got = engine.evaluate(ctx, m, {}, ph);
             expectIdentical(evaluateMapping(ba, m), got,
                             "engine prefix trial " + std::to_string(i) +
                                 " P=" + std::to_string(p));

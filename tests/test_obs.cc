@@ -549,10 +549,10 @@ TEST(ProgressBoard, TracksSearchesAndUnits)
 {
     obs::ProgressBoard &board = obs::progressBoard();
     board.resetForTests();
-    obs::SearchStatus &s = board.open("t.search", 1000, 2.0, 50);
-    s.noteEvaluated(10);
-    s.noteImprovement(42.0);
-    s.notePlateau(3);
+    const auto s = board.open("t.search", 1000, 2.0, 50);
+    s->noteEvaluated(10);
+    s->noteImprovement(42.0);
+    s->notePlateau(3);
     board.addUnits(2);
     board.noteUnitDone();
     EXPECT_EQ(board.totalEvaluated(), 10);
@@ -563,10 +563,41 @@ TEST(ProgressBoard, TracksSearchesAndUnits)
     EXPECT_EQ(snap[0]->label(), "t.search");
     EXPECT_FALSE(snap[0]->done());
     EXPECT_STREQ(snap[0]->stopReason(), "");
-    s.finish("exhausted");
+    s->finish("exhausted");
     EXPECT_TRUE(snap[0]->done());
     EXPECT_STREQ(snap[0]->stopReason(), "exhausted");
     EXPECT_DOUBLE_EQ(snap[0]->bestMetric(), 42.0);
+    board.resetForTests();
+}
+
+TEST(ProgressBoard, KeepsRunningEntriesAndTheNewestFinished)
+{
+    // A long-lived process opens one entry per search. The board keeps
+    // the running ones and the newest kMaxFinished finished ones, and
+    // the evaluations of the entries it drops still count.
+    obs::ProgressBoard &board = obs::progressBoard();
+    board.resetForTests();
+    const auto running = board.open("still.running");
+    running->noteEvaluated(5);
+    std::int64_t total = 5;
+    for (int i = 0; i < 1000; ++i) {
+        const auto s = board.open("search." + std::to_string(i));
+        s->noteEvaluated(i + 1);
+        total += i + 1;
+        s->finish("exhausted");
+    }
+    const auto snap = board.snapshot();
+    ASSERT_EQ(snap.size(), obs::ProgressBoard::kMaxFinished + 1);
+    EXPECT_EQ(snap.front()->label(), "still.running");
+    EXPECT_EQ(snap[1]->label(),
+              "search." +
+                  std::to_string(1000 - obs::ProgressBoard::kMaxFinished));
+    EXPECT_EQ(snap.back()->label(), "search.999");
+    EXPECT_EQ(board.totalEvaluated(), total);
+
+    // The running entry, the oldest, was kept and still counts.
+    running->noteEvaluated(1);
+    EXPECT_EQ(board.totalEvaluated(), total + 1);
     board.resetForTests();
 }
 
@@ -578,7 +609,7 @@ TEST(SnapshotWriter, JsonlWellFormedUnderConcurrentUpdates)
         ::testing::TempDir() + "sunstone_snapshot_test.jsonl";
     std::remove(path.c_str());
 
-    obs::SearchStatus &s = board.open("snap.search", 100000, 0, 0);
+    const auto s = board.open("snap.search", 100000, 0, 0);
     obs::SnapshotWriter w(path, 10);
     w.setExtraProvider([] { return std::string("{\"k\":1}"); });
     ASSERT_TRUE(w.start());
@@ -588,7 +619,7 @@ TEST(SnapshotWriter, JsonlWellFormedUnderConcurrentUpdates)
     std::atomic<bool> stop{false};
     std::thread t1([&] {
         while (!stop.load())
-            s.noteEvaluated(1);
+            s->noteEvaluated(1);
     });
     std::thread t2([&] {
         obs::Histogram &h = obs::metrics().histogram("snap.lat");
@@ -600,7 +631,7 @@ TEST(SnapshotWriter, JsonlWellFormedUnderConcurrentUpdates)
     stop.store(true);
     t1.join();
     t2.join();
-    s.finish("exhausted");
+    s->finish("exhausted");
     w.stop();
     EXPECT_GE(w.recordsWritten(), 32); // 30 + initial + final
 

@@ -143,12 +143,8 @@ TEST(ServiceSession, RepeatRequestIsDedupedWithWarmEngine)
     // ...with the stored payload bit-identical to the original...
     EXPECT_EQ(second.resultJson(), first.resultJson());
     EXPECT_EQ(second.mappingText, first.mappingText);
-    // ...at the cost of one engine re-validation, which the warm memo
-    // cache serves entirely: >= 90% hit rate is the acceptance bar,
-    // and an all-hit replay reaches 1.0.
-    EXPECT_GE(second.engineDelta.evaluations, 1);
-    EXPECT_GE(second.engineDelta.hitRate(), 0.9);
-    EXPECT_EQ(second.engineDelta.cacheMisses, 0);
+    // ...without any engine work.
+    EXPECT_EQ(second.engineDelta.evaluations, 0);
 
     EXPECT_EQ(session.counters().deduped, 1);
 }
@@ -171,8 +167,7 @@ TEST(ServiceSession, RepeatNetRequestIsDeduped)
     ASSERT_TRUE(second.ok) << second.error;
     EXPECT_TRUE(second.cached);
     EXPECT_EQ(second.resultJson(), first.resultJson());
-    EXPECT_GE(second.engineDelta.evaluations, 1);
-    EXPECT_GE(second.engineDelta.hitRate(), 0.9);
+    EXPECT_EQ(second.engineDelta.evaluations, 0);
 }
 
 TEST(ServiceSession, WallClockDependentRequestsAreNotCached)
@@ -191,8 +186,8 @@ TEST(ServiceSession, WallClockDependentRequestsAreNotCached)
 TEST(ServiceSession, WarmEngineDoesNotChangeSearchResults)
 {
     // One session, two requests: a warm-up search, then the probe. The
-    // probe must match a fresh session's answer bit for bit — cache
-    // state can only change speed (a collision degrades to a miss,
+    // probe must match a fresh session's answer bit for bit — prefix
+    // cache state can only change speed (a collision degrades to a miss,
     // never to a wrong result).
     const MappingRequest warmup = smallConv(/*seed=*/9);
     const MappingRequest probe = smallConv(/*seed=*/4);
@@ -214,8 +209,9 @@ TEST(ServiceSession, WarmEngineDoesNotChangeSearchResults)
               viaCold.result.mappingsEvaluated);
     EXPECT_EQ(viaWarm.result.stopReason, viaCold.result.stopReason);
     // The warm engine should have actually been warm: the identical
-    // layer structure re-hits memoized evaluations.
-    EXPECT_GT(viaWarm.engineDelta.cacheHits, 0);
+    // layer structure re-hits prefix terms the warm-up built.
+    EXPECT_LT(viaWarm.engineDelta.prefixMisses,
+              viaCold.engineDelta.prefixMisses);
 }
 
 TEST(ServiceSession, WarmStartSeedsFromEarlierRequests)
@@ -411,25 +407,21 @@ TEST(ServiceSession, EvalRequestMatchesMapResult)
               mapped.result.cost.totalEnergyPj);
 }
 
-TEST(ServiceStats, DeltaSinceAndHitRate)
+TEST(ServiceStats, DeltaSince)
 {
     SearchStats earlier;
     earlier.evaluations = 100;
-    earlier.cacheHits = 40;
-    earlier.cacheMisses = 60;
+    earlier.prefixHits = 40;
+    earlier.prefixMisses = 60;
     SearchStats now;
     now.evaluations = 150;
-    now.cacheHits = 85;
-    now.cacheMisses = 65;
+    now.prefixHits = 85;
+    now.prefixMisses = 65;
 
     const SearchStats d = now.deltaSince(earlier);
     EXPECT_EQ(d.evaluations, 50);
-    EXPECT_EQ(d.cacheHits, 45);
-    EXPECT_EQ(d.cacheMisses, 5);
-    EXPECT_DOUBLE_EQ(d.hitRate(), 0.9);
-
-    // No lookups: nothing left to miss, the rate reports 1.
-    EXPECT_DOUBLE_EQ(SearchStats{}.hitRate(), 1.0);
+    EXPECT_EQ(d.prefixHits, 45);
+    EXPECT_EQ(d.prefixMisses, 5);
 }
 
 } // anonymous namespace

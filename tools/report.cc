@@ -14,7 +14,8 @@
  *
  * and prints, per section: the run summary, evaluation-latency
  * percentiles (p50/p90/p99 interpolated from the histogram buckets),
- * the cache hit/miss breakdown, per-layer/per-chain fusion outcomes,
+ * the engine counters (evaluations, prefix hits/misses, invalid,
+ * pruned), per-layer/per-chain fusion outcomes,
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
@@ -125,24 +126,28 @@ printEvalLatency(const JsonValue &engine)
 void
 printCache(const JsonValue &engine)
 {
-    const JsonValue *hits = engine.find("cache_hits");
-    const JsonValue *misses = engine.find("cache_misses");
-    if (!hits || !misses)
+    if (!engine.find("evaluations"))
         return;
     section("cache");
-    const double h = hits->asDouble();
-    const double m = misses->asDouble();
     auto row = [&](const char *label, const char *key) {
         if (const JsonValue *v = engine.find(key))
             std::printf("  %-18s %lld\n", label,
                         static_cast<long long>(v->asInt()));
     };
     row("evaluations", "evaluations");
-    row("cache hits", "cache_hits");
-    row("cache misses", "cache_misses");
-    if (h + m > 0)
-        std::printf("  %-18s %.1f%%\n", "hit rate",
-                    100.0 * h / (h + m));
+    // Artifacts written while the engine had a result memo carry its
+    // counters; newer ones do not.
+    const JsonValue *hits = engine.find("cache_hits");
+    const JsonValue *misses = engine.find("cache_misses");
+    if (hits && misses) {
+        row("cache hits", "cache_hits");
+        row("cache misses", "cache_misses");
+        const double h = hits->asDouble();
+        const double m = misses->asDouble();
+        if (h + m > 0)
+            std::printf("  %-18s %.1f%%\n", "hit rate",
+                        100.0 * h / (h + m));
+    }
     row("prefix hits", "prefix_hits");
     row("prefix misses", "prefix_misses");
     row("evictions", "evictions");

@@ -60,7 +60,7 @@
  * Observability sinks (both map modes; see DESIGN.md §9):
  *   --stats-json F        one document {"result": ..., "engine": ...}
  *                         with the search outcome and the evaluation
- *                         engine's cache/latency statistics
+ *                         engine's counters and latency statistics
  *   --trace-json F        Chrome trace_event JSON of the search's spans
  *                         (load into https://ui.perfetto.dev)
  *   --metrics-json F      {"engine": ..., "registry": ...} counters,
@@ -86,9 +86,8 @@
  *       MappingResponse per line out (src/service/request.hh is the
  *       schema; field values are the same strings the map flags take).
  *       Identical deterministic requests are deduplicated against the
- *       session's result cache (`"cached": true` in the response) and
- *       repeat layer structures hit the shared engine's memo cache —
- *       the per-request `engine_delta.hit_rate` makes both observable.
+ *       session's result cache (`"cached": true` in the response, with
+ *       `engine_delta.evaluations` 0).
  *       A {"kind": "health"} line scrapes session/engine/registry
  *       metrics. EOF or SIGINT/SIGTERM shuts down cleanly (exit 0);
  *       --metrics-json captures the final health document.
@@ -457,16 +456,13 @@ cmdMapNet(const Args &a)
     std::printf("total energy %.6g pJ, total delay %.6g s, "
                 "EDP %.6g J*s\n",
                 r.totalEnergyPj, r.totalDelaySeconds, r.totalEdp);
-    std::printf("engine: %lld evaluations, %lld cache hits, "
-                "%lld misses, %lld prunes (%.2f s)\n",
-                static_cast<long long>(r.stats.evaluations),
-                static_cast<long long>(r.stats.cacheHits),
-                static_cast<long long>(r.stats.cacheMisses),
-                static_cast<long long>(r.stats.prunes), r.seconds);
+    const SearchStats engine = session.engine().stats();
+    std::printf("engine: %lld evaluations, %lld prunes (%.2f s)\n",
+                static_cast<long long>(engine.evaluations),
+                static_cast<long long>(engine.prunes), r.seconds);
     if (a.has("stats-json"))
         artifacts.writeStats("{\"result\": " + r.toJson() +
-                             ", \"engine\": " +
-                             session.engine().stats().toJson() + "}");
+                             ", \"engine\": " + engine.toJson() + "}");
     artifacts.writeFinal();
     return r.allFound ? 0 : 1;
 }
