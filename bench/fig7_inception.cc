@@ -61,8 +61,8 @@ main(int argc, char **argv)
     int tl_never_matches = 0;
 
     // One engine per tool family: Sunstone's telemetry stays separable
-    // from the baselines', while each family shares its prefix cache and
-    // pool across all layers.
+    // from the baselines', while each family shares its pool across all
+    // layers.
     EvalEngine sunEngine;
     EvalEngine baselineEngine;
     // Each search gets a fresh context (its own seed and RNG streams) on

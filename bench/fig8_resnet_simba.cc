@@ -47,7 +47,7 @@ main(int argc, char **argv)
 
     // The whole network goes through the network scheduler on one shared
     // engine: repeated structures are searched once and every search
-    // shares the prefix cache and pool. Baselines get their own engine so
+    // shares the pool. Baselines get their own engine so
     // the telemetry stays per tool family.
     std::vector<Layer> layers = resnet18Layers(16);
     for (auto &layer : layers)

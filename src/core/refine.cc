@@ -16,14 +16,14 @@ namespace {
 /** Objective of a mapping; infinity when invalid. */
 double
 objective(EvalEngine &engine, const EvalEngine::Context &ctx,
-          const EvalEngine::PrefixHandle &ph, const Mapping &m, bool edp,
+          const PrefixTerms *prefix, const Mapping &m, bool edp,
           RefineStats *stats, SearchDriver *driver)
 {
     if (stats)
         ++stats->evaluated;
     if (driver)
         driver->noteEvaluated(1);
-    CostResult r = engine.evaluate(ctx, m, {}, ph);
+    CostResult r = engine.evaluate(ctx, m, {}, prefix);
     if (!r.valid)
         return std::numeric_limits<double>::infinity();
     return edp ? r.edp : r.totalEnergyPj;
@@ -32,7 +32,7 @@ objective(EvalEngine &engine, const EvalEngine::Context &ctx,
 /**
  * A candidate move plus the lowest level it touched: levels below
  * `prefixLevels` are identical to the round's base mapping, so the
- * evaluation can reuse the base's cached prefix terms.
+ * evaluation can reuse the base's prefix terms.
  */
 struct Neighbour
 {
@@ -122,25 +122,29 @@ polishMapping(EvalEngine &eng, const BoundArch &ba, const Mapping &m,
     SUNSTONE_TRACE_SPAN("refine.hillclimb");
     const EvalEngine::Context ctx = eng.context(ba);
     Mapping best = m;
-    double best_obj = objective(eng, ctx, EvalEngine::PrefixHandle{}, best,
-                                optimize_edp, stats, driver);
+    double best_obj =
+        objective(eng, ctx, nullptr, best, optimize_edp, stats, driver);
+    // terms[p]: the round base's levels [0, p), for p in [1, nl).
+    std::vector<PrefixTerms> terms(ba.numLevels());
     for (int round = 0; round < max_rounds; ++round) {
         if (driver && driver->shouldStop())
             break;
         bool improved = false;
         // Neighbours are generated from the round's base mapping, and
         // each shares that base's levels below its lowest changed one:
-        // evaluate through the memoized prefix terms of the base so only
+        // evaluate through the base's terms for those levels so only
         // the touched levels are recomputed.
         const Mapping base = best;
+        for (int p = 1; p < ba.numLevels(); ++p)
+            buildPrefixTerms(ba, base, p, threadEvalScratch(), terms[p]);
         std::vector<Neighbour> ns = neighbours(ba, base);
         for (auto &n : ns) {
             if (driver && driver->shouldStop())
                 break;
-            const EvalEngine::PrefixHandle ph =
-                eng.prefix(ctx, base, n.prefixLevels);
-            const double obj =
-                objective(eng, ctx, ph, n.m, optimize_edp, stats, driver);
+            const PrefixTerms *prefix =
+                n.prefixLevels > 0 ? &terms[n.prefixLevels] : nullptr;
+            const double obj = objective(eng, ctx, prefix, n.m,
+                                         optimize_edp, stats, driver);
             if (obj < best_obj) {
                 best_obj = obj;
                 best = std::move(n.m);

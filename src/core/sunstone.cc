@@ -100,6 +100,10 @@ struct Collector
     EvalEngine::ScoreTally tally;
     std::int64_t examined = 0;
     std::int64_t prunes = 0;
+
+    /** The current bottom-up expansion's decided levels [0, k), k > 0:
+     *  built once per expansion, read by every completion score. */
+    PrefixTerms prefix;
 };
 
 template <class Int>
@@ -272,6 +276,9 @@ struct Expansion
     std::uint32_t baseIndex;
     const Partial &base;
     Partial work = base;
+    /** The decided levels' terms every score reuses (null top-down and
+     *  at step 0, where no level is decided). */
+    const PrefixTerms *prefix = nullptr;
     /** Capacity-check scratch (tile shapes). */
     std::vector<std::int64_t> shape{};
 
@@ -333,8 +340,8 @@ class Driver
                 for (const Mapping &seed : sc.warmStarts()) {
                     if (!seed.valid(ba))
                         continue;
-                    const double e = engine.scoreEnergy(
-                        ctx, EvalEngine::PrefixHandle{}, seed, cmo, tally);
+                    const double e =
+                        engine.scoreEnergy(ctx, nullptr, seed, cmo, tally);
                     if (e < incumbent_)
                         incumbent_ = e;
                 }
@@ -603,7 +610,7 @@ class Driver
      */
     double
     scoreCompletion(Partial &p, const std::vector<DimId> &fill_order,
-                    bool bottom_up, const EvalEngine::PrefixHandle &ph,
+                    bool bottom_up, const PrefixTerms *prefix,
                     EvalEngine::ScoreTally &tally) const
     {
         const int fill = bottom_up ? nLevels - 1 : 0;
@@ -629,8 +636,8 @@ class Driver
         // by the stratified beam (see expandBeam), and the final pick
         // over the surviving beam uses the real objective. Completions
         // are scored through the allocation-free fast path; the
-        // decided-level prefix terms come from the step's shared handle.
-        const double e = engine.scoreEnergy(ctx, ph, p.m, cmo, tally);
+        // decided-level prefix terms are the expansion's.
+        const double e = engine.scoreEnergy(ctx, prefix, p.m, cmo, tally);
         lm.temporal.assign(saved_temporal.begin(), saved_temporal.end());
         if (bottom_up)
             lm.order.assign(saved_order.begin(), saved_order.end());
@@ -664,15 +671,14 @@ class Driver
      *  it, appends its record and factors to the entry's collector. */
     void
     emit(Expansion &ex, std::uint32_t ordering, const std::int64_t *tile,
-         const std::int64_t *unroll, bool bottom_up,
-         const EvalEngine::PrefixHandle &ph)
+         const std::int64_t *unroll, bool bottom_up)
     {
         Collector &col = ex.col;
         if (drv_->shouldStop(col.tally.calls))
             return;
         const double score =
             scoreCompletion(ex.work, col.orderings[ordering].order,
-                            bottom_up, ph, col.tally);
+                            bottom_up, ex.prefix, col.tally);
         ++col.examined;
         if (col.tally.calls == kFlushEvery)
             flush(col);
@@ -869,9 +875,13 @@ class Driver
             static_cast<std::uint32_t>(col.bases.size() - 1);
         Expansion ex{col, base_index, col.bases.back()};
         // All candidates emitted below share the absorbed base's decided
-        // levels [0, k): build (or fetch) their contribution terms once,
-        // so every completion score only walks the undecided suffix.
-        const EvalEngine::PrefixHandle ph = engine.prefix(ctx, ex.base.m, k);
+        // levels [0, k): build their contribution terms once, so every
+        // completion score only walks the undecided suffix.
+        if (k > 0) {
+            buildPrefixTerms(ba, ex.base.m, k, threadEvalScratch(),
+                             col.prefix);
+            ex.prefix = &col.prefix;
+        }
         const std::vector<std::int64_t> base_shape = ex.base.m.tileShape(k);
         const std::vector<std::int64_t> &base_rem = ex.base.remaining;
         const DimSet active = activeDims(base_rem);
@@ -958,7 +968,7 @@ class Driver
                     col.examined += w.nodesVisited;
                     for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
                         emitCandidate(ex, k, first_ordering + o,
-                                      w.tiles.data() + t, u.data(), ph);
+                                      w.tiles.data() + t, u.data());
                 }
                 if (!shared_later[o])
                     walks.drop(grows[o]);
@@ -976,7 +986,7 @@ class Driver
                 for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
                     emitTileUnrolls(ex, k, first_ordering + o,
                                     w.tiles.data() + t, fanout_above,
-                                    allowedUnrollDimsFor(orderings[o]), ph);
+                                    allowedUnrollDimsFor(orderings[o]));
                 if (!shared_later[o])
                     walks.drop(grows[o]);
             }
@@ -997,7 +1007,7 @@ class Driver
         for (std::size_t t = 0; t < w.tiles.size(); t += nDims)
             for (std::uint32_t o = 0; o < orderings.size(); ++o)
                 emitTileUnrolls(ex, k, first_ordering + o, w.tiles.data() + t,
-                                fanout_above, allow_union, ph);
+                                fanout_above, allow_union);
     }
 
     // Span-wrapped enumerators: every (order, tile, unroll) decision in
@@ -1037,7 +1047,7 @@ class Driver
     void
     emitTileUnrolls(Expansion &ex, int k, std::uint32_t ordering,
                     const std::int64_t *tile, std::int64_t fanout_above,
-                    DimSet allowed, const EvalEngine::PrefixHandle &ph)
+                    DimSet allowed)
     {
         std::vector<std::int64_t> rem = ex.base.remaining;
         for (DimId d = 0; d < nDims; ++d)
@@ -1045,7 +1055,7 @@ class Driver
         for (const auto &u : countedUnrolls(ex.col, allowed, rem,
                                             fanout_above,
                                             opts.utilizationThreshold))
-            emitCandidate(ex, k, ordering, tile, u.data(), ph);
+            emitCandidate(ex, k, ordering, tile, u.data());
     }
 
     /** Capacity check of m's level-l tile (`shape` is scratch). */
@@ -1062,15 +1072,14 @@ class Driver
      *  unroll) triple in ex.work, then resets the levels it touched. */
     void
     emitCandidate(Expansion &ex, int k, std::uint32_t ordering,
-                  const std::int64_t *tile, const std::int64_t *unroll,
-                  const EvalEngine::PrefixHandle &ph)
+                  const std::int64_t *tile, const std::int64_t *unroll)
     {
         apply(ex.work, k, /*bottom_up=*/true, tile, unroll,
               ex.col.orderings[ordering]);
         // The spatially enlarged tile must fit the level above even
         // before its own temporal loops are chosen.
         if (tileFits(ex.work.m, k + 1, ex.shape))
-            emit(ex, ordering, tile, unroll, /*bottom_up=*/true, ph);
+            emit(ex, ordering, tile, unroll, /*bottom_up=*/true);
         ex.reset(k, k + 1);
     }
 
@@ -1104,7 +1113,7 @@ class Driver
                     apply(ex.work, k, /*bottom_up=*/false, tile.data(),
                           u.data(), col.orderings[first_ordering + o]);
                     emit(ex, first_ordering + o, tile.data(), u.data(),
-                         /*bottom_up=*/false, EvalEngine::PrefixHandle{});
+                         /*bottom_up=*/false);
                     ex.reset(k, k);
                 }
             }

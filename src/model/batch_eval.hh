@@ -2,8 +2,8 @@
  * @file
  * Name of the evaluation backend. Every evaluation runs the scalar cost
  * model (cost_model.hh): EvalEngine's one evaluation loop, which
- * evaluate() and every evaluateBatch() chunk share, evaluates its
- * mappings one by one through evaluateMappingInto().
+ * evaluate() and evaluateBatch() share, evaluates its mappings one by
+ * one through evaluateMappingInto() in the calling thread.
  *
  * Nothing in the library reads this header. It stays only because
  * benchmark/driver.cc prints backendName() in its run header and JSON

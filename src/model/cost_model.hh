@@ -259,7 +259,7 @@ struct EvalScratch
 EvalScratch &threadEvalScratch();
 
 /**
- * Cached per-(tensor, chain-pair) contribution terms of a decided-level
+ * Per-(tensor, chain-pair) contribution terms of a decided-level
  * prefix. For every storage-chain pair (consumer c, provider l) that lies
  * entirely below `prefixLevels` the mapping-dependent factors of the
  * access-count formulas are precomputed, so an evaluation against a
@@ -269,8 +269,9 @@ EvalScratch &threadEvalScratch();
  * spatial factors of levels [0, prefixLevels) plus the relative order of
  * their factor>1 temporal loops (level 0's order never matters — no
  * consumer sits below it). Two mappings that agree on those fields may
- * share one PrefixTerms, which is how EvalEngine::prefix() keys its
- * cache.
+ * share one PrefixTerms. The caller that builds the terms owns them: the
+ * core search keeps one per bottom-up expansion and the hill climb one
+ * per prefix length of its round's base (DESIGN.md §11).
  */
 struct PrefixTerms
 {

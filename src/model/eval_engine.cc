@@ -1,6 +1,5 @@
 #include "model/eval_engine.hh"
 
-#include <algorithm>
 #include <chrono>
 #include <cstring>
 #include <limits>
@@ -59,8 +58,6 @@ SearchStats::deltaSince(const SearchStats &earlier) const
     d.evaluations -= earlier.evaluations;
     d.invalidMappings -= earlier.invalidMappings;
     d.prunes -= earlier.prunes;
-    d.prefixHits -= earlier.prefixHits;
-    d.prefixMisses -= earlier.prefixMisses;
     d.scratchReuses -= earlier.scratchReuses;
     d.batches -= earlier.batches;
     return d;
@@ -81,8 +78,6 @@ SearchStats::toJson() const
     field("evaluations", evaluations);
     field("invalid_mappings", invalidMappings);
     field("prunes", prunes);
-    field("prefix_hits", prefixHits);
-    field("prefix_misses", prefixMisses);
     field("scratch_reuses", scratchReuses);
     field("batches", batches);
     // Piece by piece: GCC 12 raises a false -Wrestrict on
@@ -152,8 +147,8 @@ EvalEngine::context(const BoundArch &ba) const
             }
         }
         // Residency classes change evaluation semantics, so a fused
-        // (ephemeral) variant of an op must never share prefix entries
-        // or dedup groups with its per-layer twin. Folded only when an
+        // (ephemeral) variant of an op must never share a dedup group
+        // with its per-layer twin. Folded only when an
         // ephemeral tensor exists so every pre-fusion fingerprint (and
         // any checkpoint carrying one) is preserved verbatim.
         if (ba.anyEphemeral())
@@ -164,92 +159,18 @@ EvalEngine::context(const BoundArch &ba) const
     return Context(&ba, h);
 }
 
-void
-EvalEngine::canonicalPrefixKey(const Mapping &m, int prefix_levels,
-                               std::vector<std::int64_t> &out) const
-{
-    // Prefix terms are a pure function of factors and reduced orders
-    // (see PrefixTerms). Level 0's order is never consumed by the cost
-    // model, and factor-1 loops are skipped wherever orders are walked,
-    // so only the relative order of active loops above level 0 is keyed.
-    const int nd = m.numDims();
-    out.clear();
-    out.reserve(static_cast<std::size_t>(prefix_levels) * (3 * nd + 1) + 1);
-    out.push_back(prefix_levels);
-    for (int l = 0; l < prefix_levels; ++l) {
-        const auto &lm = m.level(l);
-        for (DimId d = 0; d < nd; ++d)
-            out.push_back(lm.temporal[d]);
-        for (DimId d = 0; d < nd; ++d)
-            out.push_back(lm.spatial[d]);
-        if (l == 0)
-            continue;
-        out.push_back(-1); // separator keeps the key unambiguous
-        for (DimId d : lm.order)
-            if (lm.temporal[d] > 1)
-                out.push_back(d);
-    }
-}
-
 CostResult
 EvalEngine::evaluate(const Context &ctx, const Mapping &m,
-                     const CostModelOptions &opts, const PrefixHandle &ph)
+                     const CostModelOptions &opts, const PrefixTerms *prefix)
 {
     CostResult r;
-    evaluateChunk(ctx, std::span<const Mapping>(&m, 1), opts,
-                  ph.terms_.get(), std::span<CostResult>(&r, 1));
+    evaluateSpan(ctx, std::span<const Mapping>(&m, 1), opts, prefix,
+                 std::span<CostResult>(&r, 1));
     return r;
 }
 
-EvalEngine::PrefixHandle
-EvalEngine::prefix(const Context &ctx, const Mapping &base,
-                   int prefix_levels)
-{
-    PrefixHandle handle;
-    if (prefix_levels <= 0)
-        return handle; // empty handle: nothing decided, plain path
-
-    thread_local std::vector<std::int64_t> key;
-    canonicalPrefixKey(base, prefix_levels, key);
-    const std::uint64_t h = hashFactors(key, ctx.fingerprint());
-
-    // Call with prefixMtx_ held: serves a stored snapshot as a hit.
-    auto serveStored = [&] {
-        auto it = prefixCache_.find(h);
-        if (it == prefixCache_.end() || it->second.key != key)
-            return false;
-        prefixHits_.add(1);
-        handle.terms_ = it->second.terms;
-        return true;
-    };
-    {
-        std::lock_guard<std::mutex> lk(prefixMtx_);
-        if (serveStored())
-            return handle;
-    }
-
-    auto terms = std::make_shared<PrefixTerms>();
-    buildPrefixTerms(ctx.boundArch(), base, prefix_levels,
-                     threadEvalScratch(), *terms);
-
-    // A concurrent build of the same prefix may have inserted first; its
-    // snapshot is returned and this call counts a hit, so the counts do
-    // not depend on thread timing.
-    std::lock_guard<std::mutex> lk(prefixMtx_);
-    if (serveStored())
-        return handle;
-    prefixMisses_.add(1);
-    if (prefixCache_.size() >= kMaxPrefixEntries)
-        prefixCache_.clear();
-    PrefixEntry &e = prefixCache_[h];
-    e.key = key;
-    e.terms = terms;
-    handle.terms_ = std::move(terms);
-    return handle;
-}
-
 double
-EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
+EvalEngine::scoreEnergy(const Context &ctx, const PrefixTerms *prefix,
                         const Mapping &m, const CostModelOptions &opts,
                         ScoreTally &tally)
 {
@@ -260,7 +181,7 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixHandle &ph,
     EvalScratch &scratch = threadEvalScratch();
     const std::int64_t reuse0 = scratch.reuseCount();
     const std::optional<double> energy = scoreEnergyInto(
-        ctx.boundArch(), m, opts, scratch, ph.terms_.get());
+        ctx.boundArch(), m, opts, scratch, prefix);
     tally.scratchReuses += scratch.reuseCount() - reuse0;
     if (timed) {
         ++tally.timedCalls;
@@ -302,31 +223,13 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
         return;
     batches_.add(1);
     batchSize_.record(static_cast<double>(ms.size()));
-
-    // Fixed-size chunks independent of the pool geometry: chunk c always
-    // covers the same index range, so the latency samples are the same
-    // for any thread count.
-    constexpr std::size_t kChunk = 64;
-    const std::size_t nChunks = (ms.size() + kChunk - 1) / kChunk;
-    auto runChunk = [&](std::size_t c) {
-        const std::size_t lo = c * kChunk;
-        const std::size_t n = std::min(ms.size() - lo, kChunk);
-        evaluateChunk(ctx, ms.subspan(lo, n), opts, nullptr,
-                      std::span<CostResult>(out).subspan(lo, n));
-    };
-    if (nChunks == 1 || threads_ == 1) {
-        for (std::size_t c = 0; c < nChunks; ++c)
-            runChunk(c);
-        return;
-    }
-    parallelFor(pool(), nChunks, runChunk);
+    evaluateSpan(ctx, ms, opts, nullptr, out);
 }
 
 void
-EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                          const CostModelOptions &opts,
-                          const PrefixTerms *prefix,
-                          std::span<CostResult> out)
+EvalEngine::evaluateSpan(const Context &ctx, std::span<const Mapping> ms,
+                         const CostModelOptions &opts,
+                         const PrefixTerms *prefix, std::span<CostResult> out)
 {
     const auto n = static_cast<std::int64_t>(ms.size());
     evaluations_.add(n);
@@ -340,7 +243,7 @@ EvalEngine::evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
         invalid += out[i].valid ? 0 : 1;
     }
     scratchReuses_.add(scratch.reuseCount() - reuse0);
-    // The chunk's per-eval mean, weighted by its evaluations: one
+    // The span's per-eval mean, weighted by its evaluations: one
     // observation per model invocation without a clock read per mapping.
     const double us = std::chrono::duration<double, std::micro>(
                           std::chrono::steady_clock::now() - t0)
@@ -365,8 +268,6 @@ EvalEngine::stats() const
     s.evaluations = evaluations_.value();
     s.invalidMappings = invalid_.value();
     s.prunes = prunes_.value();
-    s.prefixHits = prefixHits_.value();
-    s.prefixMisses = prefixMisses_.value();
     s.scratchReuses = scratchReuses_.value();
     s.batches = batches_.value();
     s.evalLatencyUs = evalLatencyUs_.snapshot();

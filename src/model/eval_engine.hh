@@ -4,23 +4,21 @@
  * which every search in the repository (the Sunstone driver, the local
  * refinement pass, and all baseline mappers) evaluates mappings.
  *
- * The engine provides, in one place, what each search previously
- * hand-rolled or lacked entirely:
+ * The engine provides, in one place:
  *  - atomic telemetry counters (evaluations, invalid mappings,
- *    alpha-beta prunes, prefix lookups), exported as a SearchStats
- *    snapshot with JSON rendering (wall-clock attribution is left to
- *    the trace spans);
- *  - a bounded cache of decided-prefix cost terms (see prefix()), keyed
- *    by a structural fingerprint of the bound architecture/workload
- *    pair plus the prefix's factors and cost-relevant loop orders
- *    (DESIGN.md §8, §11);
+ *    alpha-beta prunes, scratch reuses, batches), exported as a
+ *    SearchStats snapshot with JSON rendering (wall-clock attribution is
+ *    left to the trace spans);
  *  - a lazily created shared ThreadPool, so nested searches (network
- *    scheduler over per-layer searches) stop oversubscribing threads.
+ *    scheduler over per-layer searches, the core beam's expansions) stop
+ *    oversubscribing threads.
  *
- * Every evaluation runs the analytical model: there is no result memo.
- * evaluate() is a batch of one, so evaluate() and evaluateBatch() share
- * one chunk loop and every counter. The pool size is the one
- * construction argument.
+ * The engine keeps no cache: every evaluation runs the analytical model
+ * in the calling thread. evaluate() is a batch of one, so evaluate() and
+ * evaluateBatch() share one evaluation loop and every counter. Decided-
+ * prefix terms (PrefixTerms in cost_model.hh) are owned by the caller
+ * that built them and passed in by pointer (DESIGN.md §11). The pool size
+ * is the one construction argument.
  *
  * The free function evaluateMapping() in cost_model.hh remains the raw
  * analytical model (and the engine's backend); search code must evaluate
@@ -30,14 +28,11 @@
 #ifndef SUNSTONE_MODEL_EVAL_ENGINE_HH
 #define SUNSTONE_MODEL_EVAL_ENGINE_HH
 
-#include <atomic>
 #include <cstdint>
 #include <memory>
 #include <mutex>
 #include <span>
 #include <string>
-#include <unordered_map>
-#include <utility>
 #include <vector>
 
 #include "common/thread_pool.hh"
@@ -67,9 +62,11 @@ struct SearchStats
     std::int64_t prunes = 0;
     /** Always 0; see cacheHits. */
     std::int64_t evictions = 0;
-    /** Prefix-term cache hits/misses (see EvalEngine::prefix()). A miss
-     *  counts only when its insert creates the entry, so the counts do
-     *  not depend on thread timing. */
+    /**
+     * Always 0: the engine keeps no prefix-term cache (callers own their
+     * PrefixTerms). Kept, like cacheHits, only because the repository
+     * benchmark's driver still reads them; nothing writes them.
+     */
     std::int64_t prefixHits = 0;
     std::int64_t prefixMisses = 0;
     /** Model invocations that reused the per-thread scratch arena. */
@@ -126,28 +123,6 @@ class EvalEngine
         std::uint64_t fp_;
     };
 
-    /**
-     * A shared, immutable snapshot of the contribution terms of a
-     * decided-level prefix (see PrefixTerms in cost_model.hh). Obtained
-     * from prefix(); cheap to copy and safe to share across threads. A
-     * default-constructed (empty) handle is valid everywhere a handle is
-     * accepted and simply selects the non-incremental path.
-     */
-    class PrefixHandle
-    {
-      public:
-        PrefixHandle() = default;
-        bool valid() const { return terms_ != nullptr; }
-        int prefixLevels() const
-        {
-            return terms_ ? terms_->prefixLevels : 0;
-        }
-
-      private:
-        friend class EvalEngine;
-        std::shared_ptr<const PrefixTerms> terms_;
-    };
-
     /** `threads` sizes the shared pool; 0 means hardware_concurrency(). */
     explicit EvalEngine(unsigned threads = 1);
     ~EvalEngine();
@@ -160,28 +135,15 @@ class EvalEngine
 
     /**
      * Evaluates one mapping: a batch of one (see evaluateBatch()), so it
-     * counts and times exactly as a one-mapping batch chunk. With a
-     * non-empty `ph` the model reuses the handle's decided-prefix terms
-     * and only recomputes the undecided levels; the result is
+     * counts and times exactly as a one-mapping batch. With `prefix`
+     * (built by buildPrefixTerms()) the model reuses its decided-level
+     * terms and only recomputes the undecided levels; the result is
      * bit-identical to the plain evaluation for any mapping whose
-     * canonical prefix matches the handle's.
+     * canonical prefix matches the one the terms were built from.
      */
     CostResult evaluate(const Context &ctx, const Mapping &m,
                         const CostModelOptions &opts = {},
-                        const PrefixHandle &ph = {});
-
-    /**
-     * Returns (building on demand) the contribution terms of levels
-     * [0, prefix_levels) of `base`. Handles are memoized in a bounded
-     * cache keyed by the context fingerprint plus the canonical prefix:
-     * factors and the orders of loops with a temporal factor above 1,
-     * level 0's order dropped (the cost model consumes neither), so
-     * repeated requests for equivalent prefixes share one snapshot.
-     * prefix_levels <= 0 returns an empty handle. A miss counts only
-     * when this call's insert creates the entry.
-     */
-    PrefixHandle prefix(const Context &ctx, const Mapping &base,
-                        int prefix_levels);
+                        const PrefixTerms *prefix = nullptr);
 
     /**
      * Caller-owned counts of scoreEnergy() calls, added to the engine's
@@ -204,7 +166,8 @@ class EvalEngine
 
     /**
      * Allocation-free scoring fast path: runs scoreEnergyInto() on
-     * per-thread buffers and returns only the total energy (pJ);
+     * per-thread buffers, with the caller's optional prefix terms, and
+     * returns only the total energy (pJ);
      * infinity for invalid mappings. This is what
      * high-volume completion scoring calls — identical numbers to
      * evaluate(...).totalEnergyPj, and no CostResult is built.
@@ -212,7 +175,7 @@ class EvalEngine
      * atomic write, and reads the clock only for one call in
      * kScoreSampleEvery.
      */
-    double scoreEnergy(const Context &ctx, const PrefixHandle &ph,
+    double scoreEnergy(const Context &ctx, const PrefixTerms *prefix,
                        const Mapping &m, const CostModelOptions &opts,
                        ScoreTally &tally);
 
@@ -225,15 +188,11 @@ class EvalEngine
     void addScores(ScoreTally &tally);
 
     /**
-     * Evaluates a batch of mappings: the batch is cut into fixed-size
-     * chunks (independent of the pool size, so the latency samples are
-     * the same for any thread count) and the chunks
-     * are spread over the pool. out[i] corresponds to ms[i] and is
-     * bit-identical to evaluateMapping() of ms[i], invalidReason
-     * included. A chunk runs evaluateMappingInto() on the thread's
-     * scratch for each of its mappings. The per-eval latency histogram
-     * gets one sample per chunk, the chunk's mean weighted by its
-     * evaluations.
+     * Evaluates a batch of mappings in the calling thread: one loop of
+     * evaluateMappingInto() on the thread's scratch. out[i] corresponds
+     * to ms[i] and is bit-identical to evaluateMapping() of ms[i],
+     * invalidReason included. The per-eval latency histogram gets one
+     * sample per batch, the batch's mean weighted by its evaluations.
      */
     void evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
                        const CostModelOptions &opts,
@@ -241,7 +200,8 @@ class EvalEngine
 
     /**
      * The shared worker pool, created on first use with the configured
-     * thread count. Use TaskGroup/parallelFor for scoped joins.
+     * thread count. The engine itself never uses it; the searches that
+     * share the engine do (TaskGroup/parallelFor for scoped joins).
      */
     ThreadPool &pool();
 
@@ -252,27 +212,12 @@ class EvalEngine
     SearchStats stats() const;
 
   private:
-    struct PrefixEntry
-    {
-        std::vector<std::int64_t> key;
-        std::shared_ptr<const PrefixTerms> terms;
-    };
-
-    void canonicalPrefixKey(const Mapping &m, int prefix_levels,
-                            std::vector<std::int64_t> &out) const;
-    /** The one evaluation loop: evaluate() and every evaluateBatch()
-     *  chunk. */
-    void evaluateChunk(const Context &ctx, std::span<const Mapping> ms,
-                       const CostModelOptions &opts,
-                       const PrefixTerms *prefix,
-                       std::span<CostResult> out);
+    /** The one evaluation loop: evaluate() and evaluateBatch(). */
+    void evaluateSpan(const Context &ctx, std::span<const Mapping> ms,
+                      const CostModelOptions &opts,
+                      const PrefixTerms *prefix, std::span<CostResult> out);
 
     unsigned threads_;
-
-    /** Bounded cache of prefix-term snapshots (cleared when full). */
-    static constexpr std::size_t kMaxPrefixEntries = 4096;
-    mutable std::mutex prefixMtx_;
-    std::unordered_map<std::uint64_t, PrefixEntry> prefixCache_;
 
     // Per-engine telemetry uses the obs primitives directly (not the
     // process-wide registry) so two engines in one process — e.g. the
@@ -280,8 +225,6 @@ class EvalEngine
     obs::Counter evaluations_;
     obs::Counter invalid_;
     obs::Counter prunes_;
-    obs::Counter prefixHits_;
-    obs::Counter prefixMisses_;
     obs::Counter scratchReuses_;
     obs::Counter batches_;
     obs::Histogram evalLatencyUs_;

@@ -5,8 +5,8 @@
  * all six baseline mappers — runs through a SearchDriver, which owns,
  * in exactly one place:
  *
- *  - batching candidates into EvalEngine::evaluateBatch (parallel
- *    evaluation, *serial* in-order result consumption, so outcomes are
+ *  - batching candidates into EvalEngine::evaluateBatch (evaluated and
+ *    consumed in order on the driver thread, so outcomes are
  *    bit-identical regardless of thread count);
  *  - best-so-far tracking and the convergence trajectory;
  *  - StopPolicy enforcement (deadline, max-evals, plateau, invalid

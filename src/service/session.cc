@@ -41,9 +41,9 @@ SchedulerSession::SchedulerSession(SessionOptions opts)
 {
     threads_ = opts_.threads != 0
                    ? opts_.threads
-                   // The CLI's historical default: a small pool so traces
-                   // show real parallelism even where
-                   // hardware_concurrency() reports 1 (CI containers).
+                   // A small pool, so traces show real parallelism even
+                   // where hardware_concurrency() reports 1 (CI
+                   // containers).
                    : std::clamp(std::thread::hardware_concurrency(), 2u,
                                 8u);
     engine_ = std::make_unique<EvalEngine>(threads_);

@@ -4,7 +4,7 @@
  * service core extracted from the CLI monolith. One SchedulerSession
  * owns everything that is worth keeping warm across requests —
  *
- *  - the shared EvalEngine (prefix-term cache + thread pool);
+ *  - the shared EvalEngine (its counters and thread pool);
  *  - the warm-start store: realized bests are recorded after every
  *    found Map search, and requests that opt in (`warm_start: true`)
  *    are seeded from the stored bests of structurally similar layers;
@@ -26,8 +26,8 @@
  * `sunstone serve` (many requests over NDJSON), and embedders. The CLI
  * path is bit-identical to the pre-service monolith for fixed seeds:
  * the session runs the same mapper code under the same options, and
- * the engine's prefix cache cannot change search results (a collision
- * degrades to a miss, never a wrong value).
+ * the engine keeps no cache that could carry state from one request
+ * into another's results.
  */
 
 #ifndef SUNSTONE_SERVICE_SESSION_HH
@@ -57,7 +57,7 @@ namespace service {
 struct SessionOptions
 {
     /** Engine pool size; 0 = hardware_concurrency clamped to [2, 8]
-     *  (the CLI's historical default). */
+     *  (also the CLI's default, without --threads). */
     unsigned threads = 0;
 
     /**
@@ -102,7 +102,7 @@ class SchedulerSession
     SchedulerSession(const SchedulerSession &) = delete;
     SchedulerSession &operator=(const SchedulerSession &) = delete;
 
-    /** The session engine (shared prefix cache + pool). */
+    /** The session engine (shared counters + pool). */
     EvalEngine &engine() { return *engine_; }
 
     /** The cancellation flag every request's StopPolicy points at. */

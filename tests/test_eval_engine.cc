@@ -1,6 +1,7 @@
 /** @file
- * Tests for the unified evaluation engine (telemetry, prefix cache,
- * shared pool) and the network-level scheduler built on it.
+ * Tests for the unified evaluation engine (telemetry, caller-owned
+ * prefix terms, shared pool) and the network-level scheduler built on
+ * it.
  */
 
 #include <gtest/gtest.h>
@@ -68,8 +69,8 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
 {
     // evaluate() and a one-mapping evaluateBatch() on twin engines must
     // return the same bits and move the same counters: a valid mapping,
-    // an invalid one and a mapping evaluated through prefix terms, each
-    // twice.
+    // an invalid one and a mapping evaluated through the caller's prefix
+    // terms, each twice.
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
     Mapping valid = naiveMapping(ba);
@@ -88,25 +89,24 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
     EvalEngine batch;
     const EvalEngine::Context cs = single.context(ba);
     const EvalEngine::Context cb = batch.context(ba);
-    const EvalEngine::PrefixHandle ph = single.prefix(cs, valid, 1);
-    ASSERT_TRUE(ph.valid());
+    PrefixTerms level0;
+    buildPrefixTerms(ba, valid, 1, threadEvalScratch(), level0);
 
     struct Case
     {
         const char *what;
         const Mapping &m;
-        const EvalEngine::PrefixHandle &ph;
+        const PrefixTerms *prefix;
     };
-    const EvalEngine::PrefixHandle none;
-    const Case cases[] = {{"valid", valid, none},
-                          {"invalid", invalid, none},
-                          {"prefixed", above, ph}};
+    const Case cases[] = {{"valid", valid, nullptr},
+                          {"invalid", invalid, nullptr},
+                          {"prefixed", above, &level0}};
     for (const Case &c : cases)
         for (int rep = 0; rep < 2; ++rep) {
             SCOPED_TRACE(std::string(c.what) + " #" + std::to_string(rep));
             const SearchStats s0 = single.stats();
             const SearchStats b0 = batch.stats();
-            const CostResult r = single.evaluate(cs, c.m, {}, c.ph);
+            const CostResult r = single.evaluate(cs, c.m, {}, c.prefix);
             std::vector<CostResult> out;
             batch.evaluateBatch(cb, std::span<const Mapping>(&c.m, 1), {},
                                 out);
@@ -129,11 +129,10 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
 
 TEST(EvalEngine, CountsAreThreadInvariant)
 {
-    // 21 distinct mappings, some of them invalid, spread over four
-    // 64-mapping chunks, and 168 prefix requests for 42 distinct
-    // prefixes, so at four threads the prefix builds race to insert the
-    // same keys. A miss counts only when its insert creates the entry,
-    // so every count is the same at 1 and 4 threads.
+    // 21 distinct mappings, some of them invalid, in 256 requests: one
+    // batch plus the same mappings evaluated one by one, on the calling
+    // thread or spread over four pool workers. Every count is a
+    // function of the requests, so it is the same at 1 and 4 threads.
     Workload wl = makeGemm(16, 16, 16);
     BoundArch ba(makeToyArch(64, 4), wl);
     const Mapping naive = naiveMapping(ba);
@@ -153,7 +152,6 @@ TEST(EvalEngine, CountsAreThreadInvariant)
         m.level(0).temporal[2] = 2; // dim 2 now multiplies to 32
         distinct.push_back(std::move(m));
     }
-    const auto nDistinct = static_cast<std::int64_t>(distinct.size());
     std::vector<Mapping> ms;
     std::int64_t invalid = 0;
     for (std::size_t i = 0; i < 256; ++i) {
@@ -171,40 +169,29 @@ TEST(EvalEngine, CountsAreThreadInvariant)
             const EvalEngine::Context ctx = engine.context(ba);
             std::vector<CostResult> out;
             engine.evaluateBatch(ctx, ms, {}, out);
-            // One prefix snapshot per distinct level 0 and prefix length
-            // (level 1 is all ones), each requested four times.
-            std::vector<std::pair<const Mapping *, int>> prefixes;
-            for (int rep = 0; rep < 4; ++rep)
-                for (const Mapping &m : distinct)
-                    for (int p : {1, 2})
-                        prefixes.emplace_back(&m, p);
-            auto buildPrefix = [&](std::size_t i) {
-                engine.prefix(ctx, *prefixes[i].first, prefixes[i].second);
+            auto evaluateOne = [&](std::size_t i) {
+                engine.evaluate(ctx, ms[i]);
             };
             if (threads == 1)
-                for (std::size_t i = 0; i < prefixes.size(); ++i)
-                    buildPrefix(i);
+                for (std::size_t i = 0; i < ms.size(); ++i)
+                    evaluateOne(i);
             else
-                parallelFor(engine.pool(), prefixes.size(), buildPrefix);
+                parallelFor(engine.pool(), ms.size(), evaluateOne);
 
             const SearchStats s = engine.stats();
-            EXPECT_EQ(s.evaluations, 256);
-            EXPECT_EQ(s.invalidMappings, invalid);
-            EXPECT_EQ(s.prefixMisses, 2 * nDistinct);
-            EXPECT_EQ(s.prefixHits,
-                      static_cast<std::int64_t>(prefixes.size()) -
-                          2 * nDistinct);
+            EXPECT_EQ(s.evaluations, 2 * 256);
+            EXPECT_EQ(s.invalidMappings, 2 * invalid);
         }
 }
 
 TEST(EvalEngine, BatchLatencyHistogramCountsEveryEvaluation)
 {
-    // A batch chunk is timed as one interval, but it records one
-    // latency observation per evaluation it timed, so the histogram's
-    // count tracks evaluations (and its sum their busy time), not chunks.
+    // A batch is timed as one interval, but it records one latency
+    // observation per evaluation it timed, so the histogram's count
+    // tracks evaluations (and its sum their busy time), not batches.
     Workload wl = makeGemm(16, 16, 16);
     BoundArch ba(makeToyArch(64, 4), wl);
-    const std::vector<Mapping> batch(200, naiveMapping(ba)); // 3 chunks + 8
+    const std::vector<Mapping> batch(200, naiveMapping(ba));
     for (unsigned threads : {1u, 4u}) {
         EvalEngine engine(threads);
         const EvalEngine::Context ctx = engine.context(ba);
@@ -232,9 +219,8 @@ TEST(EvalEngine, ScoreTallyAddsExactCounts)
 
     EvalEngine engine;
     const EvalEngine::Context ctx = engine.context(ba);
-    const EvalEngine::PrefixHandle none;
     EvalEngine::ScoreTally tally;
-    engine.scoreEnergy(ctx, none, good, {}, tally); // warms the scratch
+    engine.scoreEnergy(ctx, nullptr, good, {}, tally); // warms the scratch
     engine.addScores(tally);
     const SearchStats before = engine.stats();
 
@@ -242,8 +228,8 @@ TEST(EvalEngine, ScoreTallyAddsExactCounts)
     std::int64_t invalid = 0;
     for (std::int64_t i = 0; i < n; ++i) {
         const bool broken = i % 7 == 3;
-        const double e = engine.scoreEnergy(ctx, none, broken ? bad : good,
-                                            {}, tally);
+        const double e = engine.scoreEnergy(
+            ctx, nullptr, broken ? bad : good, {}, tally);
         EXPECT_EQ(std::isinf(e), broken) << i;
         invalid += broken ? 1 : 0;
     }

@@ -2,10 +2,14 @@
 
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <string>
+
 #include "arch/presets.hh"
 #include "core/refine.hh"
 #include "core/sunstone.hh"
 #include "mappers/gamma_mapper.hh"
+#include "mapping/serialize.hh"
 #include "model/eval_engine.hh"
 #include "workload/zoo.hh"
 
@@ -63,6 +67,95 @@ TEST(Refine, RespectsObjectiveChoice)
         polishMapping(engine, ba, naiveMapping(ba), /*edp=*/true);
     EXPECT_LE(evaluateMapping(ba, by_energy).totalEnergyPj,
               evaluateMapping(ba, by_edp).totalEnergyPj * 1.0001);
+}
+
+struct PinnedPolish
+{
+    const char *problem;
+    bool edp;
+    /** The polished mapping's objective (EDP or energy), as %a. */
+    const char *objective;
+    std::int64_t evaluated;
+    int movesAccepted;
+    const char *mapping;
+};
+
+const PinnedPolish kPinnedPolish[] = {
+    {"conventional", true, "0x1.14bb5a1c5c3f3p-27", 489, 14,
+     R"(mapping
+level L1 temporal k=16,p=2,q=4,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal - spatial k=4,p=7,q=7,r=3 order n,k,c,p,q,r,s
+level DRAM temporal c=64,p=2 spatial - order n,k,p,q,r,s,c
+)"},
+    {"conventional", false, "0x1.66f4d35ed3834p+26", 519, 15,
+     R"(mapping
+level L1 temporal k=2,p=7,q=7,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal - spatial k=32,p=4,q=4 order n,k,c,p,q,r,s
+level DRAM temporal c=64 spatial - order n,k,p,q,r,s,c
+)"},
+    {"simba", true, "0x1.c0f51c357ac85p-36", 1158, 18,
+     R"(mapping
+level WeightReg temporal p=8,q=8 spatial c=2,s=3 order n,k,c,p,q,r,s
+level PEBuf temporal k=2,c=8 spatial k=4,c=2 order n,k,c,p,q,r,s
+level L2 temporal - spatial k=4,r=3 order n,k,c,p,q,r,s
+level DRAM temporal - spatial - order n,k,c,p,q,r,s
+)"},
+    {"simba", false, "0x1.cef81d6b274ep+21", 750, 14,
+     R"(mapping
+level WeightReg temporal k=8,p=8,q=8 spatial - order n,k,c,p,q,r,s
+level PEBuf temporal k=2,r=3,s=3 spatial - order n,k,c,p,q,r,s
+level L2 temporal - spatial k=2 order n,k,c,p,q,r,s
+level DRAM temporal c=32 spatial - order n,k,p,q,r,s,c
+)"},
+};
+
+/**
+ * The hill climb from the naive mapping, pinned: mapping, objective
+ * bits, evaluations and accepted moves. Each neighbour is evaluated
+ * through the decided-level terms of its round's base mapping; terms
+ * built from any other mapping (a stale base, a shared prefix that is
+ * not the neighbour's) change an objective, and so the climb.
+ */
+TEST(Refine, PolishOutcomeIsPinned)
+{
+    ConvShape conv;
+    conv.k = 64;
+    conv.c = 64;
+    conv.p = 28;
+    conv.q = 28;
+    conv.r = 3;
+    conv.s = 3;
+    ConvShape small;
+    small.k = 32;
+    small.c = 32;
+    small.p = 8;
+    small.q = 8;
+    small.r = 3;
+    small.s = 3;
+    Workload simbaWl = makeConv2D(small);
+    applySimbaPrecisions(simbaWl);
+    const BoundArch conventional(makeConventional(), makeConv2D(conv));
+    const BoundArch simba(makeSimbaLike(), simbaWl);
+
+    for (const PinnedPolish &pin : kPinnedPolish) {
+        SCOPED_TRACE(std::string(pin.problem) +
+                     (pin.edp ? " edp" : " energy"));
+        const BoundArch &ba =
+            std::string(pin.problem) == "simba" ? simba : conventional;
+        EvalEngine engine;
+        RefineStats rs;
+        const Mapping m =
+            polishMapping(engine, ba, naiveMapping(ba), pin.edp, 64, &rs);
+        const CostResult r = evaluateMapping(ba, m);
+        ASSERT_TRUE(r.valid) << r.invalidReason;
+        char objective[64];
+        std::snprintf(objective, sizeof objective, "%a",
+                      pin.edp ? r.edp : r.totalEnergyPj);
+        EXPECT_EQ(mappingToText(m, ba), pin.mapping);
+        EXPECT_STREQ(objective, pin.objective);
+        EXPECT_EQ(rs.evaluated, pin.evaluated);
+        EXPECT_EQ(rs.movesAccepted, pin.movesAccepted);
+    }
 }
 
 TEST(Gamma, FindsValidMappingOnSmallConv)

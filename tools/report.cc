@@ -148,8 +148,6 @@ printCache(const JsonValue &engine)
             std::printf("  %-18s %.1f%%\n", "hit rate",
                         100.0 * h / (h + m));
     }
-    row("prefix hits", "prefix_hits");
-    row("prefix misses", "prefix_misses");
     row("evictions", "evictions");
     row("scratch reuses", "scratch_reuses");
     row("invalid mappings", "invalid_mappings");

@@ -66,7 +66,8 @@
  *   --metrics-json F      {"engine": ..., "registry": ...} counters,
  *                         gauges, and histograms
  *   --convergence-json F  incumbent-vs-evaluations trajectories
- * --threads defaults to hardware_concurrency clamped to [2, 8].
+ * --threads defaults to hardware_concurrency clamped to [2, 8] (the
+ *   session's default pool size).
  *
  * Live telemetry (both map modes; see DESIGN.md §14):
  *   --progress            throttled single-line progress on stderr
@@ -118,7 +119,6 @@
  * retired flag never runs silently ignored.
  */
 
-#include <algorithm>
 #include <cstdio>
 #include <cstring>
 #include <fstream>
@@ -126,7 +126,6 @@
 #include <set>
 #include <sstream>
 #include <string>
-#include <thread>
 
 #include "arch/arch_config.hh"
 #include "common/parse.hh"
@@ -273,11 +272,10 @@ finiteArg(const Args &a, const char *name)
 unsigned
 threadsFromArgs(const Args &a)
 {
-    if (a.has("threads"))
-        return static_cast<unsigned>(positiveArg(a, "threads", 4096));
-    // Default to a small pool so traces show real parallelism even on
-    // boxes where hardware_concurrency() reports 1 (CI containers).
-    return std::clamp(std::thread::hardware_concurrency(), 2u, 8u);
+    // 0 selects SchedulerSession's default pool size.
+    if (!a.has("threads"))
+        return 0;
+    return static_cast<unsigned>(positiveArg(a, "threads", 4096));
 }
 
 /** Maps the shared map/eval/net flags onto the request schema. */
