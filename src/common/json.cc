@@ -280,6 +280,11 @@ JsonValue::asInt(std::int64_t dflt) const
     std::int64_t v = 0;
     if (tryParseInt64(raw, v))
         return v;
+    // Other spellings ("1e3", "2.0") count when they name an int64
+    // exactly; 2^63 is the first double past the range.
+    if (std::trunc(number) != number || number < -0x1p63 ||
+        number >= 0x1p63)
+        return dflt;
     return static_cast<std::int64_t>(number);
 }
 

@@ -85,7 +85,8 @@ struct JsonValue
     /** @return the named object field, or nullptr when absent. */
     const JsonValue *find(const std::string &name) const;
 
-    /** @return the number as int64 (exact via raw text), else `dflt`. */
+    /** @return the number as int64 (exact via raw text) when it is an
+     *  integer in int64 range, else `dflt`. */
     std::int64_t asInt(std::int64_t dflt = 0) const;
 
     /** @return the number as double, else `dflt`. */

@@ -178,15 +178,18 @@ class WalkMemo
     WalkMemo(const WalkMemo &) = delete;
     WalkMemo &operator=(const WalkMemo &) = delete;
 
-    /** Publishes the expansion's walk counts, once. */
+    /** Publishes the expansion's walk and probe counts, once. */
     ~WalkMemo()
     {
         static obs::Counter &walks =
             obs::metrics().counter("sunstone.tiling.walks");
         static obs::Counter &reused =
             obs::metrics().counter("sunstone.tiling.walks_reused");
+        static obs::Counter &probes =
+            obs::metrics().counter("sunstone.tiling.probes");
         walks.add(walks_);
         reused.add(reused_);
+        probes.add(probes_);
     }
 
     /**
@@ -217,6 +220,7 @@ class WalkMemo
         for (const auto &tile : r.maximal)
             w.tiles.insert(w.tiles.end(), tile.begin(), tile.end());
         w.nodesVisited = r.nodesVisited;
+        probes_ += r.fitProbes;
         return w;
     }
 
@@ -262,6 +266,8 @@ class WalkMemo
     Walk scratch_;
     std::int64_t walks_ = 0;
     std::int64_t reused_ = 0;
+    /** Capacity checks of the fresh walks. */
+    std::int64_t probes_ = 0;
 };
 
 /**

@@ -7,7 +7,9 @@
  * the upper-level ordering reuses). A node with any fitting child is
  * strictly dominated (the child reuses more) and is pruned; the surviving
  * candidates are the maximal fitting tiles (Fig. 5). The walk itself is
- * a canonical-order depth-first one (DESIGN.md §4).
+ * a column walk (DESIGN.md §4): the fitting tiles along one grow dim are
+ * a prefix, so it binary-searches each prefix's top and visits only the
+ * tops, deriving the counts of the nodes in between.
  */
 
 #ifndef SUNSTONE_CORE_TILING_TREE_HH
@@ -28,9 +30,13 @@ struct TilingTreeResult
      *  breadth-first order: divisor-index depth ascending, then the
      *  vector lexicographically descending in DimId order. */
     std::vector<std::vector<std::int64_t>> maximal;
-    /** Nodes examined (the "space size" contribution): every fitting
-     *  tile plus every rejected growth probe of one. */
+    /** Size of the explored tree (the "space size" contribution): every
+     *  fitting tile plus every rejected growth of one. A lattice count
+     *  the walk derives from the prefix tops, not a count of probes. */
     std::int64_t nodesVisited = 0;
+    /** Capacity checks the walk made, the check of the unit tile
+     *  included. */
+    std::int64_t fitProbes = 0;
     /** Size of the unpruned grow-dim divisor lattice (0 when even the
      *  unit tile overflows). */
     std::int64_t unprunedSpace = 0;

@@ -1,5 +1,6 @@
 #include "service/request.hh"
 
+#include <limits>
 #include <sstream>
 
 #include "arch/presets.hh"
@@ -210,6 +211,9 @@ MappingRequest::toJson() const
 
 namespace {
 
+/** The widest beam a request may ask for (the CLI's --beam cap). */
+constexpr std::int64_t kMaxBeam = 1 << 30;
+
 bool
 fail(std::string *err, const std::string &msg)
 {
@@ -280,8 +284,9 @@ MappingRequest::fromJson(const JsonValue &v, MappingRequest &out,
                 return fail(err, "unknown objective '" + o + "'");
         } else if (name == "beam") {
             const std::int64_t b = field.asInt(-1);
-            if (b <= 0)
-                return fail(err, "beam must be a positive integer");
+            if (b <= 0 || b > kMaxBeam)
+                return fail(err, "beam must be an integer in [1, " +
+                                     std::to_string(kMaxBeam) + "]");
             out.beamWidth = static_cast<int>(b);
         } else if (name == "budget_seconds") {
             out.budgetSeconds = field.asDouble();
@@ -340,8 +345,11 @@ MappingRequest::fromJson(const JsonValue &v, MappingRequest &out,
             for (const auto &[cn, cv] : field.fields) {
                 if (cn == "trials") {
                     const std::int64_t t = cv.asInt(-1);
-                    if (t < 1)
-                        return fail(err, "check.trials must be >= 1");
+                    const int most = std::numeric_limits<int>::max();
+                    if (t < 1 || t > most)
+                        return fail(err,
+                                    "check.trials must be an integer in "
+                                    "[1, " + std::to_string(most) + "]");
                     out.checkTrials = static_cast<int>(t);
                 } else if (cn == "seed") {
                     const std::int64_t s = cv.asInt(-1);

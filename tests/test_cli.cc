@@ -130,6 +130,12 @@ TEST(Cli, NumericFlagMatrixRejectsJunkCleanly)
     }
     // Bounded flags reject values past their inclusive cap.
     expectUsageError(conv + "--threads 4097", "--threads");
+    // --trials is capped at INT_MAX: 4294967297 once wrapped to 1 trial.
+    for (const std::string v : {"0", "abc", "2147483648", "4294967297"})
+        expectUsageError("check --trials " + v, "--trials");
+    auto capped = runCli("check --trials 2147483648", /*stderr_only=*/true);
+    EXPECT_NE(capped.output.find("must be <= 2147483647"), std::string::npos)
+        << capped.output;
 
     // --snapshot-interval-ms is only parsed alongside --snapshot-json.
     const std::string snap =

@@ -4,6 +4,7 @@
 
 #include <atomic>
 
+#include "common/json.hh"
 #include "common/logging.hh"
 #include "common/thread_pool.hh"
 
@@ -39,6 +40,35 @@ TEST(Logging, QuietSuppressesWarnings)
     SUNSTONE_WARN("visible");
     EXPECT_NE(::testing::internal::GetCapturedStderr().find("visible"),
               std::string::npos);
+}
+
+/** asInt() is exact for integer literals, accepts other spellings of
+ *  an int64 and returns the default for anything else. */
+TEST(Json, AsIntReturnsDefaultUnlessAnInt64)
+{
+    auto asInt = [](const std::string &text) {
+        JsonValue v;
+        std::string err;
+        EXPECT_TRUE(parseJson(text, v, &err)) << text << ": " << err;
+        return v.asInt(-7);
+    };
+    EXPECT_EQ(asInt("42"), 42);
+    EXPECT_EQ(asInt("-3"), -3);
+    EXPECT_EQ(asInt("9223372036854775807"), INT64_MAX);
+    EXPECT_EQ(asInt("-9223372036854775808"), INT64_MIN);
+    EXPECT_EQ(asInt("1e3"), 1000);
+    EXPECT_EQ(asInt("2.0"), 2);
+    EXPECT_EQ(asInt("-0.0"), 0);
+    EXPECT_EQ(asInt("-9.223372036854775808e18"), INT64_MIN);
+
+    EXPECT_EQ(asInt("2.5"), -7);
+    EXPECT_EQ(asInt("-0.5"), -7);
+    EXPECT_EQ(asInt("1e300"), -7);
+    EXPECT_EQ(asInt("-1e300"), -7);
+    EXPECT_EQ(asInt("9.3e18"), -7);
+    EXPECT_EQ(asInt("9223372036854775808"), -7);
+    EXPECT_EQ(asInt("\"5\""), -7);
+    EXPECT_EQ(asInt("null"), -7);
 }
 
 TEST(ThreadPool, RunsAllTasks)

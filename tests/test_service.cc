@@ -125,6 +125,44 @@ TEST(ServiceRequest, RejectsUnknownAndMalformedFields)
     EXPECT_FALSE(MappingRequest::fromJson(JsonValue{}, req, &err));
 }
 
+/** Integer fields that would wrap in the request's int fields are
+ *  rejected (serve answers ok:false), not truncated to a small value. */
+TEST(ServiceRequest, RejectsIntegersThatWouldWrap)
+{
+    std::string err;
+    JsonValue v;
+    MappingRequest req;
+
+    // 2^32 + 1 wraps to 1 as an int.
+    ASSERT_TRUE(parseJson("{\"beam\": 4294967297}", v, &err));
+    EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
+    EXPECT_NE(err.find("beam must be"), std::string::npos) << err;
+    ASSERT_TRUE(parseJson("{\"beam\": 1073741825}", v, &err));
+    EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
+    ASSERT_TRUE(parseJson("{\"beam\": 1073741824}", v, &err));
+    ASSERT_TRUE(MappingRequest::fromJson(v, req, &err)) << err;
+    EXPECT_EQ(req.beamWidth, 1 << 30);
+
+    ASSERT_TRUE(
+        parseJson("{\"check\": {\"trials\": 4294967297}}", v, &err));
+    EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
+    EXPECT_NE(err.find("check.trials must be"), std::string::npos) << err;
+    ASSERT_TRUE(
+        parseJson("{\"check\": {\"trials\": 2147483648}}", v, &err));
+    EXPECT_FALSE(MappingRequest::fromJson(v, req, &err));
+    ASSERT_TRUE(
+        parseJson("{\"check\": {\"trials\": 2147483647}}", v, &err));
+    ASSERT_TRUE(MappingRequest::fromJson(v, req, &err)) << err;
+    EXPECT_EQ(req.checkTrials, 2147483647);
+
+    // Non-integral and out-of-range numbers are not integers either.
+    for (const char *beam : {"2.5", "1e300", "-1e300"}) {
+        ASSERT_TRUE(parseJson(std::string("{\"beam\": ") + beam + "}", v,
+                              &err));
+        EXPECT_FALSE(MappingRequest::fromJson(v, req, &err)) << beam;
+    }
+}
+
 TEST(ServiceSession, RepeatRequestIsDedupedWithWarmEngine)
 {
     SchedulerSession session(quietSession());

@@ -470,6 +470,44 @@ TEST(TilingTreeReference, EdgeCasesMatchBruteForce)
     c.remaining = c.wl.shape();
     c.grow = c.wl.reuse(c.wl.tensorByName("ofmap")).indexing;
     expectMatchesReference(c);
+
+    // The column walk's own regimes. The column is the grow dim with the
+    // most divisors; in a 16x12x16 GEMM dims 0 and 2 have 5, dim 1 has 6.
+    c.wl = makeGemm(16, 12, 16);
+    c.base = {1, 1, 1};
+    c.remaining = c.wl.shape();
+
+    // A single grow dim: no rows, only the column's top.
+    c.grow = DimSet();
+    c.grow.add(2);
+    c.arch = makeToyArch(16, 1);
+    expectMatchesReference(c);
+    c.arch = makeToyArch(1024, 1);
+    expectMatchesReference(c);
+
+    // Dims 0 and 2 tie in divisor count.
+    c.grow.add(0);
+    c.arch = makeToyArch(48, 1);
+    expectMatchesReference(c);
+
+    // The column (dim 1) is not the lowest DimId.
+    c.grow = DimSet::all(3);
+    expectMatchesReference(c);
+
+    // A grow dim whose quotient is 1 is exhausted from the start.
+    c.remaining = {16, 1, 16};
+    expectMatchesReference(c);
+    c.remaining = c.wl.shape();
+
+    // The unit tile fits but no column growth does (top 0).
+    c.base = {2, 1, 2};
+    c.arch = makeToyArch(9, 1);
+    expectMatchesReference(c);
+
+    // A row dim whose first growth overflows even at column index 0.
+    c.base = {1, 1, 1};
+    c.arch = makeToyArch(4, 1);
+    expectMatchesReference(c);
 }
 
 } // namespace

@@ -122,6 +122,7 @@
 #include <cstdio>
 #include <cstring>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -553,11 +554,9 @@ cmdCheck(const Args &a)
     MappingRequest req;
     req.kind = RequestKind::Check;
     std::int64_t v;
-    if (a.has("trials")) {
-        if (!tryParseInt64(a.get("trials"), v) || v < 1)
-            SUNSTONE_FATAL("--trials needs a positive integer");
-        req.checkTrials = static_cast<int>(v);
-    }
+    if (a.has("trials"))
+        req.checkTrials = static_cast<int>(
+            positiveArg(a, "trials", std::numeric_limits<int>::max()));
     if (a.has("seed")) {
         if (!tryParseInt64(a.get("seed"), v) || v < 0)
             SUNSTONE_FATAL("--seed needs a non-negative integer");
