@@ -580,14 +580,10 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         if (fu.done)
             board.noteUnitDone();
 
-    // Warm-start store: loaded once before the fan-outs (a missing file
-    // just means an empty store) and only *read* while searches run,
-    // so concurrent queries need no locking and results stay
-    // deterministic. Realized bests are recorded back serially below.
-    WarmStartStore wstore;
-    const bool useWarmstart = !opts.warmstartStore.empty();
-    if (useWarmstart)
-        wstore.load(opts.warmstartStore);
+    // Warm-start store: only *read* while searches run, so concurrent
+    // queries need no locking and results stay deterministic. Realized
+    // bests are recorded back serially below.
+    WarmStartStore *const wstore = opts.warmStarts;
 
     // Runs one Sunstone search in its own child context: the
     // network-wide hard deadline and cancellation flag are shared
@@ -605,8 +601,8 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
             child.setHardDeadline(*sc.hardDeadline());
         if (sc.hasSeed())
             child.setSeed(sc.seed());
-        if (useWarmstart)
-            child.setWarmStarts(wstore.query(ba));
+        if (wstore)
+            child.setWarmStarts(wstore->query(ba));
         return sunstoneOptimize(child, ba, so);
     };
     const auto fom = [&](const CostResult &c) {
@@ -670,20 +666,15 @@ scheduleNet(SearchContext &sc, const ArchSpec &arch, const NetGraph &g,
         obs::metrics().counter("net.fusion.unit_searches").add(
             static_cast<std::int64_t>(fusedUnits.size()));
 
-    if (useWarmstart) {
+    if (wstore) {
         // Serial, in unique order: deterministic store contents. Only
         // per-op results are recorded (fused costs assume residency).
-        bool changed = false;
         for (const Unique &u : uniques)
-            if (u.search.found &&
-                wstore.record(*u.ba, u.ba->workload().name(),
-                              u.search.cost.edp, u.search.mapping))
-                changed = true;
-        if (changed && !wstore.save(opts.warmstartStore))
-            SUNSTONE_WARN("failed to write warm-start store '",
-                          opts.warmstartStore, "'");
+            if (u.search.found)
+                wstore->record(*u.ba, u.ba->workload().name(),
+                               u.search.cost.edp, u.search.mapping);
         obs::metrics().gauge("net.warmstart.store_entries")
-            .set(static_cast<double>(wstore.size()));
+            .set(static_cast<double>(wstore->size()));
     }
 
     // ---- Decide per group --------------------------------------------

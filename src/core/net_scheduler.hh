@@ -45,6 +45,8 @@
 
 namespace sunstone {
 
+class WarmStartStore;
+
 /** How the scheduler treats producer→consumer edges of a NetGraph. */
 enum class FusionMode
 {
@@ -64,13 +66,14 @@ struct NetSchedulerOptions
     FusionMode fusion = FusionMode::Off;
 
     /**
-     * Path of the persistent warm-start store (see warmstart.hh).
-     * When set, each unique layer's search is seeded from the stored
-     * best mappings of structurally similar layers, and every realized
-     * best is recorded back (the file is created when missing). Empty
-     * disables warm starting.
+     * The caller's warm-start store (see warmstart.hh), or null to
+     * disable warm starting. When set, each unique layer's search is
+     * seeded from the stored best mappings of structurally similar
+     * layers, and every realized per-op best is recorded back into it.
+     * The scheduler reads and writes no file: persisting the store is
+     * the caller's.
      */
-    std::string warmstartStore;
+    WarmStartStore *warmStarts = nullptr;
 };
 
 /** Outcome for one input layer. */

@@ -16,37 +16,26 @@ namespace {
 /** Objective of a mapping; infinity when invalid. */
 double
 objective(EvalEngine &engine, const EvalEngine::Context &ctx,
-          const PrefixTerms *prefix, const Mapping &m, bool edp,
-          RefineStats *stats, SearchDriver *driver)
+          const Mapping &m, bool edp, RefineStats *stats,
+          SearchDriver *driver)
 {
     if (stats)
         ++stats->evaluated;
     if (driver)
         driver->noteEvaluated(1);
-    CostResult r = engine.evaluate(ctx, m, {}, prefix);
+    CostResult r = engine.evaluate(ctx, m);
     if (!r.valid)
         return std::numeric_limits<double>::infinity();
     return edp ? r.edp : r.totalEnergyPj;
 }
 
-/**
- * A candidate move plus the lowest level it touched: levels below
- * `prefixLevels` are identical to the round's base mapping, so the
- * evaluation can reuse the base's prefix terms.
- */
-struct Neighbour
-{
-    Mapping m;
-    int prefixLevels = 0;
-};
-
 /** Generates all single-prime-factor move neighbours of m. */
-std::vector<Neighbour>
+std::vector<Mapping>
 neighbours(const BoundArch &ba, const Mapping &m)
 {
     const int nl = m.numLevels();
     const int nd = m.numDims();
-    std::vector<Neighbour> out;
+    std::vector<Mapping> out;
 
     // Every (level, temporal|spatial) slot is a possible source and
     // destination for one prime factor of each dim.
@@ -87,8 +76,7 @@ neighbours(const BoundArch &ba, const Mapping &m)
                     factorRef(n, src, d) /= p;
                     factorRef(n, dst, d) =
                         satMul(factorRef(n, dst, d), p);
-                    out.push_back(
-                        {std::move(n), std::min(src.level, dst.level)});
+                    out.push_back(std::move(n));
                 }
             }
         }
@@ -106,7 +94,7 @@ neighbours(const BoundArch &ba, const Mapping &m)
             auto &order = n.level(l).order;
             order.erase(std::find(order.begin(), order.end(), d));
             order.push_back(d);
-            out.push_back({std::move(n), l});
+            out.push_back(std::move(n));
         }
     }
     return out;
@@ -122,32 +110,20 @@ polishMapping(EvalEngine &eng, const BoundArch &ba, const Mapping &m,
     SUNSTONE_TRACE_SPAN("refine.hillclimb");
     const EvalEngine::Context ctx = eng.context(ba);
     Mapping best = m;
-    double best_obj =
-        objective(eng, ctx, nullptr, best, optimize_edp, stats, driver);
-    // terms[p]: the round base's levels [0, p), for p in [1, nl).
-    std::vector<PrefixTerms> terms(ba.numLevels());
+    double best_obj = objective(eng, ctx, best, optimize_edp, stats, driver);
     for (int round = 0; round < max_rounds; ++round) {
         if (driver && driver->shouldStop())
             break;
         bool improved = false;
-        // Neighbours are generated from the round's base mapping, and
-        // each shares that base's levels below its lowest changed one:
-        // evaluate through the base's terms for those levels so only
-        // the touched levels are recomputed.
-        const Mapping base = best;
-        for (int p = 1; p < ba.numLevels(); ++p)
-            buildPrefixTerms(ba, base, p, threadEvalScratch(), terms[p]);
-        std::vector<Neighbour> ns = neighbours(ba, base);
+        std::vector<Mapping> ns = neighbours(ba, best);
         for (auto &n : ns) {
             if (driver && driver->shouldStop())
                 break;
-            const PrefixTerms *prefix =
-                n.prefixLevels > 0 ? &terms[n.prefixLevels] : nullptr;
-            const double obj = objective(eng, ctx, prefix, n.m,
-                                         optimize_edp, stats, driver);
+            const double obj =
+                objective(eng, ctx, n, optimize_edp, stats, driver);
             if (obj < best_obj) {
                 best_obj = obj;
-                best = std::move(n.m);
+                best = std::move(n);
                 improved = true;
             }
         }

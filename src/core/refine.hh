@@ -29,9 +29,8 @@ struct RefineStats
 /**
  * Hill climbs from `m` and returns the improved mapping.
  *
- * @param engine evaluation engine. Each round builds its base mapping's
- *        prefix terms once; a neighbour is evaluated through the terms
- *        of the levels it shares with that base.
+ * @param engine evaluation engine; every neighbour is one full
+ *        evaluate() call.
  * @param ba bound architecture/workload
  * @param m valid starting mapping
  * @param optimize_edp objective (EDP or energy)

@@ -100,10 +100,6 @@ struct Collector
     EvalEngine::ScoreTally tally;
     std::int64_t examined = 0;
     std::int64_t prunes = 0;
-
-    /** The current bottom-up expansion's decided levels [0, k), k > 0:
-     *  built once per expansion, read by every completion score. */
-    PrefixTerms prefix;
 };
 
 template <class Int>
@@ -282,9 +278,6 @@ struct Expansion
     std::uint32_t baseIndex;
     const Partial &base;
     Partial work = base;
-    /** The decided levels' terms every score reuses (null top-down and
-     *  at step 0, where no level is decided). */
-    const PrefixTerms *prefix = nullptr;
     /** Capacity-check scratch (tile shapes). */
     std::vector<std::int64_t> shape{};
 
@@ -347,7 +340,7 @@ class Driver
                     if (!seed.valid(ba))
                         continue;
                     const double e =
-                        engine.scoreEnergy(ctx, nullptr, seed, cmo, tally);
+                        engine.scoreEnergy(ctx, seed, cmo, tally);
                     if (e < incumbent_)
                         incumbent_ = e;
                 }
@@ -616,8 +609,7 @@ class Driver
      */
     double
     scoreCompletion(Partial &p, const std::vector<DimId> &fill_order,
-                    bool bottom_up, const PrefixTerms *prefix,
-                    EvalEngine::ScoreTally &tally) const
+                    bool bottom_up, EvalEngine::ScoreTally &tally) const
     {
         const int fill = bottom_up ? nLevels - 1 : 0;
         auto &lm = p.m.level(fill);
@@ -641,9 +633,8 @@ class Driver
         // too noisy to rank by EDP. Parallelism diversity is preserved
         // by the stratified beam (see expandBeam), and the final pick
         // over the surviving beam uses the real objective. Completions
-        // are scored through the allocation-free fast path; the
-        // decided-level prefix terms are the expansion's.
-        const double e = engine.scoreEnergy(ctx, prefix, p.m, cmo, tally);
+        // are scored through the allocation-free fast path.
+        const double e = engine.scoreEnergy(ctx, p.m, cmo, tally);
         lm.temporal.assign(saved_temporal.begin(), saved_temporal.end());
         if (bottom_up)
             lm.order.assign(saved_order.begin(), saved_order.end());
@@ -684,7 +675,7 @@ class Driver
             return;
         const double score =
             scoreCompletion(ex.work, col.orderings[ordering].order,
-                            bottom_up, ex.prefix, col.tally);
+                            bottom_up, col.tally);
         ++col.examined;
         if (col.tally.calls == kFlushEvery)
             flush(col);
@@ -880,14 +871,6 @@ class Driver
         const auto base_index =
             static_cast<std::uint32_t>(col.bases.size() - 1);
         Expansion ex{col, base_index, col.bases.back()};
-        // All candidates emitted below share the absorbed base's decided
-        // levels [0, k): build their contribution terms once, so every
-        // completion score only walks the undecided suffix.
-        if (k > 0) {
-            buildPrefixTerms(ba, ex.base.m, k, threadEvalScratch(),
-                             col.prefix);
-            ex.prefix = &col.prefix;
-        }
         const std::vector<std::int64_t> base_shape = ex.base.m.tileShape(k);
         const std::vector<std::int64_t> &base_rem = ex.base.remaining;
         const DimSet active = activeDims(base_rem);

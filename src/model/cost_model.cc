@@ -149,20 +149,14 @@ fillFirstIdx(EvalScratch &s, DimSet idx)
         s.firstIdx[i] = idx.contains(s.loopDim[i]) ? i : s.firstIdx[i + 1];
 }
 
-/** Continues the spatial-factor product over levels [from, hi]. */
-std::int64_t
-spatialRangeFrom(const EvalScratch &s, int from, int hi, std::int64_t p)
-{
-    for (int l = from; l <= hi; ++l)
-        p = satMul(p, s.levelSpatial[l]);
-    return p;
-}
-
 /** Product of all spatial factors at levels in (lo, hi]. */
 std::int64_t
 spatialRange(const EvalScratch &s, int lo, int hi)
 {
-    return spatialRangeFrom(s, lo + 1, hi, 1);
+    std::int64_t p = 1;
+    for (int l = lo + 1; l <= hi; ++l)
+        p = satMul(p, s.levelSpatial[l]);
+    return p;
 }
 
 /**
@@ -630,22 +624,17 @@ namespace {
 
 /**
  * The integer half of the one true evaluation: computes every
- * per-(level, tensor) access contribution into the scratch arena. When
- * `prefix` is non-null, chain pairs lying entirely below
- * prefix->prefixLevels reuse the cached contribution terms and only the
- * undecided suffix is walked.
+ * per-(level, tensor) access contribution into the scratch arena, walking
+ * every storage-chain pair of every tensor.
  *
- * Bit-identity contract: both paths execute the same satMul chains on
- * the same operands (satMul is a fold over factors >= 1, so a cached
- * prefix product continued over the suffix — or a precomputed suffix
- * product — reproduces the full fold exactly), and the NoC energy is
- * accumulated in chain-pair order, exactly as the historical monolithic
- * evaluateMapping() did.
+ * Bit-identity contract: the suffix tables reproduce the historical
+ * per-pair satMul walks exactly (satMul is a fold over factors >= 1), and
+ * the NoC energy is accumulated in chain-pair order, exactly as the
+ * historical monolithic evaluateMapping() did.
  */
 double
 countAccess(const BoundArch &ba, const Mapping &m,
-            const CostModelOptions &opts, const PrefixTerms *prefix,
-            EvalScratch &s)
+            const CostModelOptions &opts, EvalScratch &s)
 {
     const Workload &wl = ba.workload();
     const ArchSpec &arch = ba.arch();
@@ -664,12 +653,8 @@ countAccess(const BoundArch &ba, const Mapping &m,
         for (int i = s.chainBegin[t]; i < s.chainBegin[t + 1]; ++i)
             s.access[static_cast<std::size_t>(s.chainFlat[i]) * nt + t] =
                 AccessCounts{};
-    SUNSTONE_ASSERT(prefix == nullptr ||
-                        static_cast<int>(prefix->tensors.size()) == nt,
-                    "prefix terms built for a different workload");
 
     const std::int64_t ops = s.totalOps;
-    const int prefix_levels = prefix ? prefix->prefixLevels : 0;
 
     for (TensorId t = 0; t < nt; ++t) {
         const TensorSpec &ts = wl.tensor(t);
@@ -716,48 +701,20 @@ countAccess(const BoundArch &ba, const Mapping &m,
                     continue;
             }
 
-            const PrefixTerms::Pair *pp = nullptr;
-            if (prefix && l < prefix_levels) {
-                pp = &prefix->tensors[t].pairs[i - 1];
-                SUNSTONE_ASSERT(pp->cached, "prefix pair not cached");
-            }
-
-            std::int64_t ev, n_above, fill_unit;
-            std::int64_t spatial_all = 1;
-            bool tile_cached = false;
-            if (pp) {
-                // Continue the cached prefix products over the suffix
-                // tables: when the skip rule already started counting
-                // inside the prefix, every remaining loop counts;
-                // otherwise the first indexing loop at or above the
-                // boundary restarts the product.
-                if (pp->evStarted) {
-                    ev = satMul(pp->evPrefix,
-                                s.loopSuffix[s.loopBegin[prefix_levels]]);
-                } else {
-                    const int f = s.firstIdx[s.loopBegin[prefix_levels]];
-                    ev = f < 0 ? pp->evPrefix
-                               : satMul(pp->evPrefix, s.loopSuffix[f]);
-                }
-                n_above = satMul(pp->nAbovePrefix,
-                                 s.spatialSuffix[prefix_levels]);
-                fill_unit = pp->fillUnit;
-            } else {
-                const int f = s.firstIdx[s.loopBegin[c + 1]];
-                ev = f < 0 ? 1 : s.loopSuffix[f];
-                n_above = s.spatialSuffix[l + 1];
-                spatial_all = spatialRange(s, c, l);
-                // The consumer tile footprint was already computed by
-                // the fits checks (same shapes, same satMul folds);
-                // recompute only when validity was skipped or the
-                // consumer is an exotic mid-stack DRAM level.
-                tile_cached = s.tileFpReady && !arch.levels[c].isDram;
-                const std::int64_t tile_c =
-                    tile_cached
-                        ? s.tileFp[static_cast<std::size_t>(c) * nt + t]
-                        : scratchFootprint(s, t, s.shapes[c].data());
-                fill_unit = satMul(spatial_all, tile_c);
-            }
+            const int f = s.firstIdx[s.loopBegin[c + 1]];
+            const std::int64_t ev = f < 0 ? 1 : s.loopSuffix[f];
+            const std::int64_t n_above = s.spatialSuffix[l + 1];
+            const std::int64_t spatial_all = spatialRange(s, c, l);
+            // The consumer tile footprint was already computed by the
+            // fits checks (same shapes, same satMul folds); recompute
+            // only when validity was skipped or the consumer is an
+            // exotic mid-stack DRAM level.
+            const bool tile_cached =
+                s.tileFpReady && !arch.levels[c].isDram;
+            const std::int64_t tile_c =
+                tile_cached ? s.tileFp[static_cast<std::size_t>(c) * nt + t]
+                            : scratchFootprint(s, t, s.shapes[c].data());
+            const std::int64_t fill_unit = satMul(spatial_all, tile_c);
             // The pair's NoC terms are binding invariants (prepare()).
             const int pair = s.chainBegin[t] + static_cast<int>(i);
             const bool noc = opts.modelNoc && s.chainFan[pair] > 1;
@@ -767,9 +724,7 @@ countAccess(const BoundArch &ba, const Mapping &m,
 
             if (!ts.isOutput) {
                 std::int64_t distinct;
-                if (pp) {
-                    distinct = pp->distinct;
-                } else if (spatial_all == 1) {
+                if (spatial_all == 1) {
                     // A single spatial instance in (c, l]: the union is
                     // that instance's own tile box, whose per-rank
                     // extent product is exactly fill_unit (= satMul(1,
@@ -929,7 +884,7 @@ finalizeResult(const BoundArch &ba, const CostModelOptions &opts,
 std::optional<double>
 validateAndCount(const BoundArch &ba, const Mapping &m,
                  const CostModelOptions &opts, EvalScratch &s,
-                 const PrefixTerms *prefix, std::string *why)
+                 std::string *why)
 {
     if (!opts.assumeValid) {
         if (!detail::checkValid(ba, m, s, why))
@@ -937,7 +892,7 @@ validateAndCount(const BoundArch &ba, const Mapping &m,
     } else {
         fillTables(m, s); // checkValid would have built them
     }
-    return countAccess(ba, m, opts, prefix, s);
+    return countAccess(ba, m, opts, s);
 }
 
 } // anonymous namespace
@@ -959,12 +914,11 @@ evaluateMapping(const BoundArch &ba, const Mapping &m,
 void
 evaluateMappingInto(const BoundArch &ba, const Mapping &m,
                     const CostModelOptions &opts, EvalScratch &s,
-                    CostResult &res, const PrefixTerms *prefix)
+                    CostResult &res)
 {
     s.prepare(ba);
     resetCostResult(res, s.nl, s.nt);
-    const auto noc =
-        validateAndCount(ba, m, opts, s, prefix, &res.invalidReason);
+    const auto noc = validateAndCount(ba, m, opts, s, &res.invalidReason);
     if (!noc) {
         res.valid = false;
         res.edp = std::numeric_limits<double>::infinity();
@@ -977,82 +931,13 @@ evaluateMappingInto(const BoundArch &ba, const Mapping &m,
 
 std::optional<double>
 scoreEnergyInto(const BoundArch &ba, const Mapping &m,
-                const CostModelOptions &opts, EvalScratch &s,
-                const PrefixTerms *prefix)
+                const CostModelOptions &opts, EvalScratch &s)
 {
     s.prepare(ba);
-    const auto noc = validateAndCount(ba, m, opts, s, prefix, nullptr);
+    const auto noc = validateAndCount(ba, m, opts, s, nullptr);
     if (!noc)
         return std::nullopt;
     return sumEnergy(ba, opts, s, *noc);
-}
-
-void
-buildPrefixTerms(const BoundArch &ba, const Mapping &base, int prefix_levels,
-                 EvalScratch &s, PrefixTerms &out)
-{
-    const Workload &wl = ba.workload();
-    s.prepare(ba);
-    fillTables(base, s);
-
-    const int nt = s.nt;
-    SUNSTONE_ASSERT(prefix_levels >= 0 && prefix_levels <= s.nl,
-                    "prefix_levels out of range");
-    out.prefixLevels = prefix_levels;
-    out.tensors.resize(nt);
-
-    for (TensorId t = 0; t < nt; ++t) {
-        const DimSet idx = s.idxDims[t];
-        // Storage chain, innermost first (cached per binding).
-        const int *chain = s.chainFlat.data() + s.chainBegin[t];
-        const int chain_len = s.chainBegin[t + 1] - s.chainBegin[t];
-        SUNSTONE_ASSERT(chain_len > 0, "tensor stored nowhere");
-
-        auto &pairs = out.tensors[t].pairs;
-        pairs.assign(chain_len - 1, PrefixTerms::Pair{});
-        for (int i = 1; i < chain_len; ++i) {
-            const int c = chain[i - 1];
-            const int l = chain[i];
-            auto &p = pairs[i - 1];
-            p.cached = l < prefix_levels;
-            if (!p.cached)
-                continue;
-
-            // Tile-change skip-rule state over the decided levels
-            // (c, prefix_levels): same walk the full evaluation does,
-            // truncated at the prefix boundary.
-            std::int64_t events = 1;
-            bool counting = false;
-            const int begin = s.loopBegin[c + 1];
-            const int end = s.loopBegin[prefix_levels];
-            for (int j = begin; j < end; ++j) {
-                if (!counting && !idx.contains(s.loopDim[j]))
-                    continue;
-                counting = true;
-                events = satMul(events, s.loopFactor[j]);
-            }
-            p.evPrefix = events;
-            p.evStarted = counting;
-
-            p.nAbovePrefix = spatialRangeFrom(s, l + 1, prefix_levels - 1, 1);
-
-            const std::int64_t spatial_all = spatialRange(s, c, l);
-            const std::int64_t tile_c =
-                scratchFootprint(s, t, s.shapes[c].data());
-            p.fillUnit = satMul(spatial_all, tile_c);
-
-            if (wl.tensor(t).isOutput)
-                p.distinct = 0;
-            else if (s.nonMcPrefix[l + 1] == s.nonMcPrefix[c + 1])
-                // Once-per-prefix construction: no cached extent row is
-                // guaranteed to match here, so recompute.
-                p.distinct = multicastDistinctWords(
-                    s, t, s.shapes[c].data(), spatialUpRange(base, s, c, l),
-                    -1);
-            else
-                p.distinct = p.fillUnit;
-        }
-    }
 }
 
 } // namespace sunstone

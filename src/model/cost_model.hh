@@ -33,12 +33,11 @@
  *    read-modify-write at the provider.
  *
  * One evaluation path: evaluateMapping() is evaluateMappingInto() on
- * this thread's scratch, and evaluateMappingInto() takes optional
- * PrefixTerms for the incremental case. scoreEnergyInto() runs the same
- * stages up to the one energy sum and builds no CostResult. Everything that depends only on
- * the binding (storage chains, chain fan and hop factors, the multicast
- * test) is built once per binding by EvalScratch::prepare(), and both
- * the full walk and buildPrefixTerms() read it from there.
+ * this thread's scratch, and every evaluation walks every level of the
+ * mapping. scoreEnergyInto() runs the same stages up to the one energy
+ * sum and builds no CostResult. Everything that depends only on the
+ * binding (storage chains, chain fan and hop factors, the multicast
+ * test) is built once per binding by EvalScratch::prepare().
  */
 
 #ifndef SUNSTONE_MODEL_COST_MODEL_HH
@@ -206,8 +205,8 @@ struct EvalScratch
      * sqrt-hop factor for every storage-chain pair, aligned with
      * chainFlat: pair (chain[i-1], chain[i]) of tensor t lives at index
      * chainBegin[t] + i (index chainBegin[t] itself is unused). Pure
-     * binding invariants — the NoC model reads them, with or without
-     * prefix terms, instead of walking the level range per evaluation.
+     * binding invariants — the NoC model reads them instead of walking
+     * the level range per evaluation.
      */
     std::vector<std::int64_t> chainFan;
     std::vector<double> chainHops;
@@ -259,50 +258,6 @@ struct EvalScratch
 EvalScratch &threadEvalScratch();
 
 /**
- * Per-(tensor, chain-pair) contribution terms of a decided-level
- * prefix. For every storage-chain pair (consumer c, provider l) that lies
- * entirely below `prefixLevels` the mapping-dependent factors of the
- * access-count formulas are precomputed, so an evaluation against a
- * mapping sharing that prefix only walks the undecided suffix.
- *
- * The terms are a pure function of the canonical prefix: the temporal and
- * spatial factors of levels [0, prefixLevels) plus the relative order of
- * their factor>1 temporal loops (level 0's order never matters — no
- * consumer sits below it). Two mappings that agree on those fields may
- * share one PrefixTerms. The caller that builds the terms owns them: the
- * core search keeps one per bottom-up expansion and the hill climb one
- * per prefix length of its round's base (DESIGN.md §11).
- */
-struct PrefixTerms
-{
-    int prefixLevels = 0;
-
-    /** Terms for chain pair i (consumer chain[i-1], provider chain[i]). */
-    struct Pair
-    {
-        /** True when the provider level lies below prefixLevels. */
-        bool cached = false;
-        /** Tile-change skip-rule state after the decided levels. */
-        bool evStarted = false;
-        /** Counted loop-factor product within levels (c, prefixLevels). */
-        std::int64_t evPrefix = 1;
-        /** Spatial product of levels (l, prefixLevels). */
-        std::int64_t nAbovePrefix = 1;
-        /** satMul(spatial product of (c, l], consumer tile footprint). */
-        std::int64_t fillUnit = 1;
-        /** Distinct words delivered per event (inputs; 0 for outputs). */
-        std::int64_t distinct = 0;
-    };
-
-    struct TensorTerms
-    {
-        std::vector<Pair> pairs;
-    };
-
-    std::vector<TensorTerms> tensors;
-};
-
-/**
  * Evaluates a mapping. Invalid mappings return valid=false with a reason
  * and infinite EDP so searches can rank them last.
  */
@@ -313,15 +268,10 @@ CostResult evaluateMapping(const BoundArch &ba, const Mapping &m,
  * Allocation-free variant of evaluateMapping(): writes the result into
  * `res` (reusing its buffers) using the caller-provided scratch arena.
  * Bit-identical to evaluateMapping() — same arithmetic in the same order.
- * With `prefix` (built by buildPrefixTerms() from a mapping with the same
- * canonical prefix as m), chain pairs below prefix->prefixLevels take
- * their cached terms and only the undecided levels are walked; the
- * result is still bit-identical.
  */
 void evaluateMappingInto(const BoundArch &ba, const Mapping &m,
                          const CostModelOptions &opts, EvalScratch &scratch,
-                         CostResult &res,
-                         const PrefixTerms *prefix = nullptr);
+                         CostResult &res);
 
 /**
  * Energy-only evaluation for search scoring: the stages of
@@ -332,17 +282,7 @@ void evaluateMappingInto(const BoundArch &ba, const Mapping &m,
  */
 std::optional<double> scoreEnergyInto(const BoundArch &ba, const Mapping &m,
                                       const CostModelOptions &opts,
-                                      EvalScratch &scratch,
-                                      const PrefixTerms *prefix = nullptr);
-
-/**
- * Precomputes the contribution terms of levels [0, prefix_levels) of
- * `base` into `out`. The result is only valid for mappings whose
- * canonical prefix (see PrefixTerms) equals base's.
- */
-void buildPrefixTerms(const BoundArch &ba, const Mapping &base,
-                      int prefix_levels, EvalScratch &scratch,
-                      PrefixTerms &out);
+                                      EvalScratch &scratch);
 
 namespace detail {
 

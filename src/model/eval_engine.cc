@@ -161,18 +161,17 @@ EvalEngine::context(const BoundArch &ba) const
 
 CostResult
 EvalEngine::evaluate(const Context &ctx, const Mapping &m,
-                     const CostModelOptions &opts, const PrefixTerms *prefix)
+                     const CostModelOptions &opts)
 {
     CostResult r;
-    evaluateSpan(ctx, std::span<const Mapping>(&m, 1), opts, prefix,
+    evaluateSpan(ctx, std::span<const Mapping>(&m, 1), opts,
                  std::span<CostResult>(&r, 1));
     return r;
 }
 
 double
-EvalEngine::scoreEnergy(const Context &ctx, const PrefixTerms *prefix,
-                        const Mapping &m, const CostModelOptions &opts,
-                        ScoreTally &tally)
+EvalEngine::scoreEnergy(const Context &ctx, const Mapping &m,
+                        const CostModelOptions &opts, ScoreTally &tally)
 {
     const bool timed = tally.calls++ % kScoreSampleEvery == 0;
     std::chrono::steady_clock::time_point t0;
@@ -180,8 +179,8 @@ EvalEngine::scoreEnergy(const Context &ctx, const PrefixTerms *prefix,
         t0 = std::chrono::steady_clock::now();
     EvalScratch &scratch = threadEvalScratch();
     const std::int64_t reuse0 = scratch.reuseCount();
-    const std::optional<double> energy = scoreEnergyInto(
-        ctx.boundArch(), m, opts, scratch, prefix);
+    const std::optional<double> energy =
+        scoreEnergyInto(ctx.boundArch(), m, opts, scratch);
     tally.scratchReuses += scratch.reuseCount() - reuse0;
     if (timed) {
         ++tally.timedCalls;
@@ -223,13 +222,13 @@ EvalEngine::evaluateBatch(const Context &ctx, std::span<const Mapping> ms,
         return;
     batches_.add(1);
     batchSize_.record(static_cast<double>(ms.size()));
-    evaluateSpan(ctx, ms, opts, nullptr, out);
+    evaluateSpan(ctx, ms, opts, out);
 }
 
 void
 EvalEngine::evaluateSpan(const Context &ctx, std::span<const Mapping> ms,
                          const CostModelOptions &opts,
-                         const PrefixTerms *prefix, std::span<CostResult> out)
+                         std::span<CostResult> out)
 {
     const auto n = static_cast<std::int64_t>(ms.size());
     evaluations_.add(n);
@@ -238,8 +237,7 @@ EvalEngine::evaluateSpan(const Context &ctx, std::span<const Mapping> ms,
     const std::int64_t reuse0 = scratch.reuseCount();
     std::int64_t invalid = 0;
     for (std::size_t i = 0; i < ms.size(); ++i) {
-        evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch, out[i],
-                            prefix);
+        evaluateMappingInto(ctx.boundArch(), ms[i], opts, scratch, out[i]);
         invalid += out[i].valid ? 0 : 1;
     }
     scratchReuses_.add(scratch.reuseCount() - reuse0);

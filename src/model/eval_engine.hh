@@ -15,10 +15,9 @@
  *
  * The engine keeps no cache: every evaluation runs the analytical model
  * in the calling thread. evaluate() is a batch of one, so evaluate() and
- * evaluateBatch() share one evaluation loop and every counter. Decided-
- * prefix terms (PrefixTerms in cost_model.hh) are owned by the caller
- * that built them and passed in by pointer (DESIGN.md §11). The pool size
- * is the one construction argument.
+ * evaluateBatch() share one evaluation loop and every counter, and every
+ * evaluation walks all levels of the mapping (DESIGN.md §11). The pool
+ * size is the one construction argument.
  *
  * The free function evaluateMapping() in cost_model.hh remains the raw
  * analytical model (and the engine's backend); search code must evaluate
@@ -63,9 +62,9 @@ struct SearchStats
     /** Always 0; see cacheHits. */
     std::int64_t evictions = 0;
     /**
-     * Always 0: the engine keeps no prefix-term cache (callers own their
-     * PrefixTerms). Kept, like cacheHits, only because the repository
-     * benchmark's driver still reads them; nothing writes them.
+     * Always 0: nothing caches decided-prefix terms any more. Kept, like
+     * cacheHits, only because the repository benchmark's driver still
+     * reads them; nothing writes them.
      */
     std::int64_t prefixHits = 0;
     std::int64_t prefixMisses = 0;
@@ -135,15 +134,10 @@ class EvalEngine
 
     /**
      * Evaluates one mapping: a batch of one (see evaluateBatch()), so it
-     * counts and times exactly as a one-mapping batch. With `prefix`
-     * (built by buildPrefixTerms()) the model reuses its decided-level
-     * terms and only recomputes the undecided levels; the result is
-     * bit-identical to the plain evaluation for any mapping whose
-     * canonical prefix matches the one the terms were built from.
+     * counts and times exactly as a one-mapping batch.
      */
     CostResult evaluate(const Context &ctx, const Mapping &m,
-                        const CostModelOptions &opts = {},
-                        const PrefixTerms *prefix = nullptr);
+                        const CostModelOptions &opts = {});
 
     /**
      * Caller-owned counts of scoreEnergy() calls, added to the engine's
@@ -166,18 +160,16 @@ class EvalEngine
 
     /**
      * Allocation-free scoring fast path: runs scoreEnergyInto() on
-     * per-thread buffers, with the caller's optional prefix terms, and
-     * returns only the total energy (pJ);
-     * infinity for invalid mappings. This is what
-     * high-volume completion scoring calls — identical numbers to
-     * evaluate(...).totalEnergyPj, and no CostResult is built.
+     * per-thread buffers and returns only the total energy (pJ);
+     * infinity for invalid mappings. This is what high-volume completion
+     * scoring calls — identical numbers to evaluate(...).totalEnergyPj,
+     * and no CostResult is built.
      * The call is counted in `tally`, not in the engine: it makes no
      * atomic write, and reads the clock only for one call in
      * kScoreSampleEvery.
      */
-    double scoreEnergy(const Context &ctx, const PrefixTerms *prefix,
-                       const Mapping &m, const CostModelOptions &opts,
-                       ScoreTally &tally);
+    double scoreEnergy(const Context &ctx, const Mapping &m,
+                       const CostModelOptions &opts, ScoreTally &tally);
 
     /**
      * Adds a tally's calls, invalid results and scratch reuses to the
@@ -214,8 +206,7 @@ class EvalEngine
   private:
     /** The one evaluation loop: evaluate() and evaluateBatch(). */
     void evaluateSpan(const Context &ctx, std::span<const Mapping> ms,
-                      const CostModelOptions &opts,
-                      const PrefixTerms *prefix, std::span<CostResult> out);
+                      const CostModelOptions &opts, std::span<CostResult> out);
 
     unsigned threads_;
 

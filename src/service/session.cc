@@ -381,7 +381,9 @@ SchedulerSession::runNet(const MappingRequest &req, ArtifactSet *artifacts,
 
     NetSchedulerOptions opts;
     opts.fusion = materializeFusionMode(req);
-    opts.warmstartStore = req.warmStart ? opts_.warmStartPath : "";
+    // A warm net reads and records the same session store as runMap.
+    if (req.warmStart)
+        opts.warmStarts = &warmStore_;
     opts.sunstone.optimizeEdp = req.optimizeEdp;
     if (req.beamWidth > 0)
         opts.sunstone.beamWidth = req.beamWidth;
@@ -398,6 +400,9 @@ SchedulerSession::runNet(const MappingRequest &req, ArtifactSet *artifacts,
     if (artifacts)
         artifacts->stop();
     SignalBridge::instance().setForceFlush(nullptr);
+    if (req.warmStart && !opts_.warmStartPath.empty() &&
+        !warmStore_.save(opts_.warmStartPath))
+        SUNSTONE_FATAL("cannot write '", opts_.warmStartPath, "'");
 
     resp.ok = true;
     resp.arch = arch;

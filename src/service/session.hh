@@ -62,9 +62,11 @@ struct SessionOptions
 
     /**
      * Path of the persistent warm-start store. Loaded at construction
-     * (a missing file is an empty store), saved after every recorded
-     * best. Empty keeps the store in memory only: warm starting still
-     * works within the session, nothing persists.
+     * (a missing file is an empty store), saved after every map request
+     * that records a best and after every warm_start net request (map
+     * and net share the one session store). Empty keeps the store in
+     * memory only: warm starting still works within the session,
+     * nothing persists.
      */
     std::string warmStartPath;
 

@@ -1,7 +1,6 @@
 /** @file
- * Tests for the unified evaluation engine (telemetry, caller-owned
- * prefix terms, shared pool) and the network-level scheduler built on
- * it.
+ * Tests for the unified evaluation engine (telemetry, scoring tallies,
+ * shared pool) and the network-level scheduler built on it.
  */
 
 #include <gtest/gtest.h>
@@ -68,9 +67,8 @@ struct CounterDelta
 TEST(EvalEngine, EvaluateIsABatchOfOne)
 {
     // evaluate() and a one-mapping evaluateBatch() on twin engines must
-    // return the same bits and move the same counters: a valid mapping,
-    // an invalid one and a mapping evaluated through the caller's prefix
-    // terms, each twice.
+    // return the same bits and move the same counters: a valid mapping
+    // and an invalid one, each twice.
     Workload wl = makeConv1D(16, 16, 28, 3);
     BoundArch ba(makeConventional(), wl);
     Mapping valid = naiveMapping(ba);
@@ -79,34 +77,25 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
     valid.level(0).temporal[0] *= 4;
     Mapping invalid = valid;
     invalid.level(0).temporal[1] *= 2; // factor product no longer the dim
-    Mapping above = valid; // same level-0 prefix, changed above it
-    above.level(top).temporal[1] /= 2;
-    above.level(1).temporal[1] *= 2;
     ASSERT_TRUE(evaluateMapping(ba, valid).valid);
-    ASSERT_TRUE(evaluateMapping(ba, above).valid);
 
     EvalEngine single;
     EvalEngine batch;
     const EvalEngine::Context cs = single.context(ba);
     const EvalEngine::Context cb = batch.context(ba);
-    PrefixTerms level0;
-    buildPrefixTerms(ba, valid, 1, threadEvalScratch(), level0);
 
     struct Case
     {
         const char *what;
         const Mapping &m;
-        const PrefixTerms *prefix;
     };
-    const Case cases[] = {{"valid", valid, nullptr},
-                          {"invalid", invalid, nullptr},
-                          {"prefixed", above, &level0}};
+    const Case cases[] = {{"valid", valid}, {"invalid", invalid}};
     for (const Case &c : cases)
         for (int rep = 0; rep < 2; ++rep) {
             SCOPED_TRACE(std::string(c.what) + " #" + std::to_string(rep));
             const SearchStats s0 = single.stats();
             const SearchStats b0 = batch.stats();
-            const CostResult r = single.evaluate(cs, c.m, {}, c.prefix);
+            const CostResult r = single.evaluate(cs, c.m);
             std::vector<CostResult> out;
             batch.evaluateBatch(cb, std::span<const Mapping>(&c.m, 1), {},
                                 out);
@@ -123,8 +112,8 @@ TEST(EvalEngine, EvaluateIsABatchOfOne)
             EXPECT_EQ(ds.timed, db.timed);
             EXPECT_EQ(ds.reuses, db.reuses);
         }
-    EXPECT_EQ(single.stats().evalLatencyUs.count, 6);
-    EXPECT_EQ(batch.stats().batches, 6);
+    EXPECT_EQ(single.stats().evalLatencyUs.count, 4);
+    EXPECT_EQ(batch.stats().batches, 4);
 }
 
 TEST(EvalEngine, CountsAreThreadInvariant)
@@ -220,7 +209,7 @@ TEST(EvalEngine, ScoreTallyAddsExactCounts)
     EvalEngine engine;
     const EvalEngine::Context ctx = engine.context(ba);
     EvalEngine::ScoreTally tally;
-    engine.scoreEnergy(ctx, nullptr, good, {}, tally); // warms the scratch
+    engine.scoreEnergy(ctx, good, {}, tally); // warms the scratch
     engine.addScores(tally);
     const SearchStats before = engine.stats();
 
@@ -228,8 +217,8 @@ TEST(EvalEngine, ScoreTallyAddsExactCounts)
     std::int64_t invalid = 0;
     for (std::int64_t i = 0; i < n; ++i) {
         const bool broken = i % 7 == 3;
-        const double e = engine.scoreEnergy(
-            ctx, nullptr, broken ? bad : good, {}, tally);
+        const double e =
+            engine.scoreEnergy(ctx, broken ? bad : good, {}, tally);
         EXPECT_EQ(std::isinf(e), broken) << i;
         invalid += broken ? 1 : 0;
     }

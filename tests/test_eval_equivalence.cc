@@ -1,10 +1,9 @@
 /** @file
  * Equivalence suite for the allocation-free fast paths added around the
  * cost model: the engine's batched entry point and evaluateMappingInto()
- * with and without prefix terms must produce results bit-identical to
- * the plain evaluateMapping() — every per-(level, tensor) access counter
- * and every floating-point output (energies, cycles, latency, EDP,
- * utilization).
+ * must produce results bit-identical to the plain evaluateMapping() —
+ * every per-(level, tensor) access counter and every floating-point
+ * output (energies, cycles, latency, EDP, utilization).
  *
  * Trials draw from the diffcheck generators, so the population includes
  * strided convolutions, multicast on/off, partitioned buffers, and
@@ -87,18 +86,6 @@ checkAllPaths(const BoundArch &ba, const Mapping &m, std::uint64_t tag)
         CostResult out;
         evaluateMappingInto(ba, m, {}, threadEvalScratch(), out);
         expectIdentical(ref, out, what + " [into]");
-    }
-
-    // Prefix-incremental with the mapping itself as the base, every
-    // possible prefix length.
-    EvalScratch &scratch = threadEvalScratch();
-    for (int p = 1; p < m.numLevels(); ++p) {
-        PrefixTerms terms;
-        buildPrefixTerms(ba, m, p, scratch, terms);
-        CostResult out;
-        evaluateMappingInto(ba, m, {}, scratch, out, &terms);
-        expectIdentical(ref, out,
-                        what + " [prefix P=" + std::to_string(p) + "]");
     }
 }
 
@@ -201,46 +188,6 @@ TEST(EvalEquivalence, BatchMatchesSerial)
         if (::testing::Test::HasFatalFailure())
             return;
     }
-}
-
-TEST(EvalEquivalence, EnginePrefixTermsMatchPlain)
-{
-    constexpr int kTrials = 60;
-    EvalEngine engine(2);
-    for (int i = 0; i < kTrials; ++i) {
-        std::mt19937_64 rng = diffcheckTrialRng(99000 + i);
-        const Workload wl = randomDiffcheckWorkload(rng);
-        const ArchSpec arch = randomDiffcheckArch(wl, rng);
-        const BoundArch ba(arch, wl);
-        const Mapping base = randomDiffcheckMapping(ba, rng);
-        const EvalEngine::Context ctx = engine.context(ba);
-
-        // Mutate the mapping above the prefix boundary: swap one prime
-        // factor between the top two levels' temporal slots, as the
-        // hill-climb does. The prefix terms built from `base` must still
-        // give bit-identical results for the mutated mapping.
-        const int nl = base.numLevels();
-        for (int p = 1; p < nl; ++p) {
-            Mapping m = base;
-            auto &hi = m.level(nl - 1).temporal;
-            auto &lo = m.level(p).temporal;
-            for (std::size_t d = 0; d < hi.size(); ++d)
-                if (hi[d] % 2 == 0) {
-                    hi[d] /= 2;
-                    lo[d] *= 2;
-                    break;
-                }
-            PrefixTerms terms;
-            buildPrefixTerms(ba, base, p, threadEvalScratch(), terms);
-            const CostResult got = engine.evaluate(ctx, m, {}, &terms);
-            expectIdentical(evaluateMapping(ba, m), got,
-                            "engine prefix trial " + std::to_string(i) +
-                                " P=" + std::to_string(p));
-            if (::testing::Test::HasFatalFailure())
-                return;
-        }
-    }
-    EXPECT_GT(engine.stats().evaluations, 0);
 }
 
 TEST(EvalEquivalence, StridedConvAndBypassCovered)
@@ -382,9 +329,9 @@ TEST(EvalEquivalence, CheckValidMatchesMappingValid)
 
 /** EvalEngine::scoreEnergy() builds no CostResult, yet returns exactly
  *  evaluateMapping(...).totalEnergyPj: on valid and invalid mappings,
- *  boundary and Ephemeral residency, every prefix length, and each
- *  combination of modelNoc and assumeValid. Invalid mappings are
- *  counted in the tally once per score. */
+ *  boundary and Ephemeral residency, and each combination of modelNoc
+ *  and assumeValid. Invalid mappings are counted in the tally once per
+ *  score. */
 TEST(EvalEquivalence, ScoreEnergyMatchesEvaluate)
 {
     EvalEngine engine(1);
@@ -399,20 +346,12 @@ TEST(EvalEquivalence, ScoreEnergyMatchesEvaluate)
                 opts.modelNoc = noc;
                 opts.assumeValid = assume;
                 const CostResult ref = evaluateMapping(ba, m, opts);
-                for (int p = 0; p < m.numLevels(); ++p) {
-                    PrefixTerms terms;
-                    if (p > 0)
-                        buildPrefixTerms(ba, m, p, threadEvalScratch(),
-                                         terms);
-                    const double got = engine.scoreEnergy(
-                        ctx, p > 0 ? &terms : nullptr, m, opts, tally);
-                    EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
-                              std::bit_cast<std::uint64_t>(ref.totalEnergyPj))
-                        << label << " noc=" << noc << " assumeValid="
-                        << assume << " P=" << p;
-                    want_invalid += !ref.valid;
-                    ++scores;
-                }
+                const double got = engine.scoreEnergy(ctx, m, opts, tally);
+                EXPECT_EQ(std::bit_cast<std::uint64_t>(got),
+                          std::bit_cast<std::uint64_t>(ref.totalEnergyPj))
+                    << label << " noc=" << noc << " assumeValid=" << assume;
+                want_invalid += !ref.valid;
+                ++scores;
             }
     };
 
@@ -492,23 +431,17 @@ TEST(EvalEquivalence, ScratchRekeysAcrossSameShapeArchVariants)
         const Mapping m_a = randomDiffcheckMapping(ba_a, rng);
         const Mapping m_b = randomDiffcheckMapping(ba_b, rng);
 
-        // Interleave the two bindings through the one shared scratch,
-        // plainly and with prefix terms (which read the same per-binding
-        // chains, built on the same scratch); every result must match a
-        // fresh-state reference bitwise.
+        // Interleave the two bindings through the one shared scratch
+        // (A, B, A, B: every evaluation switches bindings); every result
+        // must match a fresh-state reference bitwise.
         const CostResult ref_a = evaluateMapping(ba_a, m_a);
         const CostResult ref_b = evaluateMapping(ba_b, m_b);
-        for (int p = 0; p < m_a.numLevels(); ++p) {
-            PrefixTerms terms_a, terms_b;
-            buildPrefixTerms(ba_a, m_a, p, shared, terms_a);
-            buildPrefixTerms(ba_b, m_b, p, shared, terms_b);
-            const std::string what =
-                "trial " + std::to_string(i) + " P=" + std::to_string(p);
+        for (int round = 0; round < 2; ++round) {
+            const std::string what = "trial " + std::to_string(i) +
+                                     " round " + std::to_string(round);
             CostResult out_a, out_b;
-            evaluateMappingInto(ba_a, m_a, {}, shared, out_a,
-                                p ? &terms_a : nullptr);
-            evaluateMappingInto(ba_b, m_b, {}, shared, out_b,
-                                p ? &terms_b : nullptr);
+            evaluateMappingInto(ba_a, m_a, {}, shared, out_a);
+            evaluateMappingInto(ba_b, m_b, {}, shared, out_b);
             expectIdentical(ref_a, out_a, what + " arch A");
             expectIdentical(ref_b, out_b, what + " arch B");
         }

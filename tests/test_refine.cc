@@ -111,10 +111,7 @@ level DRAM temporal c=32 spatial - order n,k,p,q,r,s,c
 
 /**
  * The hill climb from the naive mapping, pinned: mapping, objective
- * bits, evaluations and accepted moves. Each neighbour is evaluated
- * through the decided-level terms of its round's base mapping; terms
- * built from any other mapping (a stale base, a shared prefix that is
- * not the neighbour's) change an objective, and so the climb.
+ * bits, evaluations and accepted moves.
  */
 TEST(Refine, PolishOutcomeIsPinned)
 {

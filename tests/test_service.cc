@@ -9,7 +9,9 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <chrono>
+#include <cstdio>
 #include <string>
 #include <thread>
 #include <utility>
@@ -18,6 +20,7 @@
 #include "arch/arch.hh"
 #include "common/json.hh"
 #include "mapping/serialize.hh"
+#include "search/warmstart.hh"
 #include "service/serve.hh"
 #include "service/session.hh"
 
@@ -266,6 +269,69 @@ TEST(ServiceSession, WarmStartSeedsFromEarlierRequests)
     EXPECT_FALSE(warm.cached); // session-state-dependent: never cached
     // Seeding can only help: the warm best is no worse than the cold.
     EXPECT_LE(warm.result.cost.edp, cold.result.cost.edp);
+}
+
+/** A warm_start request for ResNet-18 at batch 1: twelve unique layers,
+ *  each search cut at a few hundred evaluations. */
+MappingRequest
+warmResnet18()
+{
+    MappingRequest req;
+    req.kind = RequestKind::Net;
+    req.net = "resnet18";
+    req.batch = 1;
+    req.seed = 5;
+    req.maxEvals = 400;
+    req.warmStart = true;
+    return req;
+}
+
+TEST(ServiceSession, WarmNetAndMapShareOnePersistedStore)
+{
+    // Net and map requests record into the one session store, so the
+    // map's save keeps the net's layers in the file.
+    const std::string path = ::testing::TempDir() + "/svc_shared_store.json";
+    std::remove(path.c_str());
+    SessionOptions opts = quietSession();
+    opts.warmStartPath = path;
+    SchedulerSession session(opts);
+
+    const MappingResponse net = session.execute(warmResnet18());
+    ASSERT_TRUE(net.ok && net.net) << net.error;
+    WarmStartStore afterNet;
+    ASSERT_TRUE(afterNet.load(path));
+    ASSERT_GT(afterNet.size(), 0u);
+
+    MappingRequest map = smallConv(/*seed=*/3);
+    map.warmStart = true;
+    const MappingResponse mapped = session.execute(map);
+    ASSERT_TRUE(mapped.ok && mapped.result.found) << mapped.error;
+    WarmStartStore afterMap;
+    ASSERT_TRUE(afterMap.load(path));
+    EXPECT_EQ(afterMap.size(), afterNet.size() + 1);
+    for (const WarmStartStore::Entry &e : afterNet.entries()) {
+        const auto &kept = afterMap.entries();
+        EXPECT_TRUE(std::any_of(kept.begin(), kept.end(), [&](const auto &k) {
+            return k.shapeClass == e.shapeClass && k.extents == e.extents;
+        })) << e.name << " dropped from the file";
+    }
+    std::remove(path.c_str());
+}
+
+TEST(ServiceSession, WarmNetSeedsLaterMapWithoutAPath)
+{
+    // No path: the store lives in memory only, and a warm net still
+    // records its per-op bests into it.
+    SchedulerSession session(quietSession());
+    const MappingResponse net = session.execute(warmResnet18());
+    ASSERT_TRUE(net.ok && net.net) << net.error;
+
+    MappingRequest map = smallConv(/*seed=*/3);
+    map.conv = "n=1,k=64,c=64,p=56,q=56,r=3,s=3"; // ResNet-18 conv2_x
+    map.warmStart = true;
+    const MappingResponse mapped = session.execute(map);
+    ASSERT_TRUE(mapped.ok && mapped.result.found) << mapped.error;
+    EXPECT_GT(mapped.warmSeeds, 0);
 }
 
 TEST(ServiceSession, AdmissionControlRejectsWhenQueueIsFull)

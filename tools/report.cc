@@ -14,8 +14,8 @@
  *
  * and prints, per section: the run summary, evaluation-latency
  * percentiles (p50/p90/p99 interpolated from the histogram buckets),
- * the engine counters (evaluations, prefix hits/misses, invalid,
- * pruned), per-layer/per-chain fusion outcomes,
+ * the engine counters (evaluations, scratch reuses, invalid, pruned,
+ * batches), per-layer/per-chain fusion outcomes,
  * the snapshot time series (records, eval-rate trend, final search
  * states), convergence trajectories with time-to-quality (evals and
  * seconds to within 1%/5% of each trajectory's final metric), the
